@@ -12,11 +12,12 @@
 // disk; the measured children slurp those bytes and run the work:
 //
 //   ingest child   N timed iterations of {streaming TSV parse -> records;
-//                  LogJoiner + CorpusIndex fold} — the per-row hot path,
-//                  exactly as run_text_serial wires it: a DnPool attached to
-//                  both readers and the joiner, so DNs are canonicalized
-//                  once at intern time and the join works over interned ids.
-//                  Headline rows/sec and peak RSS come from here.
+//                  LogJoiner + CorpusIndex fold} — the per-row hot path with
+//                  its two layers timed apart. As in StudyPipeline::run, the
+//                  readers do not intern; the joiner interns every DN on its
+//                  DnPool (canonicalized once per distinct spelling) and the
+//                  join works over interned ids. Headline rows/sec and peak
+//                  RSS come from here.
 //   pipeline child one full StudyPipeline::run over the same text (serial),
 //                  reporting end-to-end rows/sec and the report digest as a
 //                  byte-identity anchor across harness runs.
@@ -258,8 +259,8 @@ int main(int argc, char** argv) {
       core::DnPool pool;
       std::vector<zeek::SslLogRecord> ssl;
       std::vector<zeek::X509LogRecord> x509;
-      // Mirror run_text_serial: reserve from the newline count so the record
-      // vectors never double through ~2x the needed footprint.
+      // Reserve from the newline count so the record vectors never double
+      // through ~2x the needed footprint.
       ssl.reserve(static_cast<std::size_t>(
           std::count(ssl_text.begin(), ssl_text.end(), '\n')));
       x509.reserve(static_cast<std::size_t>(
@@ -267,12 +268,10 @@ int main(int argc, char** argv) {
       const obs::Stopwatch parse_watch;
       auto ssl_reader = zeek::make_streaming_ssl_reader(
           [&ssl](zeek::SslLogRecord record) { ssl.push_back(std::move(record)); });
-      ssl_reader.set_dn_pool(&pool);
       ssl_reader.feed(ssl_text);
       ssl_reader.finish();
       auto x509_reader = zeek::make_streaming_x509_reader(
           [&x509](zeek::X509LogRecord record) { x509.push_back(std::move(record)); });
-      x509_reader.set_dn_pool(&pool);
       x509_reader.feed(x509_text);
       x509_reader.finish();
       const double parse_ms = parse_watch.elapsed_ms();

@@ -164,35 +164,6 @@ void CorpusIndex::add_all(const std::vector<zeek::JoinedConnection>& connections
   for (const zeek::JoinedConnection& connection : connections) add(connection);
 }
 
-void CorpusIndex::merge_from(CorpusIndex&& other) {
-  totals_.connections += other.totals_.connections;
-  totals_.with_certificates += other.totals_.with_certificates;
-  totals_.tls13_connections += other.totals_.tls13_connections;
-  totals_.incomplete_joins += other.totals_.incomplete_joins;
-
-  certificate_fingerprints_.merge(other.certificate_fingerprints_);
-  totals_.distinct_certificates = certificate_fingerprints_.size();
-
-  for (auto& [chain_id, theirs] : other.chains_) {
-    const auto [it, inserted] = chains_.try_emplace(chain_id, std::move(theirs));
-    if (inserted) continue;
-    ChainObservation& ours = it->second;
-    ours.connections += theirs.connections;
-    ours.established += theirs.established;
-    ours.client_ips.merge(theirs.client_ips);
-    ours.server_keys.merge(theirs.server_keys);
-    ours.ports.merge_from(theirs.ports);
-    ours.with_sni += theirs.with_sni;
-    ours.without_sni += theirs.without_sni;
-    ours.domains.merge(theirs.domains);
-    ours.first_seen = std::min(ours.first_seen, theirs.first_seen);
-    ours.last_seen = std::max(ours.last_seen, theirs.last_seen);
-  }
-  other.chains_.clear();
-  other.totals_ = CorpusTotals{};
-  other.reset_fold_memo();  // its memo pointed into the map just cleared
-}
-
 void CorpusIndex::write_snapshot(obs::json::Writer& writer) const {
   writer.begin_object();
 

@@ -90,14 +90,6 @@ class CorpusIndex {
   /// add(joiner.join(ssl)).
   void add(const zeek::LogJoiner& joiner, const zeek::SslLogRecord& ssl);
 
-  /// Folds another index in, destructively. Every per-chain and corpus-wide
-  /// field is an order-independent reduction (sums, set unions, min/max over
-  /// timestamps), so merging shard-local indexes — in any order — yields
-  /// exactly the index a serial pass over the concatenated connections would
-  /// have built; certificates seen by several shards are deduplicated here.
-  /// The parallel-diff suite asserts this equivalence end to end.
-  void merge_from(CorpusIndex&& other);
-
   const std::map<std::string, ChainObservation>& chains() const { return chains_; }
   const CorpusTotals& totals() const { return totals_; }
 

@@ -4,8 +4,7 @@
 // It lives in its own dependency-free header so value types below core/ in
 // the include order (x509::Certificate, zeek records) can carry ids without
 // pulling in the pool itself. Ids are pool-local: comparing ids from two
-// different pools is meaningless until one pool absorb()s the other and the
-// returned id-map is applied (the shard-merge protocol).
+// different pools is meaningless.
 #pragma once
 
 #include <cstdint>

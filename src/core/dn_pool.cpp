@@ -79,12 +79,4 @@ DnId DnPool::find_canonical(std::string_view canonical) const {
   return it == by_canonical_.end() ? kInvalidDnId : it->second;
 }
 
-std::vector<DnId> DnPool::absorb(const DnPool& other) {
-  std::vector<DnId> id_map(other.entries_.size(), kInvalidDnId);
-  for (std::size_t i = 0; i < other.entries_.size(); ++i) {
-    id_map[i] = intern(*other.entries_[i]);
-  }
-  return id_map;
-}
-
 }  // namespace certchain::core

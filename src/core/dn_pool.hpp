@@ -16,10 +16,9 @@
 //   intern(name)   an already-parsed DistinguishedName, keyed by its
 //                  canonical form.
 //
-// Ids are pool-local. The sharded parallel engine gives each shard its own
-// pool and merges them with absorb(), which returns an old-id -> new-id map
-// the merge loop applies to the shard's records — the id-remap merge
-// protocol that keeps parallel runs byte-identical to serial ones.
+// Ids are pool-local, and a study run has exactly one pool: only its joiner
+// interns, on the coordinating thread, so workers only ever read a complete
+// pool and no two pools' ids ever meet.
 //
 // Distinct spellings that canonicalize equally ("CN=Example" vs
 // "cn=example") share one id but keep their own parsed form: name_for_raw()
@@ -84,11 +83,6 @@ class DnPool {
   std::string_view display(DnId id) const { return displays_[id]; }
 
   std::size_t size() const { return entries_.size(); }
-
-  /// Merges `other` into this pool. Returns the id-map: result[i] is the id
-  /// in *this* pool of other's id i. Applying it to a shard's records is the
-  /// shard-merge protocol (pipeline_parallel.cpp).
-  std::vector<DnId> absorb(const DnPool& other);
 
  private:
   /// Bump-allocating byte arena for memo keys; views into it stay valid for

@@ -7,7 +7,9 @@
 // of what was dropped, and reports them in the study output — the paper's
 // discipline of stating exclusions next to results. Strict surfaces the
 // first damaged line as an IngestError instead, for callers that treat any
-// damage as a data-collection bug.
+// damage as a data-collection bug. The engine parses X509 before SSL, but
+// accounts SSL first: when both streams are damaged, the SSL stream's first
+// error is the one raised, at every thread count and chunk size.
 #pragma once
 
 #include <cstddef>
@@ -26,11 +28,10 @@ enum class IngestMode : std::uint8_t {
 
 std::string_view ingest_mode_name(IngestMode mode);
 
+/// Ingestion policy. How many bytes reach the readers at a time is an
+/// execution choice, not a policy one: RunOptions::chunk_bytes.
 struct IngestOptions {
   IngestMode mode = IngestMode::kLenient;
-  /// Chunk size used to drive the streaming readers (exercises the same
-  /// split-line handling a growing log file does).
-  std::size_t feed_chunk_bytes = 64 * 1024;
 };
 
 /// Raised by strict-mode ingestion on the first damaged line.
@@ -39,9 +40,9 @@ class IngestError : public std::runtime_error {
   explicit IngestError(const std::string& message) : std::runtime_error(message) {}
 };
 
-/// Per-stream line accounting. The numbers originate in the streaming
-/// readers, are published as `stage.ingest.<stream>.*` registry counters,
-/// and this struct is then filled back FROM those counters — so the report's
+/// Per-stream line accounting. The numbers originate in the stream's
+/// reader, are published as `ingest.<stream>.*` registry counters, and this
+/// struct is then filled back FROM those counters — so the report's
 /// data-quality section and the metrics export can never disagree.
 struct IngestStreamStats {
   std::size_t bytes = 0;            // raw bytes consumed from the stream

@@ -86,15 +86,15 @@ bool InterceptionDetector::is_interception_candidate(
 
 namespace {
 
-/// Partial detection state: the per-chain fold target, usable serially (one
-/// fold over the whole corpus) or per shard with a range-order merge.
+/// Partial detection state: the per-chain fold target, one per corpus range,
+/// merged in range order.
 struct DetectFold {
   std::map<std::string, InterceptionFinding> findings;  // by issuer canonical
   std::set<std::string> unconfirmed_candidates;
   std::uint64_t total_connections = 0;
 };
 
-/// The serial loop body: evaluates one chain observation into the fold.
+/// The loop body: evaluates one chain observation into the fold.
 void fold_observation(const InterceptionDetector& detector,
                       const VendorDirectory& directory,
                       const ChainObservation& observation, DetectFold& fold) {
@@ -129,7 +129,7 @@ void fold_observation(const InterceptionDetector& detector,
 }
 
 /// Folds a later corpus range in; call in range order so first-wins identity
-/// fields resolve like the serial pass.
+/// fields resolve like a single pass over the corpus.
 void merge_fold(DetectFold& into, DetectFold&& other) {
   for (auto& [canonical, theirs] : other.findings) {
     const auto [it, inserted] =
@@ -142,7 +142,7 @@ void merge_fold(DetectFold& into, DetectFold&& other) {
   into.total_connections += other.total_connections;
 }
 
-/// Vendor expansion + the Table-1 ordering, shared by both paths.
+/// Vendor expansion + the Table-1 ordering over the merged fold.
 InterceptionReport finalize_fold(DetectFold&& fold,
                                  const VendorDirectory& directory) {
   InterceptionReport report;
@@ -173,40 +173,28 @@ InterceptionReport finalize_fold(DetectFold&& fold,
 
 }  // namespace
 
-InterceptionReport InterceptionDetector::detect(const CorpusIndex& corpus) const {
-  DetectFold fold;
-  for (const auto& [chain_id, observation] : corpus.chains()) {
-    fold_observation(*this, *directory_, observation, fold);
-  }
-  return finalize_fold(std::move(fold), *directory_);
-}
-
 InterceptionReport InterceptionDetector::detect(const CorpusIndex& corpus,
                                                 par::ThreadPool* pool) const {
-  if (pool == nullptr || pool->size() <= 1) return detect(corpus);
-
   std::vector<const ChainObservation*> observations;
   observations.reserve(corpus.chains().size());
   for (const auto& [chain_id, observation] : corpus.chains()) {
     observations.push_back(&observation);
   }
 
-  const std::size_t shard_count = pool->size();
-  std::vector<DetectFold> folds(shard_count);
+  const std::size_t chunks = pool == nullptr ? 1 : pool->size();
+  std::vector<DetectFold> folds(chunks);
   par::parallel_for_chunks(
-      pool, observations.size(), shard_count,
+      pool, observations.size(), chunks,
       [this, &folds, &observations](std::size_t chunk, std::size_t begin,
                                     std::size_t end) {
         for (std::size_t i = begin; i < end; ++i) {
           fold_observation(*this, *directory_, *observations[i], folds[chunk]);
         }
       });
-
-  DetectFold fold;
-  for (std::size_t i = 0; i < shard_count; ++i) {
-    merge_fold(fold, std::move(folds[i]));
+  for (std::size_t i = 1; i < chunks; ++i) {
+    merge_fold(folds[0], std::move(folds[i]));
   }
-  return finalize_fold(std::move(fold), *directory_);
+  return finalize_fold(std::move(folds[0]), *directory_);
 }
 
 InterceptionReport InterceptionDetector::detect(const CorpusIndex& corpus,

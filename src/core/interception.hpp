@@ -90,23 +90,20 @@ class InterceptionDetector {
 
   /// Runs detection over the deduplicated corpus. Chains are flagged via
   /// their observed SNI domains; SNI-less traffic cannot be checked against
-  /// CT (Appendix B limitation, reproduced faithfully).
-  InterceptionReport detect(const CorpusIndex& corpus) const;
-
-  /// Sharded detection: the per-chain candidate test runs over consecutive
-  /// corpus ranges on the pool; the partial finding maps merge in range
-  /// order (identity fields first-wins, counts summed, client sets unioned)
-  /// before the serial vendor expansion and sort — producing exactly the
-  /// serial detect()'s report. A null or single-worker pool falls back to
-  /// the serial path.
+  /// CT (Appendix B limitation, reproduced faithfully). With a pool, the
+  /// per-chain candidate test runs over one consecutive corpus range per
+  /// worker and the partial finding maps merge in range order (identity
+  /// fields first-wins, counts summed, client sets unioned) before the
+  /// vendor expansion and sort; a null pool runs one range inline. The
+  /// report is identical either way.
   InterceptionReport detect(const CorpusIndex& corpus,
-                            par::ThreadPool* pool) const;
+                            par::ThreadPool* pool = nullptr) const;
 
   /// Uniform `(input, options, obs)` entry (DESIGN.md §11): resolves
-  /// options.threads to the serial or sharded path, and — when `obs` is
+  /// options.threads to a pool (or none), and — when `obs` is
   /// given — wraps detection in an `interception.detect` stage span with
-  /// chains-in/findings counters. Output is identical to the other
-  /// overloads at every thread count.
+  /// chains-in/findings counters. Output is identical to the pool overload
+  /// at every thread count.
   InterceptionReport detect(const CorpusIndex& corpus, const RunOptions& options,
                             obs::RunContext* obs = nullptr) const;
 

@@ -1,15 +1,15 @@
 #include "core/pipeline.hpp"
 
-#include <algorithm>
+#include <functional>
 #include <optional>
 #include <set>
 
 #include "core/pipeline_detail.hpp"
+#include "obs/resource.hpp"
 #include "obs/run_context.hpp"
 #include "par/thread_pool.hpp"
 #include "truststore/issuer_classifier.hpp"
 #include "zeek/joiner.hpp"
-#include "zeek/log_stream.hpp"
 
 namespace certchain::core {
 
@@ -27,74 +27,58 @@ std::string_view ingest_mode_name(IngestMode mode) {
 
 StudyReport StudyPipeline::run(const StudyInput& input, const RunOptions& options,
                                obs::RunContext* obs) const {
-  if (obs != nullptr) obs->set_config("input.kind", input.describe());
-  switch (input.kind()) {
-    case StudyInput::Kind::kRecords:
-      return run_records(input.ssl_records(), input.x509_records(), options, obs);
-    case StudyInput::Kind::kText:
-      return run_text(input.ssl_text(), input.x509_text(), options, obs);
-    case StudyInput::Kind::kSources:
-    case StudyInput::Kind::kFiles: {
-      const std::shared_ptr<LogSource> ssl = input.open_ssl_source();
-      if (ssl == nullptr) {
-        throw IngestError("cannot open SSL log source: " + input.ssl_path());
-      }
-      const std::shared_ptr<LogSource> x509 = input.open_x509_source();
-      if (x509 == nullptr) {
-        throw IngestError("cannot open X509 log source: " + input.x509_path());
-      }
-      return run_streaming(*ssl, *x509, options, obs);
-    }
+  // Ingestion accounting always flows through a registry; without an
+  // injected context a run-local one keeps the single-source guarantee.
+  obs::RunContext local;
+  obs::RunContext& ctx = obs != nullptr ? *obs : local;
+  ctx.set_config("input.kind", input.describe());
+  std::optional<par::ThreadPool> workers;
+  if (const std::size_t threads = par::resolve_threads(options.threads);
+      threads > 1) {
+    workers.emplace(threads);
+    ctx.set_config("par.threads", static_cast<std::uint64_t>(workers->size()));
   }
-  throw IngestError("unknown StudyInput kind");
-}
+  par::ThreadPool* pool = workers.has_value() ? &*workers : nullptr;
 
-StudyReport StudyPipeline::run_records(
-    const std::vector<zeek::SslLogRecord>& ssl,
-    const std::vector<zeek::X509LogRecord>& x509, const RunOptions& options,
-    obs::RunContext* obs) const {
-  const std::size_t threads = par::resolve_threads(options.threads);
-  if (threads <= 1) return run_records_serial(ssl, x509, obs);
-  par::ThreadPool pool(threads);
-  if (obs != nullptr) {
-    obs->set_config("par.threads", static_cast<std::uint64_t>(pool.size()));
-  }
-  return run_on_pool(pool, ssl, x509, obs);
-}
-
-StudyReport StudyPipeline::run_records_serial(
-    const std::vector<zeek::SslLogRecord>& ssl,
-    const std::vector<zeek::X509LogRecord>& x509, obs::RunContext* obs,
-    DnPool* dn_pool) const {
-  auto pipeline_timer = stage_timer(obs, "pipeline");
-
-  // Stage 0: join SSL and X509 rows and deduplicate chains. The joiner runs
-  // on the run's DnPool (the caller's, or a run-local one): each distinct DN
-  // spelling parses once, and every joined certificate is fingerprint-sealed
-  // and id-stamped before the fold sees it.
-  DnPool local_pool;
-  DnPool* pool = dn_pool != nullptr ? dn_pool : &local_pool;
+  // The run's one DnPool. Only the joiner interns into it, on this thread,
+  // so it is complete and read-only before any worker compares its ids.
+  DnPool dn_pool;
   zeek::LogJoiner joiner;
-  joiner.set_dn_pool(pool);
-  for (const zeek::X509LogRecord& record : x509) joiner.add(record);
+  joiner.set_dn_pool(&dn_pool);
   CorpusIndex corpus;
+  IngestReport ingest;
   {
-    auto timer = stage_timer(obs, "join");
-    for (const zeek::SslLogRecord& record : ssl) corpus.add(joiner, record);
+    obs::StageTimer timer(ctx, "ingest");
+    ingest = detail::fold_input(input, options, joiner, corpus, ctx);
   }
-  return analyze_corpus(corpus, obs, pool);
+  if (ingest.populated) {
+    // The stage triple counts rows that carried (or should have carried)
+    // data; header/comment lines are neither admitted nor dropped.
+    const std::uint64_t records = ingest.ssl.records + ingest.x509.records;
+    publish_stage(&ctx, "ingest", records + ingest.skipped_total(), records,
+                  ingest.skipped_total());
+  }
+
+  StudyReport report = analyze_corpus(pool, corpus, obs, dn_pool);
+  report.ingest = std::move(ingest);
+  if (input.streamed()) {
+    ctx.metrics.set_gauge("mem.peak_rss_bytes",
+                          static_cast<double>(obs::peak_rss_bytes()));
+  }
+  return report;
 }
 
 StudyReport StudyPipeline::analyze(const CorpusIndex& corpus,
                                    obs::RunContext* obs,
                                    const DnPool* dn_pool) const {
-  auto pipeline_timer = stage_timer(obs, "pipeline");
-  return analyze_corpus(corpus, obs, dn_pool);
+  return analyze_corpus(nullptr, corpus, obs, *dn_pool);
 }
 
-StudyReport StudyPipeline::analyze_corpus(const CorpusIndex& corpus,
+StudyReport StudyPipeline::analyze_corpus(par::ThreadPool* pool,
+                                          const CorpusIndex& corpus,
                                           obs::RunContext* obs,
-                                          const DnPool* dn_pool) const {
+                                          const DnPool& dn_pool) const {
+  auto pipeline_timer = stage_timer(obs, "pipeline");
   StudyReport report;
   report.totals = corpus.totals();
   report.unique_chains = corpus.unique_chain_count();
@@ -103,42 +87,55 @@ StudyReport StudyPipeline::analyze_corpus(const CorpusIndex& corpus,
                 report.totals.connections - report.totals.with_certificates);
   detail::publish_join_counters(obs, report);
 
+  // The per-chain stages split the unique chains, in corpus order, into one
+  // consecutive range per worker; merging the per-range results in range
+  // order replays the one-range fold exactly.
+  const std::size_t shards = pool == nullptr ? 1 : pool->size();
+  std::vector<const ChainObservation*> observations;
+  observations.reserve(corpus.chains().size());
+  for (const auto& [chain_id, observation] : corpus.chains()) {
+    observations.push_back(&observation);
+  }
+
   // Stage 1: certificate enrichment — interception identification (the
   // issuer classification itself happens lazily via the trust-store set).
   chain::InterceptionIssuerSet interception_issuers;
   {
     auto timer = stage_timer(obs, "enrich");
     const InterceptionDetector detector(*stores_, *ct_logs_, *vendors_);
-    report.interception = detector.detect(corpus);
+    report.interception = detector.detect(corpus, pool);
     interception_issuers = report.interception.issuer_set();
   }
   publish_stage(obs, "enrich", report.unique_chains, report.unique_chains, 0);
   detail::publish_enrich_counters(obs, report);
 
-  // Stage 2: chain categorization + usage statistics + Figure 1 data. With a
-  // pool the per-certificate work is a DnId set probe plus a memo load; the
-  // string path remains for poolless corpora, with identical verdicts.
+  // Stage 2: chain categorization + usage statistics + Figure 1 data. The
+  // per-certificate work is a DnId set probe plus a memo load; each range
+  // gets its own classifier, whose memo mutates on lookup.
   detail::CategorySlices slices;
   {
     auto timer = stage_timer(obs, "categorize");
-    detail::CategorizeFold fold;
-    if (dn_pool != nullptr) {
-      truststore::IssuerClassifier classifier(*stores_, *dn_pool);
-      const std::set<DnId> interception_ids =
-          chain::issuer_ids_for(interception_issuers, *dn_pool);
-      for (const auto& [chain_id, observation] : corpus.chains()) {
-        fold.add(observation,
-                 chain::categorize_chain(observation.chain, classifier,
-                                         interception_issuers, interception_ids));
-      }
-    } else {
-      for (const auto& [chain_id, observation] : corpus.chains()) {
-        fold.add(observation, chain::categorize_chain(observation.chain, *stores_,
-                                                      interception_issuers));
-      }
+    const std::set<DnId> interception_ids =
+        chain::issuer_ids_for(interception_issuers, dn_pool);
+    std::vector<detail::CategorizeFold> folds(shards);
+    detail::run_shards(
+        pool, shards, observations.size(), obs, "categorize",
+        [&](std::size_t shard, std::size_t begin, std::size_t end) {
+          truststore::IssuerClassifier classifier(*stores_, dn_pool);
+          for (std::size_t i = begin; i < end; ++i) {
+            const ChainObservation& observation = *observations[i];
+            folds[shard].add(observation,
+                             chain::categorize_chain(observation.chain,
+                                                     classifier,
+                                                     interception_issuers,
+                                                     interception_ids));
+          }
+        });
+    for (std::size_t i = 1; i < shards; ++i) {
+      folds[0].merge_from(std::move(folds[i]));
     }
-    slices = std::move(fold.slices);
-    fold.finish(report);
+    slices = std::move(folds[0].slices);
+    folds[0].finish(report);
   }
   publish_stage(obs, "categorize", report.unique_chains, report.unique_chains, 0);
   publish_stage(obs, "figure1", report.unique_chains,
@@ -146,157 +143,94 @@ StudyReport StudyPipeline::analyze_corpus(const CorpusIndex& corpus,
                 report.excluded_outliers.size());
   detail::publish_categorize_counters(obs, report);
 
-  // Stage 3: per-category structure analysis.
+  // The three analyzed slices, materialized before any shard runs: map
+  // operator[] inserts, and the map must not mutate under the workers.
+  const std::vector<const ChainObservation*>& hybrid_slice =
+      slices[ChainCategory::kHybrid];
+  const std::vector<const ChainObservation*>& non_public_slice =
+      slices[ChainCategory::kNonPublicDbOnly];
+  const std::vector<const ChainObservation*>& interception_slice =
+      slices[ChainCategory::kTlsInterception];
+  // Stages 3 and 4 are three independent const computations over disjoint
+  // slices, writing distinct report fields: one task each on a pool.
+  const auto run_tasks = [pool, obs](
+                             const char* stage,
+                             const std::vector<std::function<void()>>& tasks) {
+    detail::run_shards(
+        pool, pool == nullptr ? 1 : tasks.size(), tasks.size(), obs, stage,
+        [&tasks](std::size_t, std::size_t begin, std::size_t end) {
+          for (std::size_t i = begin; i < end; ++i) tasks[i]();
+        });
+  };
+
+  // Stage 3: per-category structure analysis. The hybrid analyzer builds its
+  // own per-call classifier, so the shared pool stays read-only.
   {
     auto timer = stage_timer(obs, "structure");
-    const HybridAnalyzer hybrid_analyzer(*stores_, *ct_logs_, registry_,
-                                         dn_pool);
-    report.hybrid = hybrid_analyzer.analyze(slices[ChainCategory::kHybrid]);
-
-    const NonPublicAnalyzer non_public_analyzer(registry_);
-    report.non_public = non_public_analyzer.analyze(
-        "Non-public-DB-only", slices[ChainCategory::kNonPublicDbOnly]);
-    report.interception_chains = non_public_analyzer.analyze(
-        "TLS interception", slices[ChainCategory::kTlsInterception]);
+    run_tasks("structure",
+              {[&] {
+                 const HybridAnalyzer analyzer(*stores_, *ct_logs_, registry_,
+                                               &dn_pool);
+                 report.hybrid = analyzer.analyze(hybrid_slice);
+               },
+               [&] {
+                 const NonPublicAnalyzer analyzer(registry_);
+                 report.non_public =
+                     analyzer.analyze("Non-public-DB-only", non_public_slice);
+               },
+               [&] {
+                 const NonPublicAnalyzer analyzer(registry_);
+                 report.interception_chains =
+                     analyzer.analyze("TLS interception", interception_slice);
+               }});
   }
-  const std::uint64_t structure_in = detail::structure_in_count(slices);
+  const std::uint64_t structure_in = hybrid_slice.size() +
+                                     non_public_slice.size() +
+                                     interception_slice.size();
   publish_stage(obs, "structure", structure_in, structure_in, 0);
   detail::publish_structure_counters(obs, slices);
 
   // Stage 4: PKI relationship graphs.
   {
     auto timer = stage_timer(obs, "graphs");
-    report.hybrid_graph =
-        build_pki_graph(slices[ChainCategory::kHybrid], *stores_, dn_pool);
-    report.non_public_graph = build_pki_graph(
-        slices[ChainCategory::kNonPublicDbOnly], *stores_, dn_pool);
-    report.interception_graph = build_pki_graph(
-        slices[ChainCategory::kTlsInterception], *stores_, dn_pool);
+    run_tasks("graphs",
+              {[&] {
+                 report.hybrid_graph =
+                     build_pki_graph(hybrid_slice, *stores_, &dn_pool);
+               },
+               [&] {
+                 report.non_public_graph =
+                     build_pki_graph(non_public_slice, *stores_, &dn_pool);
+               },
+               [&] {
+                 report.interception_graph =
+                     build_pki_graph(interception_slice, *stores_, &dn_pool);
+               }});
   }
   publish_stage(obs, "graphs", structure_in, structure_in, 0);
   detail::publish_graph_counters(obs, report);
 
-  // Stage 5: per-issuer-category CT compliance over the unique chains.
+  // Stage 5: per-issuer-category CT compliance over the unique chains; the
+  // per-range reports merge additively.
   {
     auto timer = stage_timer(obs, "ct_compliance");
     const CtComplianceAnalyzer ct_analyzer(*stores_, *ct_logs_);
-    report.ct_compliance = ct_analyzer.analyze(corpus);
+    std::vector<CtComplianceReport> partials(shards);
+    detail::run_shards(
+        pool, shards, observations.size(), obs, "ct_compliance",
+        [&](std::size_t shard, std::size_t begin, std::size_t end) {
+          for (std::size_t i = begin; i < end; ++i) {
+            ct_analyzer.add(*observations[i], partials[shard]);
+          }
+        });
+    report.ct_compliance = std::move(partials[0]);
+    for (std::size_t i = 1; i < shards; ++i) {
+      report.ct_compliance.merge_from(partials[i]);
+    }
   }
   publish_stage(obs, "ct_compliance", report.unique_chains, report.unique_chains, 0);
   detail::publish_ct_compliance_counters(obs, report);
 
-  return report;
-}
-
-namespace {
-
-/// Feeds `text` through a streaming reader in chunks, publishes the reader's
-/// accounting as `ingest.<stream>.*` registry counters, and fills `stats`
-/// back FROM those counters — the registry is the single source, so the
-/// report's data-quality section and the metrics export cannot disagree.
-/// Strict mode surfaces the first recorded error instead of returning.
-template <typename Reader>
-void drive_stream(Reader& reader, std::string_view text, const char* stream_name,
-                  const IngestOptions& options, obs::MetricsRegistry& metrics,
-                  IngestStreamStats& stats, IngestReport& report) {
-  const std::string prefix = std::string("ingest.") + stream_name + ".";
-  const auto counter_at = [&metrics, &prefix](const char* leaf) {
-    return metrics.counter(prefix + leaf);
-  };
-  const std::uint64_t bytes_before = counter_at("bytes_consumed");
-  const std::uint64_t lines_before = counter_at("lines");
-  const std::uint64_t records_before = counter_at("records");
-  const std::uint64_t malformed_before = counter_at("rows_malformed");
-  const std::uint64_t skipped_before = counter_at("lines_skipped");
-  const std::uint64_t rotations_before = counter_at("rotations");
-
-  const std::size_t chunk =
-      options.feed_chunk_bytes == 0 ? std::max<std::size_t>(1, text.size())
-                                    : options.feed_chunk_bytes;
-  for (std::size_t pos = 0; pos < text.size(); pos += chunk) {
-    reader.feed(text.substr(pos, std::min(chunk, text.size() - pos)));
-  }
-  reader.finish();
-
-  metrics.count(prefix + "bytes_consumed", reader.bytes_consumed());
-  metrics.count(prefix + "lines", reader.lines_seen());
-  metrics.count(prefix + "records", reader.records_emitted());
-  metrics.count(prefix + "rows_malformed", reader.malformed_rows());
-  metrics.count(prefix + "lines_skipped", reader.lines_skipped());
-  metrics.count(prefix + "rotations", reader.rotations_seen());
-
-  stats.bytes = counter_at("bytes_consumed") - bytes_before;
-  stats.lines = counter_at("lines") - lines_before;
-  stats.records = counter_at("records") - records_before;
-  stats.malformed_rows = counter_at("rows_malformed") - malformed_before;
-  stats.skipped_lines = counter_at("lines_skipped") - skipped_before;
-  stats.rotations = counter_at("rotations") - rotations_before;
-
-  for (const auto& error : reader.errors()) {
-    if (report.sample_errors.size() >= IngestReport::kMaxSampleErrors) break;
-    report.sample_errors.push_back(std::string(stream_name) + " line " +
-                                   std::to_string(error.line_number) + ": " +
-                                   error.message);
-  }
-  if (options.mode == IngestMode::kStrict && reader.lines_skipped() > 0) {
-    const auto& first = reader.errors().front();
-    throw IngestError(std::string(stream_name) + " log line " +
-                      std::to_string(first.line_number) + ": " + first.message);
-  }
-}
-
-}  // namespace
-
-StudyReport StudyPipeline::run_text_serial(std::string_view ssl_log_text,
-                                           std::string_view x509_log_text,
-                                           const IngestOptions& options,
-                                           obs::RunContext* obs) const {
-  // Ingestion accounting always flows through a registry; without an
-  // injected context a run-local one keeps the single-source guarantee.
-  obs::RunContext local;
-  obs::RunContext* ctx = obs != nullptr ? obs : &local;
-
-  IngestReport ingest;
-  ingest.populated = true;
-  ingest.mode = options.mode;
-
-  // One pool for the whole run: the readers stamp record ids as rows parse
-  // (ids minted in stream order — the interning differential asserts the
-  // sharded path remaps to exactly these), the joiner reuses the same pool's
-  // raw-bytes memo, and the analysis stages compare its ids.
-  DnPool dn_pool;
-  std::vector<zeek::SslLogRecord> ssl;
-  std::vector<zeek::X509LogRecord> x509;
-  // Reserving from the newline count (a slight overcount: headers) keeps the
-  // record vectors from doubling through ~2x the needed footprint while rows
-  // accumulate — growth reallocation briefly holds old and new buffers.
-  ssl.reserve(static_cast<std::size_t>(
-      std::count(ssl_log_text.begin(), ssl_log_text.end(), '\n')));
-  x509.reserve(static_cast<std::size_t>(
-      std::count(x509_log_text.begin(), x509_log_text.end(), '\n')));
-  {
-    obs::StageTimer timer(*ctx, "ingest");
-    auto ssl_reader = zeek::make_streaming_ssl_reader(
-        [&ssl](zeek::SslLogRecord record) { ssl.push_back(std::move(record)); });
-    ssl_reader.set_dn_pool(&dn_pool);
-    drive_stream(ssl_reader, ssl_log_text, "ssl", options, ctx->metrics,
-                 ingest.ssl, ingest);
-
-    auto x509_reader = zeek::make_streaming_x509_reader(
-        [&x509](zeek::X509LogRecord record) { x509.push_back(std::move(record)); });
-    x509_reader.set_dn_pool(&dn_pool);
-    drive_stream(x509_reader, x509_log_text, "x509", options, ctx->metrics,
-                 ingest.x509, ingest);
-  }
-  // The stage triple counts rows that carried (or should have carried) data;
-  // header/comment lines are neither admitted nor dropped.
-  publish_stage(ctx, "ingest",
-                ingest.ssl.records + ingest.x509.records + ingest.skipped_total(),
-                ingest.ssl.records + ingest.x509.records,
-                ingest.skipped_total());
-
-  StudyReport report = run_records_serial(ssl, x509, obs, &dn_pool);
-  report.ingest = std::move(ingest);
   return report;
 }
 

@@ -11,8 +11,10 @@
 //                              certificates, per-category reports
 //
 // Input is a StudyInput (parsed records, raw text, or streamed LogSources);
-// output is a StudyReport holding every table/figure's data. Each analyzer
-// can also be driven standalone — the pipeline only orchestrates.
+// output is a StudyReport holding every table/figure's data. One chunked
+// fold builds the corpus for every input kind and thread count, and one
+// analysis runs over it. Each analyzer can also be driven standalone — the
+// pipeline only orchestrates.
 #pragma once
 
 #include <map>
@@ -105,21 +107,20 @@ class StudyPipeline {
         registry_(registry) {}
 
   /// The single entry point (DESIGN.md §11): one input descriptor, one
-  /// options struct, optional telemetry. Execution strategy follows from the
-  /// two of them —
+  /// options struct, optional telemetry. Every input kind and thread count
+  /// runs the same engine (pipeline_fold.cpp): X509 rows go into the joiner
+  /// first, SSL rows fold into the corpus as they parse, then one analysis
+  /// runs. The fold is sequential; options.threads > 1 (or 0) shards only
+  /// the analysis stages over a pool (DESIGN.md §10). Streamed inputs are read
+  /// options.chunk_bytes at a time and — when options.checkpoint_path is set
+  /// — write a resumable fold snapshot after every SSL chunk.
   ///
-  ///   input kind      options.threads <= 1     options.threads > 1 / 0
-  ///   kRecords        serial fold              N-way sharded (DESIGN.md §10)
-  ///   kText           serial parse+fold        sharded text ingest + analyze
-  ///   kSources/kFiles bounded-memory streaming fold; analysis serial/sharded
-  ///
-  /// and every combination produces byte-identical report text and identical
-  /// deterministic metrics (streamed runs add `stream.*` counters and `mem.*`
-  /// gauges on top). Streamed runs honour options.chunk_bytes and — when
-  /// options.checkpoint_path is set — write a resumable fold snapshot after
-  /// every chunk. Raw-text-bearing inputs populate `StudyReport::ingest`;
-  /// in strict ingest mode the first damaged line raises IngestError, as
-  /// does a kFiles path that cannot be opened.
+  /// Every combination produces byte-identical report text and identical
+  /// deterministic metrics (streamed runs add `stream.*` counters and
+  /// `mem.*` gauges on top). Raw-text-bearing inputs populate
+  /// `StudyReport::ingest`; in strict ingest mode the first damaged line
+  /// raises IngestError (an SSL error wins over an X509 one), as does a
+  /// kFiles path that cannot be opened.
   ///
   /// When `obs` is given, every Figure-2 stage reports a
   /// `stage.<name>.{in,admitted,dropped}` counter triple plus a trace span,
@@ -129,67 +130,30 @@ class StudyPipeline {
   StudyReport run(const StudyInput& input, const RunOptions& options = {},
                   obs::RunContext* obs = nullptr) const;
 
-  /// Stages 1-4 over an already-built corpus index, without re-ingesting or
+  /// Stages 1-5 over an already-built corpus index, without re-ingesting or
   /// re-joining anything. This is the query-serving entry point (DESIGN.md
   /// §12): svc::ServiceState keeps a live CorpusIndex warm across
   /// ingest_append calls and re-analyzes it here — producing exactly the
   /// StudyReport a batch run over the same folded connections would, which
-  /// is what the serve-vs-batch differential suite asserts. When the corpus
-  /// certificates carry interned ids, pass their pool as `dn_pool` and
-  /// categorization runs on integer compares (identical verdicts, DESIGN.md
-  /// §16); a null pool keeps the canonical-string path.
-  StudyReport analyze(const CorpusIndex& corpus, obs::RunContext* obs = nullptr,
-                      const DnPool* dn_pool = nullptr) const;
+  /// is what the serve-vs-batch differential suite asserts. `dn_pool` is
+  /// required: the pool the corpus certificates were interned on (the
+  /// joiner's, DESIGN.md §16); categorization runs on its integer ids.
+  StudyReport analyze(const CorpusIndex& corpus, obs::RunContext* obs,
+                      const DnPool* dn_pool) const;
 
   /// Figure 1 outlier rule: drop unique chains longer than this when they
   /// were observed exactly once.
   static constexpr std::size_t kOutlierLength = 30;
 
  private:
-  // Per-input-kind drivers behind run()'s dispatch.
-  StudyReport run_records(const std::vector<zeek::SslLogRecord>& ssl,
-                          const std::vector<zeek::X509LogRecord>& x509,
-                          const RunOptions& options, obs::RunContext* obs) const;
-  /// `dn_pool` (optional everywhere below) is the run's interning pool: the
-  /// joiner parses each distinct DN spelling once through it and the analysis
-  /// stages compare ids. Callers that already interned their records (the
-  /// text paths) pass theirs; a null pool makes the driver create a run-local
-  /// one.
-  StudyReport run_records_serial(const std::vector<zeek::SslLogRecord>& ssl,
-                                 const std::vector<zeek::X509LogRecord>& x509,
-                                 obs::RunContext* obs,
-                                 DnPool* dn_pool = nullptr) const;
-  StudyReport run_text(std::string_view ssl_log_text,
-                       std::string_view x509_log_text, const RunOptions& options,
-                       obs::RunContext* obs) const;
-  StudyReport run_text_serial(std::string_view ssl_log_text,
-                              std::string_view x509_log_text,
-                              const IngestOptions& options,
-                              obs::RunContext* obs) const;
-  /// The bounded-memory streaming engine (pipeline_stream.cpp): X509 is
-  /// streamed into the joiner index first, then SSL chunk by chunk — each
-  /// chunk folds into a shard-like partial corpus merged in arrival order —
-  /// with optional checkpoint/resume (DESIGN.md §11).
-  StudyReport run_streaming(LogSource& ssl_source, LogSource& x509_source,
-                            const RunOptions& options,
-                            obs::RunContext* obs) const;
-
-  // Stages 1-4 over a built corpus (the code shared by every execution
-  // strategy once joining is done). Publishes the join/enrich/categorize/
-  // structure/graphs stage triples and counters; the caller owns the
-  // enclosing "pipeline" stage timer.
-  StudyReport analyze_corpus(const CorpusIndex& corpus, obs::RunContext* obs,
-                             const DnPool* dn_pool = nullptr) const;
-  StudyReport analyze_corpus_on_pool(par::ThreadPool& pool,
-                                     const CorpusIndex& corpus,
-                                     obs::RunContext* obs,
-                                     const DnPool* dn_pool = nullptr) const;
-
-  /// The sharded analysis path; `pool` carries the worker count.
-  StudyReport run_on_pool(par::ThreadPool& pool,
-                          const std::vector<zeek::SslLogRecord>& ssl,
-                          const std::vector<zeek::X509LogRecord>& x509,
-                          obs::RunContext* obs, DnPool* dn_pool = nullptr) const;
+  /// Stages 1-5 over a built corpus: the one analysis behind run() and
+  /// analyze(). With a pool, the per-chain stages split the unique chains
+  /// into one consecutive range per worker and merge in range order, and
+  /// the three-way stages run one task per category; a null pool runs every
+  /// stage inline. Opens the "pipeline" span and publishes the join/enrich/
+  /// categorize/structure/graphs/ct_compliance stage triples and counters.
+  StudyReport analyze_corpus(par::ThreadPool* pool, const CorpusIndex& corpus,
+                             obs::RunContext* obs, const DnPool& dn_pool) const;
 
   const truststore::TrustStoreSet* stores_;
   const ct::CtLogSet* ct_logs_;

@@ -1,5 +1,8 @@
 #include "core/pipeline_detail.hpp"
 
+#include "obs/stopwatch.hpp"
+#include "par/thread_pool.hpp"
+
 namespace certchain::core::detail {
 
 using chain::ChainCategory;
@@ -18,6 +21,27 @@ void publish_stage(obs::RunContext* obs, const char* stage, std::uint64_t in,
   obs->metrics.count(prefix + "in", in);
   obs->metrics.count(prefix + "admitted", admitted);
   obs->metrics.count(prefix + "dropped", dropped);
+}
+
+void run_shards(
+    par::ThreadPool* pool, std::size_t shards, std::size_t total,
+    obs::RunContext* obs, const std::string& stage,
+    const std::function<void(std::size_t, std::size_t, std::size_t)>& body) {
+  std::vector<double> wall(shards, 0.0);
+  par::parallel_for_chunks(
+      pool, total, shards,
+      [&body, &wall](std::size_t shard, std::size_t begin, std::size_t end) {
+        const obs::Stopwatch watch;
+        body(shard, begin, end);
+        wall[shard] = watch.elapsed_ms();
+      });
+  // Worker-measured spans attach on this thread: the Trace is not
+  // thread-safe.
+  if (pool == nullptr || obs == nullptr) return;
+  for (std::size_t shard = 0; shard < shards; ++shard) {
+    obs->trace.attach_closed(stage + ".shard" + std::to_string(shard),
+                             wall[shard]);
+  }
 }
 
 void CategorizeFold::add(const ChainObservation& observation,
@@ -117,17 +141,6 @@ void publish_categorize_counters(obs::RunContext* obs,
       metrics.observe("pipeline.chain_length", static_cast<double>(length));
     }
   }
-}
-
-std::uint64_t structure_in_count(const CategorySlices& slices) {
-  std::uint64_t in = 0;
-  for (const ChainCategory category :
-       {ChainCategory::kHybrid, ChainCategory::kNonPublicDbOnly,
-        ChainCategory::kTlsInterception}) {
-    const auto it = slices.find(category);
-    if (it != slices.end()) in += it->second.size();
-  }
-  return in;
 }
 
 void publish_structure_counters(obs::RunContext* obs,

@@ -1,14 +1,16 @@
-// Internal helpers shared by the serial (pipeline.cpp) and sharded
-// (pipeline_parallel.cpp) StudyPipeline paths.
+// Internal helpers shared by the fold (pipeline_fold.cpp) and the analysis
+// (pipeline.cpp) behind StudyPipeline.
 //
-// The differential guarantee — serial and N-thread runs produce
+// The differential guarantee — every input kind and thread count produces
 // byte-identical reports and identical deterministic counters — is cheap to
-// uphold because both paths flow through the same code here: the per-chain
-// categorization fold, and every counter-publishing block. The two paths can
-// only drift if one of these folds drifts, which the parallel-diff suite
-// catches. Not part of the public API.
+// uphold because one code path serves them all: the fold never sees the
+// pool, and in the analysis a pool only changes how many consecutive ranges
+// run_shards splits the work into, every range running the same body. The counter-publishing blocks read the merged
+// result, so no execution strategy publishes its own numbers. Not part of
+// the public API.
 #pragma once
 
+#include <functional>
 #include <map>
 #include <optional>
 #include <set>
@@ -17,6 +19,11 @@
 
 #include "core/pipeline.hpp"
 #include "obs/run_context.hpp"
+#include "zeek/joiner.hpp"
+
+namespace certchain::par {
+class ThreadPool;
+}  // namespace certchain::par
 
 namespace certchain::core::detail {
 
@@ -28,16 +35,34 @@ std::optional<obs::StageTimer> stage_timer(obs::RunContext* obs,
 void publish_stage(obs::RunContext* obs, const char* stage, std::uint64_t in,
                    std::uint64_t admitted, std::uint64_t dropped);
 
+/// Splits [0, total) into `shards` consecutive ranges and runs
+/// `body(shard, begin, end)` on each: on `pool` when there is one, else
+/// inline in shard order (the chain::lint_chains shape). With a pool, each
+/// shard's wall time is attached under the open span as `<stage>.shard<k>`.
+void run_shards(
+    par::ThreadPool* pool, std::size_t shards, std::size_t total,
+    obs::RunContext* obs, const std::string& stage,
+    const std::function<void(std::size_t shard, std::size_t begin,
+                             std::size_t end)>& body);
+
+/// The fold half of StudyPipeline::run (pipeline_fold.cpp), sequential on
+/// the calling thread: X509 rows into `joiner` (the only place a run interns
+/// DNs), then SSL rows into the empty `corpus` as they parse. Returns the
+/// ingest accounting of raw-text inputs (unpopulated for records); strict
+/// mode throws IngestError.
+IngestReport fold_input(const StudyInput& input, const RunOptions& options,
+                        zeek::LogJoiner& joiner, CorpusIndex& corpus,
+                        obs::RunContext& ctx);
+
 /// The per-category slice view stage 2 hands to the structure/graph stages.
 using CategorySlices =
     std::map<chain::ChainCategory, std::vector<const ChainObservation*>>;
 
-/// Stage-2 accumulator: the per-chain categorization fold, usable serially
-/// (one fold over the whole corpus) or sharded (one fold per shard, merged
-/// in shard order). Chains must be added in corpus iteration order within a
-/// fold; merging folds of consecutive corpus ranges in range order then
-/// reproduces the serial fold exactly — including the order of slice
-/// vectors, Figure 1 length series and excluded outliers.
+/// Stage-2 accumulator: the per-chain categorization fold, one per shard,
+/// merged in shard order. Chains must be added in corpus iteration order
+/// within a fold; merging folds of consecutive corpus ranges in range order
+/// then reproduces one fold over the whole corpus exactly — including the
+/// order of slice vectors, Figure 1 length series and excluded outliers.
 struct CategorizeFold {
   CategorySlices slices;
   std::map<chain::ChainCategory, CategoryUsage> categories;
@@ -46,7 +71,7 @@ struct CategorizeFold {
   std::vector<ExcludedOutlier> excluded_outliers;
   util::Counter<std::uint16_t> ports_hybrid;
 
-  /// Folds one categorized chain in (the body of the serial stage-2 loop).
+  /// Folds one categorized chain in (the body of the stage-2 loop).
   void add(const ChainObservation& observation, chain::ChainCategory category);
 
   /// Appends another fold; call in shard-index order.
@@ -58,7 +83,8 @@ struct CategorizeFold {
 };
 
 // Per-stage counter publication, always computed from the (merged) report so
-// serial and sharded runs cannot disagree. Each is a no-op without obs.
+// runs at different thread counts cannot disagree. Each is a no-op without
+// obs.
 void publish_join_counters(obs::RunContext* obs, const StudyReport& report);
 void publish_enrich_counters(obs::RunContext* obs, const StudyReport& report);
 void publish_categorize_counters(obs::RunContext* obs, const StudyReport& report);
@@ -67,9 +93,5 @@ void publish_structure_counters(obs::RunContext* obs,
 void publish_graph_counters(obs::RunContext* obs, const StudyReport& report);
 void publish_ct_compliance_counters(obs::RunContext* obs,
                                     const StudyReport& report);
-
-/// Records-in count for the structure/graphs stages: the three analyzed
-/// category slices.
-std::uint64_t structure_in_count(const CategorySlices& slices);
 
 }  // namespace certchain::core::detail

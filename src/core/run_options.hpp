@@ -2,10 +2,10 @@
 // standalone parallel analyzers (interception, cert_stats).
 //
 // One options struct covers the whole execution envelope: ingestion policy,
-// worker count, and the streaming knobs (chunk size, checkpoint path) that
-// only apply when the input is a LogSource. Keeping them together is the
-// point of the PR-4 API redesign — callers configure a run once instead of
-// choosing among overloads (DESIGN.md §11).
+// worker count, the chunk size every raw-text input is fed in, and the
+// checkpoint path that only applies when the input is a LogSource. Keeping
+// them together lets callers configure a run once instead of choosing among
+// overloads (DESIGN.md §11).
 #pragma once
 
 #include <cstddef>
@@ -19,18 +19,20 @@ namespace certchain::core {
 struct RunOptions {
   IngestOptions ingest;
 
-  /// Worker/shard count: 1 (default) runs the serial path; 0 resolves to
-  /// hardware concurrency; N > 1 runs N-way sharded with a deterministic
-  /// merge. Any value produces byte-identical reports and identical
-  /// deterministic metrics — the contract the parallel-diff suite enforces.
+  /// Worker/shard count: 1 (default) runs everything on the calling thread;
+  /// 0 resolves to hardware concurrency; N > 1 runs the analysis stages
+  /// N-way sharded with a deterministic merge (the fold stays sequential).
+  /// Any value produces byte-identical reports and identical deterministic
+  /// metrics — the contract the parallel-diff suite enforces.
   std::size_t threads = 1;
 
-  /// Streaming read granularity for LogSource inputs: bytes pulled from the
-  /// source per chunk (each chunk is parsed, joined, and folded into the
-  /// corpus before the next is read, so peak residency is O(chunk) + the
-  /// deduplicated corpus state, not O(total log bytes)). 0 falls back to the
-  /// default. Ignored for in-memory inputs. The report is byte-identical at
-  /// every chunk size.
+  /// Bytes handed to the log readers at a time, for every raw-text input:
+  /// LogSource inputs pull this much per read (each chunk is parsed, joined,
+  /// and folded into the corpus before the next is read, so peak residency
+  /// is O(chunk) + the deduplicated corpus state, not O(total log bytes)),
+  /// and in-memory text is fed in slices of this size, capped at 64 KiB so a
+  /// reader's line buffer stays cache-resident. 0 falls back to the default.
+  /// The report is byte-identical at every chunk size.
   std::size_t chunk_bytes = kDefaultChunkBytes;
   static constexpr std::size_t kDefaultChunkBytes = 4 * 1024 * 1024;
 

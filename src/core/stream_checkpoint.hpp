@@ -1,8 +1,8 @@
 // Versioned stream-checkpoint snapshots (DESIGN.md §11).
 //
-// The streaming engine folds the SSL stream chunk by chunk; after each chunk
-// the complete fold state — partial corpus, SSL reader state, ingest
-// frontier, chunk accounting — is a small, serializable value. A
+// The streamed fold consumes the SSL stream chunk by chunk; after each chunk
+// the complete fold state — the corpus folded so far, SSL reader state,
+// ingest frontier, chunk accounting — is a small, serializable value. A
 // StreamCheckpoint captures it, obs::json carries it to disk under the
 // schema `certchain.stream.checkpoint` v1, and a killed run resumes from the
 // last chunk boundary instead of starting over. The X509 phase is never

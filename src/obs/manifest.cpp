@@ -1,6 +1,8 @@
 #include "obs/manifest.hpp"
 
 #include <algorithm>
+#include <string_view>
+#include <unordered_set>
 
 namespace certchain::obs {
 
@@ -19,13 +21,15 @@ void sum_matching_nodes(const Trace::Node& node, std::string_view name,
   }
 }
 
+/// First-appearance order of every span name. `seen` keeps this linear: a
+/// streamed run attaches one uniquely named span per chunk, tens of
+/// thousands at small chunk sizes.
 void collect_trace_order(const Trace::Node& node,
-                         std::vector<std::string>& order) {
+                         std::vector<std::string>& order,
+                         std::unordered_set<std::string_view>& seen) {
   for (const auto& child : node.children) {
-    if (std::find(order.begin(), order.end(), child->name) == order.end()) {
-      order.push_back(child->name);
-    }
-    collect_trace_order(*child, order);
+    if (seen.insert(child->name).second) order.push_back(child->name);
+    collect_trace_order(*child, order, seen);
   }
 }
 
@@ -75,7 +79,8 @@ RunManifest build_run_manifest(const RunContext& context) {
   // Order stages by first appearance in the trace (pipeline order); stages
   // that never opened a span follow alphabetically.
   std::vector<std::string> trace_order;
-  collect_trace_order(context.trace.root(), trace_order);
+  std::unordered_set<std::string_view> seen;
+  collect_trace_order(context.trace.root(), trace_order, seen);
   for (const std::string& name : trace_order) {
     const auto it = by_name.find(name);
     if (it == by_name.end()) continue;

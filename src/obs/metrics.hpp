@@ -117,10 +117,8 @@ class MetricsRegistry {
   }
   void clear();
 
-  /// Folds another registry in — the merge step of the sharded pipeline:
-  /// shard-local registries are merged into the run's registry in shard
-  /// order, after which the counters are indistinguishable from a serial
-  /// run's. Counters sum; gauges keep last-write-wins semantics (the merged
+  /// Folds another registry in: partial registries merged in a fixed order
+  /// leave counters indistinguishable from one registry's. Counters sum; gauges keep last-write-wins semantics (the merged
   /// registry's value overwrites, so merge in shard order); histograms merge
   /// via FixedHistogram::merge_from. Timings merge the same way but stay in
   /// the separate timing map — wall time never becomes a counter.

@@ -1,11 +1,11 @@
 // Line-aligned text sharding.
 //
-// The ingestion side of the sharded pipeline: raw Zeek log text is split
-// into N contiguous views whose boundaries always fall immediately after a
-// '\n', so no line is ever split across shards and each shard can be parsed
-// by an independent streaming reader. Concatenating the shards in index
-// order reproduces the input byte-for-byte — the invariant the differential
-// suite's accounting checks (bytes, lines, records) rest on.
+// Raw Zeek log text is split into N contiguous views whose boundaries always
+// fall immediately after a '\n', so no line is ever split across shards and
+// each shard can be parsed by an independent streaming reader (primed via
+// zeek::scan_shard_header_state). Concatenating the shards in index order
+// reproduces the input byte-for-byte. The study pipeline's fold is
+// sequential and does not shard text (DESIGN.md §10.2).
 #pragma once
 
 #include <cstddef>

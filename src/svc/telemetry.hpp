@@ -1,8 +1,8 @@
 // Thread-safe telemetry facade for the service layer.
 //
 // obs::RunContext and MetricsRegistry are deliberately single-threaded (the
-// batch pipeline merges shard-local registries at barriers instead of
-// locking, DESIGN.md §10). A server has no barriers — the event loop and
+// batch pipeline records only on its coordinating thread, after each
+// sharded stage's barrier, instead of locking, DESIGN.md §10). A server has no barriers — the event loop and
 // request workers record concurrently — so the svc layer funnels every
 // update through this small mutex-guarded wrapper. Request handling is
 // milliseconds of work per lock acquisition; the lock is not a bottleneck

@@ -93,8 +93,7 @@ struct Certificate {
 
   /// Interned issuer/subject ids when this certificate was built through a
   /// core::DnPool (the joiner's ingest path), kInvalidDnId otherwise. Ids are
-  /// pool-local derived state — excluded from equality, remapped on shard
-  /// merges (DESIGN.md §16).
+  /// pool-local derived state — excluded from equality (DESIGN.md §16).
   core::DnId issuer_id = core::kInvalidDnId;
   core::DnId subject_id = core::kInvalidDnId;
 

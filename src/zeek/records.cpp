@@ -16,22 +16,4 @@ void intern_dn_fields(X509LogRecord& record, core::DnPool& pool) {
   record.issuer_id = pool.intern(record.issuer);
 }
 
-namespace {
-
-core::DnId remap_one(core::DnId id, const std::vector<core::DnId>& id_map) {
-  return id < id_map.size() ? id_map[id] : id;
-}
-
-}  // namespace
-
-void remap_dn_ids(SslLogRecord& record, const std::vector<core::DnId>& id_map) {
-  record.subject_id = remap_one(record.subject_id, id_map);
-  record.issuer_id = remap_one(record.issuer_id, id_map);
-}
-
-void remap_dn_ids(X509LogRecord& record, const std::vector<core::DnId>& id_map) {
-  record.subject_id = remap_one(record.subject_id, id_map);
-  record.issuer_id = remap_one(record.issuer_id, id_map);
-}
-
 }  // namespace certchain::zeek

@@ -51,7 +51,7 @@ struct SslLogRecord {
 
   /// Interned ids of subject/issuer when the record passed through a
   /// core::DnPool (intern_dn_fields), kInvalidDnId otherwise. Pool-local
-  /// derived state: excluded from equality, remapped on shard merges.
+  /// derived state: excluded from equality.
   core::DnId subject_id = core::kInvalidDnId;
   core::DnId issuer_id = core::kInvalidDnId;
 
@@ -117,11 +117,5 @@ struct X509LogRecord {
 /// majority) two hash lookups, no DN parsing.
 void intern_dn_fields(SslLogRecord& record, core::DnPool& pool);
 void intern_dn_fields(X509LogRecord& record, core::DnPool& pool);
-
-/// Rewrites shard-local DnIds through an absorb() id-map (old id -> merged
-/// id) — the record half of the shard-merge protocol (DESIGN.md §16). Ids
-/// outside the map (including kInvalidDnId) are left untouched.
-void remap_dn_ids(SslLogRecord& record, const std::vector<core::DnId>& id_map);
-void remap_dn_ids(X509LogRecord& record, const std::vector<core::DnId>& id_map);
 
 }  // namespace certchain::zeek

@@ -1,19 +1,11 @@
 // DnPool unit + differential coverage (DESIGN.md §16).
 //
-// Four layers of proof, from the pool outward:
+// Two layers of proof, from the pool outward:
 //   1. Intern/lookup round-trips and canonicalize-once semantics: distinct
 //      spellings that canonicalize equally share one id, while
 //      name_for_raw() preserves each spelling's own parse (display
 //      fidelity).
-//   2. The absorb() id-map: remapping a shard pool's ids through the map
-//      must land every entry on the merged pool's id for the same canonical
-//      form, and absorbing shard pools in shard order must reproduce — id
-//      for id — the pool a serial reader builds over the whole stream.
-//   3. The record half of the merge protocol: sharded StreamingLogReader
-//      ingest (own pool per shard, absorb + remap_dn_ids at merge) must
-//      yield records whose subject_id/issuer_id are byte-identical to a
-//      serial read's, including a shard boundary primed mid-body.
-//   4. End to end: over a DN-dense datagen population, serial, sharded
+//   2. End to end: over a DN-dense datagen population, serial, sharded
 //      parallel, and streaming pipeline runs must render byte-identical
 //      reports.
 #include <gtest/gtest.h>
@@ -109,48 +101,6 @@ TEST(DnPool, DnHandleEquality) {
   EXPECT_EQ(invalid, core::Dn());
 }
 
-TEST(DnPool, AbsorbRemapsShardIdsOntoMergedPool) {
-  DnPool merged;
-  merged.intern("CN=Already Here");
-  merged.intern("CN=Shared Issuer");
-
-  DnPool shard;
-  shard.intern("CN=Shared Issuer");   // duplicate of a merged entry
-  shard.intern("CN=Shard Only One");  // new to merged
-  shard.intern("cn=already here");    // canonical duplicate, new spelling
-  shard.intern("CN=Shard Only Two");
-
-  const std::vector<DnId> id_map = merged.absorb(shard);
-  ASSERT_EQ(id_map.size(), shard.size());
-  // Every shard id must land on the merged id of the same canonical form,
-  // with new entries appended in shard first-occurrence order.
-  for (DnId old_id = 0; old_id < shard.size(); ++old_id) {
-    const DnId new_id = id_map[old_id];
-    ASSERT_NE(new_id, kInvalidDnId);
-    EXPECT_EQ(merged.canonical(new_id), shard.canonical(old_id)) << old_id;
-  }
-  EXPECT_EQ(merged.size(), 4u);
-  EXPECT_EQ(id_map[0], merged.find_canonical(shard.canonical(0)));
-  EXPECT_LT(id_map[1], merged.size());
-  EXPECT_LT(id_map[3], merged.size());
-  EXPECT_LT(id_map[1], id_map[3]);  // shard order preserved for new entries
-}
-
-TEST(DnPool, RemapDnIdsRewritesRecordsAndLeavesInvalidAlone) {
-  const std::vector<DnId> id_map = {7, 3};
-  zeek::X509LogRecord x509;
-  x509.subject_id = 0;
-  x509.issuer_id = 1;
-  zeek::remap_dn_ids(x509, id_map);
-  EXPECT_EQ(x509.subject_id, 7u);
-  EXPECT_EQ(x509.issuer_id, 3u);
-
-  zeek::SslLogRecord ssl;  // never interned: ids stay invalid
-  zeek::remap_dn_ids(ssl, id_map);
-  EXPECT_EQ(ssl.subject_id, kInvalidDnId);
-  EXPECT_EQ(ssl.issuer_id, kInvalidDnId);
-}
-
 TEST(DnPool, CollisionHeavyCorpusSharesIds) {
   // Re-spell every issuer/subject a datagen scenario produces (case flips,
   // padded whitespace): the pool must keep one id per canonical form no
@@ -190,117 +140,6 @@ TEST(DnPool, CollisionHeavyCorpusSharesIds) {
     ++unique_canonicals;
   }
   EXPECT_EQ(unique_canonicals, pool.size());
-}
-
-/// Serial read of a log text: every record lands in `out`, DNs interned
-/// through `pool`.
-template <typename Reader, typename Record>
-void read_all(std::string_view text, const std::string& fields, DnPool* pool,
-              std::vector<Record>& out) {
-  Reader reader(fields, [&](Record record) { out.push_back(std::move(record)); });
-  if (pool != nullptr) reader.set_dn_pool(pool);
-  reader.feed(text);
-  reader.finish();
-}
-
-/// Sharded read: split `text` at a line boundary near the middle, give each
-/// shard its own pool and a primed reader, then merge via absorb() +
-/// remap_dn_ids — the exact protocol pipeline_parallel.cpp runs.
-template <typename Reader, typename Record>
-void read_sharded(std::string_view text, const std::string& fields,
-                  DnPool& merged, std::vector<Record>& out) {
-  std::size_t cut = text.find('\n', text.size() / 2);
-  ASSERT_NE(cut, std::string_view::npos);
-  ++cut;
-  const std::string_view shards[2] = {text.substr(0, cut), text.substr(cut)};
-
-  std::vector<Record> shard_records[2];
-  DnPool shard_pools[2];
-  std::size_t line_offset = 0;
-  bool in_body = false;
-  for (int i = 0; i < 2; ++i) {
-    Reader reader(fields, [&, i](Record record) {
-      shard_records[i].push_back(std::move(record));
-    });
-    reader.set_dn_pool(&shard_pools[i]);
-    reader.prime(in_body, line_offset);
-    reader.feed(shards[i]);
-    reader.finish();
-    const zeek::ShardHeaderScan scan =
-        zeek::scan_shard_header_state(shards[i], fields);
-    line_offset += scan.newlines;
-    if (scan.has_directive) in_body = scan.exit_in_body;
-  }
-
-  for (int i = 0; i < 2; ++i) {
-    const std::vector<DnId> id_map = merged.absorb(shard_pools[i]);
-    for (Record& record : shard_records[i]) {
-      zeek::remap_dn_ids(record, id_map);
-      out.push_back(std::move(record));
-    }
-  }
-}
-
-TEST(DnPoolDifferential, ShardedInterningMatchesSerialIdForId) {
-  datagen::ScenarioConfig config;
-  config.seed = 20200901;
-  config.chain_scale = 1.0 / 2000.0;
-  config.total_connections = 2000;
-  config.client_count = 150;
-  config.include_length_outliers = false;
-  const auto scenario = datagen::build_study_scenario(config);
-  const netsim::GeneratedLogs logs = scenario->generate_logs();
-
-  zeek::SslLogWriter ssl_writer;
-  for (const auto& record : logs.ssl) ssl_writer.add(record);
-  const std::string ssl_text = ssl_writer.finish();
-  zeek::X509LogWriter x509_writer;
-  for (const auto& record : logs.x509) x509_writer.add(record);
-  const std::string x509_text = x509_writer.finish();
-
-  // Serial reference: one pool over ssl then x509, the run_text_serial order.
-  DnPool serial_pool;
-  std::vector<zeek::SslLogRecord> serial_ssl;
-  std::vector<zeek::X509LogRecord> serial_x509;
-  read_all<zeek::StreamingSslReader>(ssl_text, zeek::ssl_log_fields(),
-                                     &serial_pool, serial_ssl);
-  read_all<zeek::StreamingX509Reader>(x509_text, zeek::x509_log_fields(),
-                                      &serial_pool, serial_x509);
-  ASSERT_FALSE(serial_ssl.empty());
-  ASSERT_FALSE(serial_x509.empty());
-  ASSERT_GT(serial_pool.size(), 0u);
-
-  // Sharded: per-shard pools absorbed in shard order, ssl stream then x509.
-  DnPool merged_pool;
-  std::vector<zeek::SslLogRecord> sharded_ssl;
-  std::vector<zeek::X509LogRecord> sharded_x509;
-  read_sharded<zeek::StreamingSslReader>(ssl_text, zeek::ssl_log_fields(),
-                                         merged_pool, sharded_ssl);
-  read_sharded<zeek::StreamingX509Reader>(x509_text, zeek::x509_log_fields(),
-                                          merged_pool, sharded_x509);
-
-  // The merged pool must be the serial pool, entry for entry: absorbing
-  // per-shard first-occurrence sequences in shard order reproduces the
-  // global first-occurrence sequence.
-  ASSERT_EQ(merged_pool.size(), serial_pool.size());
-  for (DnId id = 0; id < serial_pool.size(); ++id) {
-    EXPECT_EQ(merged_pool.canonical(id), serial_pool.canonical(id)) << id;
-    EXPECT_EQ(merged_pool.display(id), serial_pool.display(id)) << id;
-  }
-
-  // And every remapped record id must match the serial read exactly.
-  ASSERT_EQ(sharded_ssl.size(), serial_ssl.size());
-  for (std::size_t i = 0; i < serial_ssl.size(); ++i) {
-    EXPECT_EQ(sharded_ssl[i].subject_id, serial_ssl[i].subject_id) << i;
-    EXPECT_EQ(sharded_ssl[i].issuer_id, serial_ssl[i].issuer_id) << i;
-    EXPECT_EQ(sharded_ssl[i], serial_ssl[i]) << i;
-  }
-  ASSERT_EQ(sharded_x509.size(), serial_x509.size());
-  for (std::size_t i = 0; i < serial_x509.size(); ++i) {
-    EXPECT_EQ(sharded_x509[i].subject_id, serial_x509[i].subject_id) << i;
-    EXPECT_EQ(sharded_x509[i].issuer_id, serial_x509[i].issuer_id) << i;
-    EXPECT_EQ(sharded_x509[i], serial_x509[i]) << i;
-  }
 }
 
 TEST(DnPoolDifferential, SerialParallelStreamingReportsByteIdentical) {

@@ -9,7 +9,8 @@
 // TLS interception, DGA cluster), a second seed, a hand-built mini corpus
 // with TLS 1.3 / incomplete-join / SNI-less hazards, and a deterministically
 // fault-corrupted corpus driven through lenient ingestion — plus strict-mode
-// failure equivalence (identical IngestError text at every thread count).
+// failure equivalence (identical IngestError text at every thread count and
+// streamed, whichever stream is damaged).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,8 +18,10 @@
 #include <map>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "../tests/helpers.hpp"
+#include "core/log_source.hpp"
 #include "core/pipeline.hpp"
 #include "core/report_text.hpp"
 #include "ct/ct_log.hpp"
@@ -132,6 +135,20 @@ void expect_equivalent_from_records(const core::StudyPipeline& pipeline,
   }
 }
 
+/// The IngestError text a strict run raises; empty when it accepted the
+/// input.
+std::string strict_error(const core::StudyPipeline& pipeline,
+                         const core::StudyInput& input,
+                         core::RunOptions options) {
+  options.ingest.mode = core::IngestMode::kStrict;
+  try {
+    pipeline.run(input, options);
+  } catch (const core::IngestError& error) {
+    return error.what();
+  }
+  return "";
+}
+
 /// Deterministic, seeded log-text corruption: garbage rows at line
 /// boundaries, a stray wrong-layout header, and a truncated final line.
 std::string corrupt(std::string text, std::uint64_t seed) {
@@ -227,33 +244,43 @@ TEST_F(ParallelDiffTest, FaultCorruptedCorpusUnderLenientIngest) {
 
 TEST_F(ParallelDiffTest, StrictModeFailsIdenticallyAtEveryThreadCount) {
   const std::string damaged_ssl = corrupt(*ssl_text_, 0xFA01);
-  core::IngestOptions strict;
-  strict.mode = core::IngestMode::kStrict;
-
-  std::string serial_message;
-  try {
-    core::RunOptions options;
-    options.ingest = strict;
-    pipeline_->run(core::StudyInput::text(damaged_ssl, *x509_text_), options);
-    FAIL() << "strict serial run accepted a damaged corpus";
-  } catch (const core::IngestError& error) {
-    serial_message = error.what();
-  }
-  ASSERT_FALSE(serial_message.empty());
-
-  for (const std::size_t threads : kThreadCounts) {
-    try {
+  const std::string damaged_x509 = corrupt(*x509_text_, 0xFA02);
+  // The damaged stream is the input: SSL only, X509 only, and both. X509 is
+  // ingested first, yet with both damaged the SSL stream's error must win.
+  const struct {
+    const char* label;
+    const std::string* ssl;
+    const std::string* x509;
+    const char* stream;
+  } cases[] = {
+      {"ssl damaged", &damaged_ssl, x509_text_, "ssl log line "},
+      {"x509 damaged", ssl_text_, &damaged_x509, "x509 log line "},
+      {"both damaged", &damaged_ssl, &damaged_x509, "ssl log line "},
+  };
+  std::vector<std::string> serial_messages;
+  for (const auto& damage : cases) {
+    const core::StudyInput text = core::StudyInput::text(*damage.ssl, *damage.x509);
+    const std::string serial_message = strict_error(*pipeline_, text, {});
+    EXPECT_EQ(serial_message.rfind(damage.stream, 0), 0u)
+        << damage.label << ": '" << serial_message << "'";
+    for (const std::size_t threads : kThreadCounts) {
       core::RunOptions options;
-      options.ingest = strict;
       options.threads = threads;
-      pipeline_->run(core::StudyInput::text(damaged_ssl, *x509_text_), options);
-      FAIL() << "strict run accepted a damaged corpus at " << threads
-             << " threads";
-    } catch (const core::IngestError& error) {
-      EXPECT_EQ(std::string(error.what()), serial_message)
-          << threads << " threads";
+      EXPECT_EQ(strict_error(*pipeline_, text, options), serial_message)
+          << damage.label << ", " << threads << " threads";
     }
+    core::RunOptions streamed;
+    streamed.chunk_bytes = 2048;
+    EXPECT_EQ(strict_error(*pipeline_,
+                           core::StudyInput::sources(
+                               core::make_text_source(*damage.ssl),
+                               core::make_text_source(*damage.x509)),
+                           streamed),
+              serial_message)
+        << damage.label << ", streamed";
+    serial_messages.push_back(serial_message);
   }
+  EXPECT_EQ(serial_messages[2], serial_messages[0]);
 }
 
 TEST(ParallelDiffScenarios, SecondSeedScenario) {

@@ -448,9 +448,10 @@ TEST_F(IngestionTest, StrictModeAcceptsCleanLogs) {
 
 TEST_F(IngestionTest, TinyChunksMatchOneShotIngestion) {
   build_logs(15);
-  core::IngestOptions tiny;
-  tiny.feed_chunk_bytes = 3;
-  const core::StudyReport chunked = run_text(tiny);
+  core::RunOptions tiny;
+  tiny.chunk_bytes = 3;
+  const core::StudyReport chunked =
+      pipeline_.run(core::StudyInput::text(ssl_text_, x509_text_), tiny);
   const core::StudyReport oneshot = run_text();
   EXPECT_EQ(chunked.totals.connections, oneshot.totals.connections);
   EXPECT_EQ(chunked.unique_chains, oneshot.unique_chains);

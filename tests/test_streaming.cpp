@@ -3,9 +3,9 @@
 // in-memory text run **byte for byte** — rendered report text, every
 // deterministic counter, histogram contents, and manifest stage accounting —
 // at every chunk size, for clean and fault-corrupted corpora, in lenient and
-// strict mode, serial and sharded. On top of that sits the checkpoint
-// contract: a run killed mid-stream and resumed from its checkpoint file
-// yields exactly the report an uninterrupted run yields.
+// strict mode (whichever stream is damaged), serial and sharded. On top of
+// that sits the checkpoint contract: a run killed mid-stream and resumed from
+// its checkpoint file yields exactly the report an uninterrupted run yields.
 //
 // Streamed runs add telemetry of their own (`stream.*` counters, the
 // `mem.peak_rss_bytes` gauge, per-chunk spans); those are the only permitted
@@ -192,6 +192,19 @@ class StreamingDiffTest : public ::testing::Test {
     return ref;
   }
 
+  /// The IngestError text a strict run raises; empty when it accepted the
+  /// input.
+  static std::string strict_error(const core::StudyInput& input,
+                                  core::RunOptions options) {
+    options.ingest.mode = core::IngestMode::kStrict;
+    try {
+      pipeline_->run(input, options);
+    } catch (const core::IngestError& error) {
+      return error.what();
+    }
+    return "";
+  }
+
   /// The differential assertion: the streamed run must match the reference
   /// modulo streamed-only metrics.
   static void expect_matches_reference(const Reference& ref,
@@ -334,31 +347,43 @@ TEST_F(StreamingDiffTest, FaultCorruptedCorpusStreamsIdenticallyUnderLenient) {
 
 TEST_F(StreamingDiffTest, StrictModeFailsWithTheIdenticalFirstError) {
   const std::string damaged_ssl = corrupt(*ssl_text_, 0xFA01);
-  core::IngestOptions strict;
-  strict.mode = core::IngestMode::kStrict;
-
-  std::string serial_message;
-  try {
-    core::RunOptions options;
-    options.ingest = strict;
-    pipeline_->run(core::StudyInput::text(damaged_ssl, *x509_text_), options);
-    FAIL() << "strict text run accepted a damaged corpus";
-  } catch (const core::IngestError& error) {
-    serial_message = error.what();
-  }
-  ASSERT_FALSE(serial_message.empty());
-
-  try {
-    core::RunOptions options;
-    options.ingest = strict;
-    options.chunk_bytes = 2048;
-    pipeline_->run(
-        core::StudyInput::sources(core::make_text_source(damaged_ssl),
-                                  core::make_text_source(*x509_text_)),
-        options);
-    FAIL() << "strict streamed run accepted a damaged corpus";
-  } catch (const core::IngestError& error) {
-    EXPECT_EQ(std::string(error.what()), serial_message);
+  const std::string damaged_x509 = corrupt(*x509_text_, 0xFA02);
+  // The damaged stream is the input: SSL only, X509 only, and both (where
+  // the SSL stream's error wins although X509 streams first).
+  const struct {
+    const char* label;
+    const std::string* ssl;
+    const std::string* x509;
+  } cases[] = {
+      {"ssl damaged", &damaged_ssl, x509_text_},
+      {"x509 damaged", ssl_text_, &damaged_x509},
+      {"both damaged", &damaged_ssl, &damaged_x509},
+  };
+  for (const auto& damage : cases) {
+    std::string text_message;
+    for (const std::size_t threads : {1ul, 2ul, 4ul, 8ul}) {
+      core::RunOptions options;
+      options.threads = threads;
+      const std::string message = strict_error(
+          core::StudyInput::text(*damage.ssl, *damage.x509), options);
+      ASSERT_FALSE(message.empty())
+          << "strict text run accepted a damaged corpus: " << damage.label
+          << ", " << threads << " threads";
+      if (text_message.empty()) text_message = message;
+      EXPECT_EQ(message, text_message) << damage.label << ", " << threads
+                                       << " threads";
+    }
+    for (const std::size_t threads : {1ul, 4ul}) {
+      core::RunOptions options;
+      options.chunk_bytes = 2048;
+      options.threads = threads;
+      EXPECT_EQ(strict_error(core::StudyInput::sources(
+                                 core::make_text_source(*damage.ssl),
+                                 core::make_text_source(*damage.x509)),
+                             options),
+                text_message)
+          << damage.label << ", streamed at " << threads << " threads";
+    }
   }
 }
 
@@ -475,10 +500,14 @@ TEST_F(StreamingDiffTest, AnalyzeOverPrebuiltCorpusMatchesUnifiedRun) {
   // result must be indistinguishable from a full run over the same records.
   const core::StudyReport reference =
       pipeline_->run(core::StudyInput::records(logs_->ssl, logs_->x509));
-  const zeek::LogJoiner joiner(logs_->x509);
+  core::DnPool dn_pool;
+  zeek::LogJoiner joiner;
+  joiner.set_dn_pool(&dn_pool);
+  for (const auto& record : logs_->x509) joiner.add(record);
   core::CorpusIndex corpus;
   for (const auto& record : logs_->ssl) corpus.add(joiner.join(record));
-  const core::StudyReport analyzed = pipeline_->analyze(corpus);
+  const core::StudyReport analyzed =
+      pipeline_->analyze(corpus, nullptr, &dn_pool);
   EXPECT_EQ(render(analyzed), render(reference));
   EXPECT_EQ(analyzed.unique_chains, reference.unique_chains);
 }
