@@ -1,8 +1,14 @@
 #include "core/corpus.hpp"
 
+#include <algorithm>
+#include <charconv>
 #include <cstdint>
+#include <cstring>
+#include <limits>
+#include <stdexcept>
 
 #include "util/hash.hpp"
+#include "zeek/log_io.hpp"
 
 namespace certchain::core {
 
@@ -17,51 +23,138 @@ bool read_uint(const obs::json::Value& object, const char* key,
   return true;
 }
 
-void write_string_set(obs::json::Writer& writer, const char* key,
-                      const std::set<std::string>& values) {
+/// Writes an ordered string collection as a JSON array.
+template <typename Strings>
+void write_strings(obs::json::Writer& writer, const char* key,
+                   const Strings& values) {
   writer.key(key);
   writer.begin_array();
-  for (const std::string& value : values) writer.value_string(value);
+  for (const auto& value : values) writer.value_string(value);
   writer.end_array();
 }
 
-bool read_string_set(const obs::json::Value& object, const char* key,
-                     std::set<std::string>& out) {
+/// Calls `add(text)` for each element of a string-array member; false when
+/// the member is absent, not an array, or holds a non-string.
+template <typename Add>
+bool read_strings(const obs::json::Value& object, const char* key, Add&& add) {
   const obs::json::Value* member = object.find(key);
   if (member == nullptr || !member->is_array()) return false;
   for (const obs::json::Value& entry : member->array) {
     if (!entry.is_string()) return false;
-    out.insert(entry.string);
+    add(entry.string);
   }
   return true;
 }
 
-/// The per-connection usage tail shared by both fold entry points: first/last
-/// seen, establishment, client/server endpoints, SNI. Must stay the single
-/// definition so the fused path cannot drift from add(JoinedConnection).
-void fold_usage(ChainObservation& observation, const zeek::SslLogRecord& ssl) {
-  if (observation.connections == 0) {
-    observation.first_seen = ssl.ts;
-    observation.last_seen = ssl.ts;
-  } else {
-    observation.first_seen = std::min(observation.first_seen, ssl.ts);
-    observation.last_seen = std::max(observation.last_seen, ssl.ts);
-  }
-  ++observation.connections;
-  if (ssl.established) ++observation.established;
-  observation.client_ips.insert(ssl.id_orig_h);
-  observation.server_keys.insert(ssl.id_resp_h + ":" +
-                                 std::to_string(ssl.id_resp_p));
-  observation.ports.add(ssl.id_resp_p);
-  if (ssl.server_name.empty()) {
-    ++observation.without_sni;
-  } else {
-    ++observation.with_sni;
-    observation.domains.insert(ssl.server_name);
-  }
+bool read_string_set(const obs::json::Value& object, const char* key,
+                     std::set<std::string>& out) {
+  return read_strings(object, key,
+                      [&out](const std::string& text) { out.insert(text); });
+}
+
+/// Appends one fuid to a fuid-list key: its length, then its bytes, so
+/// every fuid (one holding a NUL too) splits back out exactly.
+void append_key_fuid(std::string& key, std::string_view fuid) {
+  const std::size_t size = fuid.size();
+  key.append(reinterpret_cast<const char*>(&size), sizeof size);
+  key.append(fuid);
 }
 
 }  // namespace
+
+CorpusIndex::FoldRow CorpusIndex::fold_row_of(const zeek::SslLogRecord& ssl) {
+  FoldRow row;
+  row.ts = ssl.ts;
+  row.established = ssl.established;
+  row.tls13 = ssl.version == "TLSv13";
+  row.client = ssl.id_orig_h;
+  row.server_host = ssl.id_resp_h;
+  row.server_port = ssl.id_resp_p;
+  row.server_name = &ssl.server_name;
+  return row;
+}
+
+ClientId CorpusIndex::intern_client(std::string_view address) {
+  const auto it = client_ids_.find(address);
+  if (it != client_ids_.end()) return it->second;
+  if (client_addresses_.size() >= std::numeric_limits<ClientId>::max()) {
+    throw std::length_error("CorpusIndex: client id space exhausted");
+  }
+  const auto id = static_cast<ClientId>(client_addresses_.size());
+  client_addresses_.emplace_back(address);
+  client_ids_.emplace(client_addresses_.back(), id);
+  return id;
+}
+
+void CorpusIndex::fold_usage(ChainObservation& observation, const FoldRow& row) {
+  if (observation.connections == 0) {
+    observation.first_seen = row.ts;
+    observation.last_seen = row.ts;
+  } else {
+    observation.first_seen = std::min(observation.first_seen, row.ts);
+    observation.last_seen = std::max(observation.last_seen, row.ts);
+  }
+  ++observation.connections;
+  if (row.established) ++observation.established;
+  add_client(observation, intern_client(row.client));
+
+  std::string& server_key = fold_.server_key;
+  server_key.assign(row.server_host);
+  server_key.push_back(':');
+  char port[8];
+  const auto port_end =
+      std::to_chars(port, port + sizeof(port), row.server_port).ptr;
+  server_key.append(port, port_end);
+  observation.server_keys.insert(server_key);  // copies only when new
+
+  observation.ports.add(row.server_port);
+  if (row.server_name->empty()) {
+    ++observation.without_sni;
+  } else {
+    ++observation.with_sni;
+    observation.domains.insert(*row.server_name);
+  }
+}
+
+ChainObservation& CorpusIndex::observation_slot(const std::string& chain_id) {
+  const auto [it, inserted] = chains_.try_emplace(chain_id);
+  if (inserted) {
+    const std::size_t ordinal = chains_.size() - 1;
+    if (ordinal > std::numeric_limits<std::uint32_t>::max()) {
+      throw std::length_error("CorpusIndex: chain ordinal space exhausted");
+    }
+    it->second.ordinal = static_cast<std::uint32_t>(ordinal);
+  }
+  return it->second;
+}
+
+bool CorpusIndex::ClientPairSet::insert(std::uint64_t pair) {
+  if (2 * (size + 1) > slots.size()) {
+    std::vector<std::uint64_t> old(std::max<std::size_t>(64, 2 * slots.size()),
+                                   kEmpty);
+    old.swap(slots);
+    size = 0;
+    for (const std::uint64_t kept : old) {
+      if (kept != kEmpty) insert(kept);
+    }
+  }
+  const std::size_t mask = slots.size() - 1;
+  // A multiplicative mix, so the dense ids of one chain spread out.
+  for (std::size_t i = (pair * 0x9E3779B97F4A7C15ull) >> 20 & mask;;
+       i = (i + 1) & mask) {
+    if (slots[i] == pair) return false;
+    if (slots[i] == kEmpty) {
+      slots[i] = pair;
+      ++size;
+      return true;
+    }
+  }
+}
+
+void CorpusIndex::add_client(ChainObservation& observation, ClientId client) {
+  const std::uint64_t pair = std::uint64_t{observation.ordinal} << 32 | client;
+  if (chain_clients_.insert(pair)) observation.client_ips.push_back(client);
+}
 
 void CorpusIndex::add(const zeek::JoinedConnection& connection) {
   ++totals_.connections;
@@ -76,85 +169,112 @@ void CorpusIndex::add(const zeek::JoinedConnection& connection) {
     }
   }
 
-  ChainObservation& observation = chains_[connection.chain.id()];
+  ChainObservation& observation = observation_slot(connection.chain.id());
   if (observation.connections == 0) observation.chain = connection.chain;
-  fold_usage(observation, connection.ssl);
+  fold_usage(observation, fold_row_of(connection.ssl));
 }
 
 void CorpusIndex::add(const zeek::LogJoiner& joiner,
                       const zeek::SslLogRecord& ssl) {
+  fold_.key.clear();
+  for (const std::string& fuid : ssl.cert_chain_fuids) {
+    append_key_fuid(fold_.key, fuid);
+  }
+  fold(joiner, fold_row_of(ssl));
+}
+
+void CorpusIndex::add(const zeek::LogJoiner& joiner,
+                      const zeek::SslRowView& row) {
+  fold_.key.clear();
+  zeek::tsv::for_each_vector_element(
+      row.cert_chain_fuids, fold_.unescaped,
+      [this](std::string_view fuid) { append_key_fuid(fold_.key, fuid); });
+  zeek::tsv::unescape_into(row.server_name, fold_.server_name);
+
+  FoldRow fold_row;
+  fold_row.ts = row.ts;
+  fold_row.established = row.established;
+  fold_row.tls13 = row.version == "TLSv13";
+  fold_row.client = row.id_orig_h;
+  fold_row.server_host = row.id_resp_h;
+  fold_row.server_port = row.id_resp_p;
+  fold_row.server_name = &fold_.server_name;
+  fold(joiner, fold_row);
+}
+
+void CorpusIndex::fold(const zeek::LogJoiner& joiner, const FoldRow& row) {
   ++totals_.connections;
-  if (ssl.version == "TLSv13") ++totals_.tls13_connections;
+  if (row.tls13) ++totals_.tls13_connections;
 
   // The memo is only valid against the joiner state it was built from: the
   // joiner grows over time, and growth can resolve a previously-missing fuid.
-  if (fold_joiner_ != &joiner ||
-      fold_joiner_size_ != joiner.certificate_count()) {
-    fold_memo_.clear();
-    fold_joiner_ = &joiner;
-    fold_joiner_size_ = joiner.certificate_count();
-  }
-
-  fold_key_.clear();
-  for (const std::string& fuid : ssl.cert_chain_fuids) {
-    fold_key_.append(fuid);
-    fold_key_.push_back('\0');  // fuids are printable; NUL cannot collide
+  if (fold_.joiner != &joiner ||
+      fold_.joiner_size != joiner.certificate_count()) {
+    fold_.reset_memo();
+    fold_.joiner = &joiner;
+    fold_.joiner_size = joiner.certificate_count();
   }
 
   FoldMemoEntry entry;
-  const auto memo_it = fold_memo_.find(std::string_view(fold_key_));
-  if (memo_it != fold_memo_.end()) {
+  const auto memo_it = fold_.memo.find(std::string_view(fold_.key));
+  if (memo_it != fold_.memo.end()) {
     entry = memo_it->second;
   } else {
-    entry.observation = resolve_and_register(joiner, ssl, entry.missing);
-    fold_memo_.emplace(fold_key_, entry);
+    entry.observation = resolve_and_register(joiner, entry.missing);
+    fold_.memo.emplace(fold_.key, entry);
   }
 
   if (entry.missing) ++totals_.incomplete_joins;
   if (entry.observation == nullptr) return;  // no fuid resolved: totals only
   ++totals_.with_certificates;
-  fold_usage(*entry.observation, ssl);
+  fold_usage(*entry.observation, row);
 }
 
 ChainObservation* CorpusIndex::resolve_and_register(
-    const zeek::LogJoiner& joiner, const zeek::SslLogRecord& ssl,
-    bool& missing) {
+    const zeek::LogJoiner& joiner, bool& missing) {
   const std::map<std::string, x509::Certificate>& by_fuid =
       joiner.certificates();
-  fold_certs_.clear();
-  for (const std::string& fuid : ssl.cert_chain_fuids) {
-    const auto it = by_fuid.find(fuid);
+  fold_.certs.clear();
+  const std::string_view key = fold_.key;
+  for (std::size_t pos = 0; pos < key.size();) {
+    std::size_t size = 0;
+    std::memcpy(&size, key.data() + pos, sizeof size);
+    pos += sizeof size;
+    fold_.fuid.assign(key.substr(pos, size));
+    pos += size;
+    const auto it = by_fuid.find(fold_.fuid);
     if (it == by_fuid.end()) {
       missing = true;
     } else {
-      fold_certs_.push_back(&it->second);
+      fold_.certs.push_back(&it->second);
     }
   }
-  if (fold_certs_.empty()) return nullptr;
+  if (fold_.certs.empty()) return nullptr;
 
-  fold_id_bytes_.clear();
-  for (const x509::Certificate* cert : fold_certs_) {
+  fold_.id_bytes.clear();
+  for (const x509::Certificate* cert : fold_.certs) {
     // Joiner-built certificates are fingerprint-sealed, so this is a memo
     // read; the fallback recomputes for certificates that never were.
     const std::string& fingerprint =
-        cert->fingerprint_memo.empty() ? (fold_fingerprint_ = cert->fingerprint())
+        cert->fingerprint_memo.empty() ? (fold_.fingerprint = cert->fingerprint())
                                        : cert->fingerprint_memo;
     if (certificate_fingerprints_.insert(fingerprint).second) {
       ++totals_.distinct_certificates;
     }
     // Mirrors CertificateChain::id() byte for byte: same bytes, same digest,
     // same chain identity as the copying path.
-    fold_id_bytes_.append(fingerprint);
-    fold_id_bytes_.push_back('|');
+    fold_.id_bytes.append(fingerprint);
+    fold_.id_bytes.push_back('|');
   }
 
-  ChainObservation& observation = chains_[util::digest256_hex(fold_id_bytes_)];
+  ChainObservation& observation =
+      observation_slot(util::digest256_hex(fold_.id_bytes));
   if (observation.connections == 0) {
     // First observation of this chain id: the one place the certificates are
     // deep-copied (once per unique chain, not once per connection).
     std::vector<x509::Certificate> certs;
-    certs.reserve(fold_certs_.size());
-    for (const x509::Certificate* cert : fold_certs_) certs.push_back(*cert);
+    certs.reserve(fold_.certs.size());
+    for (const x509::Certificate* cert : fold_.certs) certs.push_back(*cert);
     observation.chain = chain::CertificateChain(std::move(certs));
   }
   return &observation;
@@ -202,8 +322,14 @@ void CorpusIndex::write_snapshot(obs::json::Writer& writer) const {
     writer.value_uint(observation.connections);
     writer.key("established");
     writer.value_uint(observation.established);
-    write_string_set(writer, "client_ips", observation.client_ips);
-    write_string_set(writer, "server_keys", observation.server_keys);
+    std::vector<std::string_view> addresses;
+    addresses.reserve(observation.client_ips.size());
+    for (const ClientId id : observation.client_ips) {
+      addresses.push_back(client_addresses_[id]);
+    }
+    std::sort(addresses.begin(), addresses.end());
+    write_strings(writer, "client_ips", addresses);
+    write_strings(writer, "server_keys", observation.server_keys);
     writer.key("ports");
     writer.begin_array();
     for (const auto& [port, count] : observation.ports.items()) {
@@ -217,7 +343,7 @@ void CorpusIndex::write_snapshot(obs::json::Writer& writer) const {
     writer.value_uint(observation.with_sni);
     writer.key("without_sni");
     writer.value_uint(observation.without_sni);
-    write_string_set(writer, "domains", observation.domains);
+    write_strings(writer, "domains", observation.domains);
     writer.key("first_seen");
     writer.value_uint(static_cast<std::uint64_t>(observation.first_seen));
     writer.key("last_seen");
@@ -234,18 +360,12 @@ bool CorpusIndex::restore_snapshot(
     const std::map<std::string, x509::Certificate>& by_fingerprint,
     std::string* error) {
   const auto fail = [this, error](const std::string& message) {
-    chains_.clear();
-    certificate_fingerprints_.clear();
-    totals_ = CorpusTotals{};
-    reset_fold_memo();
+    clear();
     if (error != nullptr) *error = message;
     return false;
   };
 
-  chains_.clear();
-  certificate_fingerprints_.clear();
-  totals_ = CorpusTotals{};
-  reset_fold_memo();
+  clear();
   if (!value.is_object()) return fail("corpus snapshot is not an object");
 
   const obs::json::Value* totals = value.find("totals");
@@ -279,8 +399,11 @@ bool CorpusIndex::restore_snapshot(
         !fingerprints->is_array()) {
       return fail("corpus snapshot chain malformed");
     }
+    if (chains_.contains(id->string)) {
+      return fail("corpus snapshot repeats chain " + id->string);
+    }
 
-    ChainObservation observation;
+    ChainObservation& observation = observation_slot(id->string);
     std::vector<x509::Certificate> certs;
     certs.reserve(fingerprints->array.size());
     for (const obs::json::Value& fingerprint : fingerprints->array) {
@@ -301,13 +424,16 @@ bool CorpusIndex::restore_snapshot(
     std::uint64_t without_sni = 0;
     std::uint64_t first_seen = 0;
     std::uint64_t last_seen = 0;
+    const auto add_address = [this, &observation](const std::string& address) {
+      add_client(observation, intern_client(address));
+    };
     if (!read_uint(entry, "connections", observation.connections) ||
         !read_uint(entry, "established", observation.established) ||
         !read_uint(entry, "with_sni", with_sni) ||
         !read_uint(entry, "without_sni", without_sni) ||
         !read_uint(entry, "first_seen", first_seen) ||
         !read_uint(entry, "last_seen", last_seen) ||
-        !read_string_set(entry, "client_ips", observation.client_ips) ||
+        !read_strings(entry, "client_ips", add_address) ||
         !read_string_set(entry, "server_keys", observation.server_keys) ||
         !read_string_set(entry, "domains", observation.domains)) {
       return fail("corpus snapshot chain fields malformed for " + id->string);
@@ -329,19 +455,43 @@ bool CorpusIndex::restore_snapshot(
       observation.ports.add(static_cast<std::uint16_t>(pair.array[0].num),
                             static_cast<std::uint64_t>(pair.array[1].num));
     }
-
-    chains_.emplace(id->string, std::move(observation));
   }
   return true;
 }
 
+void CorpusIndex::clear() {
+  chains_.clear();
+  certificate_fingerprints_.clear();
+  totals_ = CorpusTotals{};
+  client_addresses_.clear();
+  client_ids_.clear();
+  chain_clients_.clear();
+  fold_.reset_memo();
+}
+
+std::size_t CorpusIndex::distinct_clients(
+    const std::vector<const std::vector<ClientId>*>& id_lists) {
+  std::vector<bool> seen;
+  std::size_t count = 0;
+  for (const std::vector<ClientId>* ids : id_lists) {
+    for (const ClientId id : *ids) {
+      if (id >= seen.size()) seen.resize(std::size_t{id} + 1);
+      if (seen[id]) continue;
+      seen[id] = true;
+      ++count;
+    }
+  }
+  return count;
+}
+
 std::size_t CorpusIndex::distinct_clients(
     const std::vector<const ChainObservation*>& observations) {
-  std::set<std::string> clients;
+  std::vector<const std::vector<ClientId>*> id_lists;
+  id_lists.reserve(observations.size());
   for (const ChainObservation* observation : observations) {
-    clients.insert(observation->client_ips.begin(), observation->client_ips.end());
+    id_lists.push_back(&observation->client_ips);
   }
-  return clients.size();
+  return distinct_clients(id_lists);
 }
 
 }  // namespace certchain::core

@@ -7,6 +7,14 @@
 // stream of joined SSL/X509 records into one ChainObservation per unique
 // chain (identity = ordered certificate fingerprints) plus corpus-wide
 // counters, preserving exactly the fields the downstream analyzers read.
+// SSL rows arrive either as owned records or as views into the log text
+// (zeek::SslRowView, the engine's path); both feed one fold body. Client
+// addresses are interned as dense ClientIds in first-seen order, so a
+// chain's clients are an id vector and every distinct-client count in the
+// analysis is one bitmap pass over ids (distinct_clients). One hash set of
+// (chain, client) pairs keeps each vector unique at O(1) expected cost per
+// row, however many clients a chain has. Snapshots store the addresses
+// themselves.
 #pragma once
 
 #include <cstdint>
@@ -23,8 +31,14 @@
 #include "util/stats.hpp"
 #include "util/time.hpp"
 #include "zeek/joiner.hpp"
+#include "zeek/records.hpp"
 
 namespace certchain::core {
+
+/// A client address interned by one CorpusIndex: dense, in first-seen
+/// order. An id means something only within the index (or a copy of the
+/// index) that assigned it.
+using ClientId = std::uint32_t;
 
 /// Everything the study tracks about one unique certificate chain.
 struct ChainObservation {
@@ -32,7 +46,7 @@ struct ChainObservation {
 
   std::uint64_t connections = 0;
   std::uint64_t established = 0;
-  std::set<std::string> client_ips;
+  std::vector<ClientId> client_ips;  // unique, in insertion order
   std::set<std::string> server_keys;  // "ip:port" delivery points
   util::Counter<std::uint16_t> ports;
   std::uint64_t with_sni = 0;
@@ -40,6 +54,9 @@ struct ChainObservation {
   std::set<std::string> domains;  // observed SNI values
   util::SimTime first_seen = 0;
   util::SimTime last_seen = 0;
+  /// Position in the owning CorpusIndex's chain creation order; with a
+  /// ClientId it keys the index's (chain, client) set.
+  std::uint32_t ordinal = 0;
 
   double establish_rate() const {
     return connections == 0 ? 0.0
@@ -59,43 +76,36 @@ struct CorpusTotals {
 
 class CorpusIndex {
  public:
-  CorpusIndex() = default;
-  // The fold memo points into chains_: map nodes survive moves, so the
-  // defaulted moves are sound, but a copy must not inherit pointers into the
-  // source — copies start with a cold memo.
-  CorpusIndex(const CorpusIndex& other)
-      : chains_(other.chains_),
-        certificate_fingerprints_(other.certificate_fingerprints_),
-        totals_(other.totals_) {}
-  CorpusIndex& operator=(const CorpusIndex& other) {
-    chains_ = other.chains_;
-    certificate_fingerprints_ = other.certificate_fingerprints_;
-    totals_ = other.totals_;
-    reset_fold_memo();
-    return *this;
-  }
-  CorpusIndex(CorpusIndex&&) = default;
-  CorpusIndex& operator=(CorpusIndex&&) = default;
-
   /// Folds connections in. Connections without certificates (TLS 1.3,
   /// resumed) contribute to totals only.
   void add(const zeek::JoinedConnection& connection);
   void add_all(const std::vector<zeek::JoinedConnection>& connections);
 
-  /// Fused join+fold — the hot ingest path (DESIGN.md §16). Resolves the
-  /// row's fuids against the joiner and folds the connection in place:
-  /// no JoinedConnection is materialized, so the SSL record and the
-  /// certificates are never copied per row; a chain is deep-copied exactly
-  /// once, when its id is first observed. Byte-identical in effect to
-  /// add(joiner.join(ssl)).
+  /// Fused join+fold (DESIGN.md §16). Resolves the row's fuids against the
+  /// joiner and folds the connection in place: no JoinedConnection is
+  /// materialized, so the SSL record and the certificates are never copied
+  /// per row; a chain is deep-copied exactly once, when its id is first
+  /// observed. Byte-identical in effect to add(joiner.join(ssl)).
   void add(const zeek::LogJoiner& joiner, const zeek::SslLogRecord& ssl);
+
+  /// The same fold over a row parsed in place — the engine's hot path. No
+  /// per-row allocation in the steady state: the fuid-list key and the
+  /// server key are built in reused scratch strings, a fuid or SNI cell is
+  /// unescaped only when it holds a backslash, and fuid strings are
+  /// materialized only when the fuid list is new to the memo.
+  void add(const zeek::LogJoiner& joiner, const zeek::SslRowView& row);
 
   const std::map<std::string, ChainObservation>& chains() const { return chains_; }
   const CorpusTotals& totals() const { return totals_; }
 
   std::size_t unique_chain_count() const { return chains_.size(); }
 
-  /// Union of client IPs across a set of chain ids.
+  /// Number of distinct clients across ClientId lists of one index (each a
+  /// ChainObservation::client_ips, or a union of some). Ids are dense, so
+  /// this marks one bit per id.
+  static std::size_t distinct_clients(
+      const std::vector<const std::vector<ClientId>*>& id_lists);
+  /// The same over the observations' client lists.
   static std::size_t distinct_clients(
       const std::vector<const ChainObservation*>& observations);
 
@@ -103,34 +113,56 @@ class CorpusIndex {
   /// of a stream checkpoint, DESIGN.md §11). Chains are stored as ordered
   /// certificate fingerprints, not serialized certificates — every
   /// certificate in the corpus came out of the X509 log, so a resuming run
-  /// re-derives the objects from its re-ingested records.
+  /// re-derives the objects from its re-ingested records. Client ids are
+  /// written as their addresses, sorted.
   void write_snapshot(obs::json::Writer& writer) const;
 
-  /// Restores a write_snapshot() state into an empty index. Fingerprints are
-  /// resolved through `by_fingerprint` (built from the re-ingested X509
-  /// records); an unresolvable fingerprint or a malformed snapshot fails
-  /// with `error` set and leaves the index cleared.
+  /// Restores a write_snapshot() state into an empty index, interning the
+  /// client addresses afresh. Fingerprints are resolved through
+  /// `by_fingerprint` (built from the re-ingested X509 records); an
+  /// unresolvable fingerprint or a malformed snapshot fails with `error`
+  /// set and leaves the index cleared.
   bool restore_snapshot(
       const obs::json::Value& value,
       const std::map<std::string, x509::Certificate>& by_fingerprint,
       std::string* error);
 
  private:
-  std::map<std::string, ChainObservation> chains_;  // by chain id
-  std::set<std::string> certificate_fingerprints_;
-  CorpusTotals totals_;
+  /// What one SSL row contributes to the fold, whichever form it came in.
+  /// The row's fuid-list key is in fold_.key.
+  struct FoldRow {
+    util::SimTime ts = 0;
+    bool established = false;
+    bool tls13 = false;
+    std::string_view client;
+    std::string_view server_host;
+    std::uint16_t server_port = 0;
+    const std::string* server_name = nullptr;  // unescaped; empty = no SNI
+  };
 
-  /// Slow half of the fused fold: resolves fuids, digests the chain id, and
-  /// registers the chain — runs once per distinct fuid list, not per row.
+  /// The fold's view of an owned record (server_name points into it).
+  static FoldRow fold_row_of(const zeek::SslLogRecord& ssl);
+
+  /// The one fused fold body behind both add(joiner, ...) overloads.
+  void fold(const zeek::LogJoiner& joiner, const FoldRow& row);
+
+  /// The per-connection usage tail shared by every fold entry point:
+  /// first/last seen, establishment, client/server endpoints, SNI.
+  void fold_usage(ChainObservation& observation, const FoldRow& row);
+
+  /// The observation slot for `chain_id`; a new slot gets the next ordinal.
+  ChainObservation& observation_slot(const std::string& chain_id);
+  /// Appends `client` to the chain's clients unless it is there already.
+  void add_client(ChainObservation& observation, ClientId client);
+
+  /// Slow half of the fused fold: resolves the fuids in fold_.key, digests
+  /// the chain id, and registers the chain — runs once per distinct fuid
+  /// list, not per row.
   ChainObservation* resolve_and_register(const zeek::LogJoiner& joiner,
-                                         const zeek::SslLogRecord& ssl,
                                          bool& missing);
 
-  void reset_fold_memo() {
-    fold_memo_.clear();
-    fold_joiner_ = nullptr;
-    fold_joiner_size_ = 0;
-  }
+  ClientId intern_client(std::string_view address);
+  void clear();
 
   struct TransparentHash {
     using is_transparent = void;
@@ -146,20 +178,69 @@ class CorpusIndex {
     bool missing = false;
   };
 
-  // Scratch reused across fused add(joiner, ssl) calls so the per-row fold
-  // stays allocation-free (one CorpusIndex is only ever fed from one thread).
-  std::vector<const x509::Certificate*> fold_certs_;
-  std::string fold_id_bytes_;
-  std::string fold_fingerprint_;
-  std::string fold_key_;
-  // Fuid-list memo, valid only for one (joiner, certificate_count) snapshot:
-  // the joiner can grow between folds (svc appends X509 rows incrementally),
-  // and growth can turn a missing fuid into a resolved one.
-  const zeek::LogJoiner* fold_joiner_ = nullptr;
-  std::size_t fold_joiner_size_ = 0;
-  std::unordered_map<std::string, FoldMemoEntry, TransparentHash,
-                     std::equal_to<>>
-      fold_memo_;
+  /// The (chain, client) pairs already in some chain's client_ips, each
+  /// `ordinal << 32 | id`: one flat open-addressing table with linear
+  /// probing, so a lookup is O(1) expected and growth is the only
+  /// allocation. ~0 marks an empty slot (no client gets id 2^32 - 1).
+  struct ClientPairSet {
+    static constexpr std::uint64_t kEmpty = ~std::uint64_t{0};
+    /// Adds `pair`; false when it was already there.
+    bool insert(std::uint64_t pair);
+    void clear() {
+      slots.clear();
+      size = 0;
+    }
+    std::vector<std::uint64_t> slots;  // power-of-two count, at most half full
+    std::size_t size = 0;
+  };
+
+  /// Scratch reused across fused folds, so the per-row fold stays
+  /// allocation-free (one CorpusIndex is only ever fed from one thread), and
+  /// the fuid-list memo. The memo is valid only for one (joiner,
+  /// certificate_count) snapshot: the joiner can grow between folds (svc
+  /// appends X509 rows incrementally), and growth can turn a missing fuid
+  /// into a resolved one. It points into the chain map, whose nodes survive
+  /// moves, so moves keep it; a copy starts cold instead of inheriting
+  /// pointers into the source.
+  struct FoldState {
+    FoldState() = default;
+    FoldState(const FoldState&) {}
+    FoldState& operator=(const FoldState&) {
+      reset_memo();
+      return *this;
+    }
+    FoldState(FoldState&&) = default;
+    FoldState& operator=(FoldState&&) = default;
+
+    void reset_memo() {
+      memo.clear();
+      joiner = nullptr;
+      joiner_size = 0;
+    }
+
+    std::vector<const x509::Certificate*> certs;
+    std::string key;  // the row's fuids, each prefixed by its length
+    std::string fuid;
+    std::string unescaped;
+    std::string server_name;
+    std::string server_key;
+    std::string id_bytes;
+    std::string fingerprint;
+    const zeek::LogJoiner* joiner = nullptr;
+    std::size_t joiner_size = 0;
+    std::unordered_map<std::string, FoldMemoEntry, TransparentHash,
+                       std::equal_to<>>
+        memo;
+  };
+
+  std::map<std::string, ChainObservation> chains_;  // by chain id
+  std::set<std::string> certificate_fingerprints_;
+  CorpusTotals totals_;
+  std::vector<std::string> client_addresses_;  // by ClientId
+  std::unordered_map<std::string, ClientId, TransparentHash, std::equal_to<>>
+      client_ids_;
+  ClientPairSet chain_clients_;
+  FoldState fold_;
 };
 
 }  // namespace certchain::core

@@ -142,14 +142,13 @@ HybridReport HybridAnalyzer::analyze(
       column_classifier.has_value() ? &*column_classifier : nullptr;
   std::map<std::string, std::set<std::string>> anchored_entities;  // sector -> entities
   std::map<std::string, std::size_t> anchored_counts;              // sector -> chains
-  std::set<std::string> clients_complete;
-  std::set<std::string> clients_contains;
-  std::set<std::string> clients_no_path;
-  std::set<std::string> clients_public_leaf_no_issuer;
+  std::vector<const ChainObservation*> complete;
+  std::vector<const ChainObservation*> contains;
+  std::vector<const ChainObservation*> no_path;
+  std::vector<const ChainObservation*> public_leaf_no_issuer;
 
   for (const ChainObservation* observation : hybrid_chains) {
     HybridChainRecord record;
-    record.observation = observation;
     record.classification =
         chain::classify_hybrid(observation->chain, *stores_, registry_);
     const auto& cls = record.classification;
@@ -161,8 +160,7 @@ HybridReport HybridAnalyzer::analyze(
         report.usage_complete.chains++;
         report.usage_complete.connections += observation->connections;
         report.usage_complete.established += observation->established;
-        clients_complete.insert(observation->client_ips.begin(),
-                                observation->client_ips.end());
+        complete.push_back(observation);
 
         // Table 6 attribution from the leaf's issuer.
         const x509::Certificate& leaf = chain.at(cls.paths.complete_path->begin);
@@ -186,8 +184,7 @@ HybridReport HybridAnalyzer::analyze(
         report.usage_complete.chains++;
         report.usage_complete.connections += observation->connections;
         report.usage_complete.established += observation->established;
-        clients_complete.insert(observation->client_ips.begin(),
-                                observation->client_ips.end());
+        complete.push_back(observation);
         break;
       }
       case HybridStructure::kContainsCompletePath: {
@@ -195,8 +192,7 @@ HybridReport HybridAnalyzer::analyze(
         report.usage_contains.chains++;
         report.usage_contains.connections += observation->connections;
         report.usage_contains.established += observation->established;
-        clients_contains.insert(observation->client_ips.begin(),
-                                observation->client_ips.end());
+        contains.push_back(observation);
         report.figure4_columns.push_back(
             build_structure_column(*observation, cls, memo));
 
@@ -214,8 +210,7 @@ HybridReport HybridAnalyzer::analyze(
         report.usage_no_path.chains++;
         report.usage_no_path.connections += observation->connections;
         report.usage_no_path.established += observation->established;
-        clients_no_path.insert(observation->client_ips.begin(),
-                               observation->client_ips.end());
+        no_path.push_back(observation);
         ++report.no_path_categories[cls.no_path_category];
         report.mismatch_ratios.push_back(cls.paths.match.mismatch_ratio());
         if (cls.public_leaf_without_issuer) {
@@ -225,8 +220,7 @@ HybridReport HybridAnalyzer::analyze(
               observation->connections;
           report.usage_public_leaf_without_issuer.established +=
               observation->established;
-          clients_public_leaf_no_issuer.insert(observation->client_ips.begin(),
-                                               observation->client_ips.end());
+          public_leaf_no_issuer.push_back(observation);
         }
         break;
       }
@@ -234,11 +228,11 @@ HybridReport HybridAnalyzer::analyze(
     report.records.push_back(std::move(record));
   }
 
-  report.usage_complete.client_ips = clients_complete.size();
-  report.usage_contains.client_ips = clients_contains.size();
-  report.usage_no_path.client_ips = clients_no_path.size();
+  report.usage_complete.client_ips = CorpusIndex::distinct_clients(complete);
+  report.usage_contains.client_ips = CorpusIndex::distinct_clients(contains);
+  report.usage_no_path.client_ips = CorpusIndex::distinct_clients(no_path);
   report.usage_public_leaf_without_issuer.client_ips =
-      clients_public_leaf_no_issuer.size();
+      CorpusIndex::distinct_clients(public_leaf_no_issuer);
 
   // Table 6 rows, Government before Corporate to match the paper's layout.
   for (const std::string& sector : {std::string("Corporate"), std::string("Government")}) {

@@ -24,7 +24,6 @@ namespace certchain::core {
 
 /// One analyzed hybrid chain.
 struct HybridChainRecord {
-  const ChainObservation* observation = nullptr;
   chain::HybridClassification classification;
   /// Leaf of the complete path was already expired when last observed.
   bool expired_leaf = false;

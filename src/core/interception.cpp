@@ -29,13 +29,13 @@ std::vector<InterceptionCategoryRow> InterceptionReport::category_rows() const {
     row.issuers = vendors_by_category[category].size();
   }
   // Client IPs must be deduplicated per category, not summed per issuer.
-  std::map<std::string, std::set<std::string>> clients_by_category;
+  std::map<std::string, std::vector<const std::vector<ClientId>*>>
+      client_lists;
   for (const InterceptionFinding& finding : findings) {
-    clients_by_category[finding.vendor.category].insert(finding.client_ips.begin(),
-                                                        finding.client_ips.end());
+    client_lists[finding.vendor.category].push_back(&finding.client_ips);
   }
   for (auto& [category, row] : by_category) {
-    row.client_ips = clients_by_category[category].size();
+    row.client_ips = CorpusIndex::distinct_clients(client_lists[category]);
   }
 
   std::vector<InterceptionCategoryRow> rows;
@@ -123,7 +123,8 @@ void fold_observation(const InterceptionDetector& detector,
     finding.vendor = directory_entry->second;
   }
   finding.connections += observation.connections;
-  finding.client_ips.insert(observation.client_ips.begin(),
+  finding.client_ips.insert(finding.client_ips.end(),
+                            observation.client_ips.begin(),
                             observation.client_ips.end());
   fold.total_connections += observation.connections;
 }
@@ -136,7 +137,9 @@ void merge_fold(DetectFold& into, DetectFold&& other) {
         into.findings.try_emplace(canonical, std::move(theirs));
     if (inserted) continue;
     it->second.connections += theirs.connections;
-    it->second.client_ips.merge(theirs.client_ips);
+    it->second.client_ips.insert(it->second.client_ips.end(),
+                                 theirs.client_ips.begin(),
+                                 theirs.client_ips.end());
   }
   into.unconfirmed_candidates.merge(other.unconfirmed_candidates);
   into.total_connections += other.total_connections;
@@ -162,6 +165,9 @@ InterceptionReport finalize_fold(DetectFold&& fold,
 
   report.findings.reserve(fold.findings.size());
   for (auto& [canonical, finding] : fold.findings) {
+    std::vector<ClientId>& clients = finding.client_ips;
+    std::sort(clients.begin(), clients.end());
+    clients.erase(std::unique(clients.begin(), clients.end()), clients.end());
     report.findings.push_back(std::move(finding));
   }
   std::stable_sort(report.findings.begin(), report.findings.end(),

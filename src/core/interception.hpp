@@ -50,7 +50,7 @@ struct InterceptionFinding {
   std::string issuer_display;  // RFC 4514 form
   VendorInfo vendor;
   std::uint64_t connections = 0;
-  std::set<std::string> client_ips;
+  std::vector<ClientId> client_ips;  // sorted, unique; ids of the corpus
 };
 
 /// Aggregated Table 1 row. `issuers` counts distinct vendors (the paper's
@@ -93,9 +93,9 @@ class InterceptionDetector {
   /// CT (Appendix B limitation, reproduced faithfully). With a pool, the
   /// per-chain candidate test runs over one consecutive corpus range per
   /// worker and the partial finding maps merge in range order (identity
-  /// fields first-wins, counts summed, client sets unioned) before the
-  /// vendor expansion and sort; a null pool runs one range inline. The
-  /// report is identical either way.
+  /// fields first-wins, counts summed, client id lists appended, then
+  /// sorted and deduplicated) before the vendor expansion and sort; a null
+  /// pool runs one range inline. The report is identical either way.
   InterceptionReport detect(const CorpusIndex& corpus,
                             par::ThreadPool* pool = nullptr) const;
 

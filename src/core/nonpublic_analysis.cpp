@@ -1,7 +1,7 @@
 #include "core/nonpublic_analysis.hpp"
 
 #include <cctype>
-#include <set>
+#include <vector>
 
 #include "chain/matcher.hpp"
 
@@ -32,29 +32,27 @@ NonPublicReport NonPublicAnalyzer::analyze(
   NonPublicReport report;
   report.category_label = std::move(category_label);
 
-  std::set<std::string> all_clients;
-  std::set<std::string> single_clients;
-  std::set<std::string> dga_clients;
+  std::vector<const ChainObservation*> all;
+  std::vector<const ChainObservation*> singles;
+  std::vector<const ChainObservation*> dga;
 
   for (const ChainObservation* observation : chains) {
     const auto& chain = observation->chain;
     if (chain.empty()) continue;
     ++report.chains;
     report.connections += observation->connections;
-    all_clients.insert(observation->client_ips.begin(), observation->client_ips.end());
+    all.push_back(observation);
 
     if (chain.is_single()) {
       ++report.single_chains;
       report.single_connections += observation->connections;
       report.single_no_sni_connections += observation->without_sni;
-      single_clients.insert(observation->client_ips.begin(),
-                            observation->client_ips.end());
+      singles.push_back(observation);
       if (chain.first_is_self_signed()) ++report.single_self_signed;
       if (is_dga_certificate(chain.first())) {
         ++report.dga_chains;
         report.dga_connections += observation->connections;
-        dga_clients.insert(observation->client_ips.begin(),
-                           observation->client_ips.end());
+        dga.push_back(observation);
       }
       for (const auto& [port, count] : observation->ports.items()) {
         report.ports_single.add(port, count);
@@ -95,9 +93,9 @@ NonPublicReport NonPublicAnalyzer::analyze(
     }
   }
 
-  report.client_ips = all_clients.size();
-  report.single_client_ips = single_clients.size();
-  report.dga_client_ips = dga_clients.size();
+  report.client_ips = CorpusIndex::distinct_clients(all);
+  report.single_client_ips = CorpusIndex::distinct_clients(singles);
+  report.dga_client_ips = CorpusIndex::distinct_clients(dga);
   return report;
 }
 

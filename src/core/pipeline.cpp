@@ -134,8 +134,8 @@ StudyReport StudyPipeline::analyze_corpus(par::ThreadPool* pool,
     for (std::size_t i = 1; i < shards; ++i) {
       folds[0].merge_from(std::move(folds[i]));
     }
-    slices = std::move(folds[0].slices);
     folds[0].finish(report);
+    slices = std::move(folds[0].slices);
   }
   publish_stage(obs, "categorize", report.unique_chains, report.unique_chains, 0);
   publish_stage(obs, "figure1", report.unique_chains,

@@ -51,8 +51,6 @@ void CategorizeFold::add(const ChainObservation& observation,
   CategoryUsage& usage = categories[category];
   ++usage.chains;
   usage.connections += observation.connections;
-  clients_by_category[category].insert(observation.client_ips.begin(),
-                                       observation.client_ips.end());
 
   // Figure 1 series with the outlier rule.
   if (observation.chain.length() > StudyPipeline::kOutlierLength &&
@@ -84,9 +82,6 @@ void CategorizeFold::merge_from(CategorizeFold&& other) {
     mine.chains += usage.chains;
     mine.connections += usage.connections;
   }
-  for (auto& [category, clients] : other.clients_by_category) {
-    clients_by_category[category].merge(clients);
-  }
   for (auto& [category, lengths] : other.chain_lengths) {
     auto& mine = chain_lengths[category];
     mine.insert(mine.end(), lengths.begin(), lengths.end());
@@ -102,8 +97,9 @@ void CategorizeFold::finish(StudyReport& report) {
   report.chain_lengths = std::move(chain_lengths);
   report.excluded_outliers = std::move(excluded_outliers);
   report.ports_hybrid = std::move(ports_hybrid);
-  for (auto& [category, clients] : clients_by_category) {
-    report.categories[category].client_ips = clients.size();
+  for (const auto& [category, observations] : slices) {
+    report.categories[category].client_ips =
+        CorpusIndex::distinct_clients(observations);
   }
 }
 

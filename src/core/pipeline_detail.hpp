@@ -13,7 +13,6 @@
 #include <functional>
 #include <map>
 #include <optional>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -66,7 +65,6 @@ using CategorySlices =
 struct CategorizeFold {
   CategorySlices slices;
   std::map<chain::ChainCategory, CategoryUsage> categories;
-  std::map<chain::ChainCategory, std::set<std::string>> clients_by_category;
   std::map<chain::ChainCategory, std::vector<std::size_t>> chain_lengths;
   std::vector<ExcludedOutlier> excluded_outliers;
   util::Counter<std::uint16_t> ports_hybrid;
@@ -77,8 +75,8 @@ struct CategorizeFold {
   /// Appends another fold; call in shard-index order.
   void merge_from(CategorizeFold&& other);
 
-  /// Moves everything except `slices` into the report and resolves the
-  /// per-category distinct-client counts.
+  /// Moves everything except `slices` into the report and counts each
+  /// category's distinct clients from its slice.
   void finish(StudyReport& report);
 };
 

@@ -3,19 +3,20 @@
 // Every input kind takes the same two steps on the coordinating thread. X509
 // rows go into the joiner first: parsed (for raw text) and interned on the
 // run's single DnPool — the only place a run interns DNs. SSL rows then fold
-// straight into the run corpus as they parse; no record vector and no
+// straight into the run corpus as they parse: raw text as zeek::SslRowView
+// views read in place, records as themselves. No record vector and no
 // partial corpus is ever built. A worker pool only shards the analysis
 // (pipeline.cpp), so the fold is the same at every thread count.
 //
 // Raw text reaches the readers in RunOptions::chunk_bytes pieces: reads from
-// a LogSource, or slices of an in-memory body (at most 64 KiB each, see
-// kMaxTextSliceBytes). A streamed run therefore holds one chunk + the
-// deduplicated corpus + the joiner index, never the log bytes. After every
-// SSL chunk its fold state is checkpointable
-// (stream_checkpoint.hpp): a killed run re-ingests the small X509 stream,
-// validates both stream digests, seeks past the folded SSL prefix and
-// continues — producing the byte-identical report an uninterrupted run
-// yields. Streamed runs add `stream.*` counters, per-chunk spans and the
+// a LogSource, or slices of an in-memory body. A reader parses complete
+// lines where they lie and copies only a line split between pieces, so a
+// streamed run holds one chunk + the deduplicated corpus + the joiner
+// index, never the log bytes. After every SSL chunk its fold state is
+// checkpointable (stream_checkpoint.hpp): a killed run re-ingests the small
+// X509 stream, validates both stream digests, seeks past the folded SSL
+// prefix and continues — producing the byte-identical report an
+// uninterrupted run yields. Streamed runs add `stream.*` counters, per-chunk spans and the
 // `mem.peak_rss_bytes` gauge on top; everything else is identical at every
 // chunk size and thread count (tests/test_streaming.cpp).
 #include <algorithm>
@@ -35,12 +36,6 @@
 namespace certchain::core::detail {
 
 namespace {
-
-/// In-memory text reaches its readers in slices of at most this size. A
-/// reader appends each slice to its line buffer before parsing it; a 64 KiB
-/// slice keeps that buffer within a core's L2 cache next to the fold's hot
-/// state, where a 4 MiB slice (the streamed default) evicts both every slice.
-constexpr std::size_t kMaxTextSliceBytes = 64 * 1024;
 
 /// Feeds `text` to `reader` in `chunk_bytes` slices (the split-line handling
 /// a growing log file exercises), then flushes the trailing line.
@@ -161,10 +156,8 @@ IngestReport fold_sources(LogSource& ssl_source, LogSource& x509_source,
     x509_reader.finish();
   }
 
-  auto ssl_reader = zeek::make_streaming_ssl_reader(
-      [&joiner, &corpus](zeek::SslLogRecord record) {
-        corpus.add(joiner, record);
-      });
+  auto ssl_reader = zeek::make_streaming_ssl_view_reader(
+      [&joiner, &corpus](zeek::SslRowView row) { corpus.add(joiner, row); });
   std::uint64_t ssl_digest = util::fnv1a64({});
   std::uint64_t chunks_done = 0;
 
@@ -250,18 +243,15 @@ IngestReport fold_input(const StudyInput& input, const RunOptions& options,
       return {};
     }
     case StudyInput::Kind::kText: {
-      const std::size_t slice_bytes = std::min(chunk_bytes, kMaxTextSliceBytes);
       auto x509_reader = zeek::make_streaming_x509_reader(
           [&joiner](zeek::X509LogRecord record) { joiner.add(record); });
       {
         obs::StageTimer timer(ctx, "join");
-        feed_slices(x509_reader, input.x509_text(), slice_bytes);
+        feed_slices(x509_reader, input.x509_text(), chunk_bytes);
       }
-      auto ssl_reader = zeek::make_streaming_ssl_reader(
-          [&joiner, &corpus](zeek::SslLogRecord record) {
-            corpus.add(joiner, record);
-          });
-      feed_slices(ssl_reader, input.ssl_text(), slice_bytes);
+      auto ssl_reader = zeek::make_streaming_ssl_view_reader(
+          [&joiner, &corpus](zeek::SslRowView row) { corpus.add(joiner, row); });
+      feed_slices(ssl_reader, input.ssl_text(), chunk_bytes);
       return account_streams(ssl_reader.checkpoint(), x509_reader.checkpoint(),
                              options.ingest.mode, ctx.metrics);
     }

@@ -30,8 +30,8 @@ struct RunOptions {
   /// LogSource inputs pull this much per read (each chunk is parsed, joined,
   /// and folded into the corpus before the next is read, so peak residency
   /// is O(chunk) + the deduplicated corpus state, not O(total log bytes)),
-  /// and in-memory text is fed in slices of this size, capped at 64 KiB so a
-  /// reader's line buffer stays cache-resident. 0 falls back to the default.
+  /// and in-memory text is fed in slices of this size (readers parse lines
+  /// in place, so a slice is never copied). 0 falls back to the default.
   /// The report is byte-identical at every chunk size.
   std::size_t chunk_bytes = kDefaultChunkBytes;
   static constexpr std::size_t kDefaultChunkBytes = 4 * 1024 * 1024;

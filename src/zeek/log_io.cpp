@@ -4,6 +4,7 @@
 #include <array>
 #include <charconv>
 #include <cstdio>
+#include <limits>
 
 #include "util/strings.hpp"
 
@@ -24,6 +25,14 @@ std::optional<util::SimTime> parse_time(std::string_view text) {
   const auto result = std::from_chars(whole.data(), whole.data() + whole.size(), value);
   if (result.ec != std::errc{} || result.ptr != whole.data() + whole.size()) {
     return std::nullopt;
+  }
+  if (dot != std::string_view::npos) {
+    const std::string_view fraction = text.substr(dot + 1);
+    if (fraction.empty() ||
+        !std::all_of(fraction.begin(), fraction.end(),
+                     [](char c) { return c >= '0' && c <= '9'; })) {
+      return std::nullopt;
+    }
   }
   return value;
 }
@@ -51,19 +60,11 @@ std::vector<std::string> parse_vector(std::string_view text) {
   std::vector<std::string> out;
   out.reserve(1 + static_cast<std::size_t>(
                       std::count(text.begin(), text.end(), ',')));
-  std::size_t start = 0;
-  while (true) {
-    const std::size_t pos = text.find(',', start);
-    const std::string_view part =
-        text.substr(start, pos == std::string_view::npos ? pos : pos - start);
-    if (part.find('\\') == std::string_view::npos) {
-      out.emplace_back(part);  // fast path: nothing to unescape
-    } else {
-      out.push_back(unescape_field(part));
-    }
-    if (pos == std::string_view::npos) return out;
-    start = pos + 1;
-  }
+  std::string scratch;
+  for_each_vector_element(text, scratch, [&out](std::string_view element) {
+    out.emplace_back(element);
+  });
+  return out;
 }
 
 std::string escape_field(std::string_view value) {
@@ -81,6 +82,14 @@ std::string escape_field(std::string_view value) {
     }
   }
   return out;
+}
+
+void unescape_into(std::string_view value, std::string& out) {
+  if (value.find('\\') == std::string_view::npos) {
+    out.assign(value);
+  } else {
+    out = unescape_field(value);
+  }
 }
 
 std::string unescape_field(std::string_view value) {
@@ -151,13 +160,17 @@ void record_error(ParseDiagnostics* diagnostics, std::size_t line_number,
   }
 }
 
-std::optional<std::uint64_t> parse_u64(std::string_view text) {
+/// An unsigned decimal that fits in T: an out-of-range value is malformed,
+/// never truncated.
+template <typename T>
+std::optional<T> parse_count(std::string_view text) {
   std::uint64_t value = 0;
   const auto result = std::from_chars(text.data(), text.data() + text.size(), value);
-  if (result.ec != std::errc{} || result.ptr != text.data() + text.size()) {
+  if (result.ec != std::errc{} || result.ptr != text.data() + text.size() ||
+      value > static_cast<std::uint64_t>(std::numeric_limits<T>::max())) {
     return std::nullopt;
   }
-  return value;
+  return static_cast<T>(value);
 }
 
 }  // namespace
@@ -235,49 +248,66 @@ void set_error(std::string* error, std::string_view message) {
   if (error != nullptr) *error = std::string(message);
 }
 
-/// Unescapes into an owned string; the no-backslash fast path (virtually
-/// every field) is a single copy with no scan-and-rebuild.
-std::string unescape_owned(std::string_view value) {
-  if (value.find('\\') == std::string_view::npos) return std::string(value);
-  return tsv::unescape_field(value);
-}
-
 }  // namespace
 
-std::optional<SslLogRecord> parse_ssl_row(std::string_view line,
-                                          std::string* error) {
+std::optional<SslRowView> parse_ssl_row_view(std::string_view line,
+                                             std::string* error) {
   std::array<std::string_view, 15> cells;
   if (!util::split_exact(line, '\t', cells.data(), cells.size())) {
     set_error(error, "wrong column count");
     return std::nullopt;
   }
-  SslLogRecord record;
   const auto ts = tsv::parse_time(cells[0]);
-  const auto orig_p = parse_u64(cells[3]);
-  const auto resp_p = parse_u64(cells[5]);
+  const auto orig_p = parse_count<std::uint16_t>(cells[3]);
+  const auto resp_p = parse_count<std::uint16_t>(cells[5]);
   const auto resumed = tsv::parse_bool(cells[9]);
   const auto established = tsv::parse_bool(cells[10]);
   if (!ts || !orig_p || !resp_p || !resumed || !established) {
     set_error(error, "malformed scalar field");
     return std::nullopt;
   }
-  record.ts = *ts;
-  record.uid = cells[1];
-  record.id_orig_h = cells[2];
-  record.id_orig_p = static_cast<std::uint16_t>(*orig_p);
-  record.id_resp_h = cells[4];
-  record.id_resp_p = static_cast<std::uint16_t>(*resp_p);
-  record.version = cells[6] == tsv::kUnset ? std::string_view{} : cells[6];
-  record.cipher = cells[7] == tsv::kUnset ? std::string_view{} : cells[7];
-  if (cells[8] != tsv::kUnset) record.server_name = unescape_owned(cells[8]);
-  record.resumed = *resumed;
-  record.established = *established;
-  record.cert_chain_fuids = tsv::parse_vector(cells[11]);
-  if (cells[12] != tsv::kUnset) record.subject = unescape_owned(cells[12]);
-  if (cells[13] != tsv::kUnset) record.issuer = unescape_owned(cells[13]);
-  if (cells[14] != tsv::kUnset) {
-    record.validation_status = unescape_owned(cells[14]);
-  }
+  const auto unset_to_empty = [](std::string_view cell) {
+    return cell == tsv::kUnset ? std::string_view{} : cell;
+  };
+  SslRowView row;
+  row.ts = *ts;
+  row.uid = cells[1];
+  row.id_orig_h = cells[2];
+  row.id_orig_p = *orig_p;
+  row.id_resp_h = cells[4];
+  row.id_resp_p = *resp_p;
+  row.version = unset_to_empty(cells[6]);
+  row.cipher = unset_to_empty(cells[7]);
+  row.server_name = unset_to_empty(cells[8]);
+  row.resumed = *resumed;
+  row.established = *established;
+  row.cert_chain_fuids = cells[11];
+  row.subject = unset_to_empty(cells[12]);
+  row.issuer = unset_to_empty(cells[13]);
+  row.validation_status = unset_to_empty(cells[14]);
+  return row;
+}
+
+std::optional<SslLogRecord> parse_ssl_row(std::string_view line,
+                                          std::string* error) {
+  const std::optional<SslRowView> row = parse_ssl_row_view(line, error);
+  if (!row) return std::nullopt;
+  SslLogRecord record;
+  record.ts = row->ts;
+  record.uid = row->uid;
+  record.id_orig_h = row->id_orig_h;
+  record.id_orig_p = row->id_orig_p;
+  record.id_resp_h = row->id_resp_h;
+  record.id_resp_p = row->id_resp_p;
+  record.version = row->version;
+  record.cipher = row->cipher;
+  tsv::unescape_into(row->server_name, record.server_name);
+  record.resumed = row->resumed;
+  record.established = row->established;
+  record.cert_chain_fuids = tsv::parse_vector(row->cert_chain_fuids);
+  tsv::unescape_into(row->subject, record.subject);
+  tsv::unescape_into(row->issuer, record.issuer);
+  tsv::unescape_into(row->validation_status, record.validation_status);
   return record;
 }
 
@@ -290,25 +320,25 @@ std::optional<X509LogRecord> parse_x509_row(std::string_view line,
   }
   X509LogRecord record;
   const auto ts = tsv::parse_time(cells[0]);
-  const auto version = parse_u64(cells[2]);
+  const auto version = parse_count<int>(cells[2]);
   const auto not_before = tsv::parse_time(cells[6]);
   const auto not_after = tsv::parse_time(cells[7]);
-  const auto key_length = parse_u64(cells[10]);
+  const auto key_length = parse_count<int>(cells[10]);
   if (!ts || !version || !not_before || !not_after || !key_length) {
     set_error(error, "malformed scalar field");
     return std::nullopt;
   }
   record.ts = *ts;
   record.fuid = cells[1];
-  record.version = static_cast<int>(*version);
+  record.version = *version;
   record.serial = cells[3];
-  record.subject = unescape_owned(cells[4]);
-  record.issuer = unescape_owned(cells[5]);
+  tsv::unescape_into(cells[4], record.subject);
+  tsv::unescape_into(cells[5], record.issuer);
   record.not_before = *not_before;
   record.not_after = *not_after;
   record.key_alg = cells[8];
   record.sig_alg = cells[9];
-  record.key_length = static_cast<int>(*key_length);
+  record.key_length = *key_length;
   if (cells[11] != tsv::kUnset) {
     const auto ca = tsv::parse_bool(cells[11]);
     if (!ca) {
@@ -318,12 +348,12 @@ std::optional<X509LogRecord> parse_x509_row(std::string_view line,
     record.basic_constraints_ca = *ca;
   }
   if (cells[12] != tsv::kUnset) {
-    const auto path_len = parse_u64(cells[12]);
+    const auto path_len = parse_count<int>(cells[12]);
     if (!path_len) {
       set_error(error, "malformed basic_constraints.path_len");
       return std::nullopt;
     }
-    record.basic_constraints_path_len = static_cast<int>(*path_len);
+    record.basic_constraints_path_len = *path_len;
   }
   record.san_dns = tsv::parse_vector(cells[13]);
   return record;

@@ -22,6 +22,7 @@ inline constexpr std::string_view kUnset = "-";
 inline constexpr std::string_view kEmpty = "(empty)";
 
 std::string render_time(util::SimTime t);           // "1598918400.000000"
+/// Whole seconds; a fractional part, when present, must be digits.
 std::optional<util::SimTime> parse_time(std::string_view text);
 std::string render_bool(bool b);                    // "T"/"F"
 std::optional<bool> parse_bool(std::string_view text);
@@ -30,6 +31,33 @@ std::vector<std::string> parse_vector(std::string_view text);
 /// Escapes the separator characters inside a field value.
 std::string escape_field(std::string_view value);
 std::string unescape_field(std::string_view value);
+/// unescape_field into `out`, replacing its contents; a value with no
+/// backslash (virtually every field) is one copy into out's capacity.
+void unescape_into(std::string_view value, std::string& out);
+
+/// Calls `visit(element)` for each element of a vector cell, in order, with
+/// parse_vector's semantics but without building the vector: an element is
+/// unescaped, into `scratch`, only when it contains a backslash. "(empty)"
+/// and "-" have no elements.
+template <typename Visit>
+void for_each_vector_element(std::string_view cell, std::string& scratch,
+                             Visit&& visit) {
+  if (cell == kEmpty || cell == kUnset) return;
+  std::size_t start = 0;
+  while (true) {
+    const std::size_t pos = cell.find(',', start);
+    const std::string_view part = cell.substr(
+        start, pos == std::string_view::npos ? pos : pos - start);
+    if (part.find('\\') == std::string_view::npos) {
+      visit(part);
+    } else {
+      unescape_into(part, scratch);
+      visit(std::string_view(scratch));
+    }
+    if (pos == std::string_view::npos) return;
+    start = pos + 1;
+  }
+}
 }  // namespace tsv
 
 /// Renders one SSL.log body row (no trailing newline). The writers append
@@ -75,13 +103,19 @@ struct ParseDiagnostics {
   std::vector<std::string> errors;  // capped at 32 entries
 };
 
-/// Parses one SSL.log body row (no header handling). On failure returns
-/// nullopt and, when `error` is given, a short reason. The batch and
-/// streaming readers both sit on top of these row parsers.
+/// Parses one SSL.log body row (no header handling) into views over `line`;
+/// a well-formed row allocates nothing. On failure returns nullopt and,
+/// when `error` is given, a short reason: a wrong column count, or a scalar
+/// that is malformed or out of its type's range. The one SSL row parser;
+/// the batch and streaming readers all sit on top of it.
+std::optional<SslRowView> parse_ssl_row_view(std::string_view line,
+                                             std::string* error = nullptr);
+
+/// parse_ssl_row_view plus materialization: unescaped, owned fields.
 std::optional<SslLogRecord> parse_ssl_row(std::string_view line,
                                           std::string* error = nullptr);
 
-/// Parses one X509.log body row.
+/// Parses one X509.log body row, with the same rejection rules.
 std::optional<X509LogRecord> parse_x509_row(std::string_view line,
                                             std::string* error = nullptr);
 

@@ -65,6 +65,12 @@ std::optional<SslLogRecord> StreamingLogReader<SslLogRecord>::parse_row(
 }
 
 template <>
+std::optional<SslRowView> StreamingLogReader<SslRowView>::parse_row(
+    std::string_view line, std::string* error) {
+  return parse_ssl_row_view(line, error);
+}
+
+template <>
 std::optional<X509LogRecord> StreamingLogReader<X509LogRecord>::parse_row(
     std::string_view line, std::string* error) {
   return parse_x509_row(line, error);
@@ -72,6 +78,11 @@ std::optional<X509LogRecord> StreamingLogReader<X509LogRecord>::parse_row(
 
 StreamingSslReader make_streaming_ssl_reader(StreamingSslReader::Callback callback) {
   return StreamingSslReader(ssl_log_fields(), std::move(callback));
+}
+
+StreamingSslViewReader make_streaming_ssl_view_reader(
+    StreamingSslViewReader::Callback callback) {
+  return StreamingSslViewReader(ssl_log_fields(), std::move(callback));
 }
 
 StreamingX509Reader make_streaming_x509_reader(

@@ -5,15 +5,20 @@
 // boundaries (#close followed by a fresh header). StreamingSslReader /
 // StreamingX509Reader parse that stream incrementally, emitting records via
 // callback as soon as their line completes, and survive rotation without
-// losing rows. Damage never throws: malformed body rows are counted (with a
-// capped sample of line-level errors) and the stream keeps flowing, which is
-// what the pipeline's lenient ingestion mode reports on.
+// losing rows. Complete lines are parsed where they lie in the fed chunk;
+// only a line split across two feeds is copied, into a buffer that holds
+// that one line. StreamingSslViewReader hands its rows over as SslRowView
+// (views, no per-row allocation), the form the study fold consumes. Damage
+// never throws: malformed body rows are counted (with a capped sample of
+// line-level errors) and the stream keeps flowing, which is what the
+// pipeline's lenient ingestion mode reports on.
 #pragma once
 
 #include <functional>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "zeek/log_io.hpp"
@@ -46,8 +51,10 @@ struct ReaderCheckpoint {
   std::vector<ReaderLineError> errors;
 };
 
-/// Incremental line assembler + per-kind row parser. F is invoked once per
-/// successfully parsed record, in stream order.
+/// Incremental line assembler + per-kind row parser. The callback is invoked
+/// once per successfully parsed record, in stream order. A view record
+/// (SslRowView) points into the fed chunk or the reader's split-line
+/// buffer, so it is valid only until the callback returns.
 template <typename Record>
 class StreamingLogReader {
  public:
@@ -75,19 +82,30 @@ class StreamingLogReader {
     line_offset_ = line_offset;
   }
 
-  /// Feeds a chunk of bytes; complete lines are consumed, the tail is kept
-  /// for the next feed.
+  /// Feeds a chunk of bytes. Complete lines are parsed in place, straight
+  /// out of `chunk`; only a line split across feeds is assembled in the
+  /// reader's buffer, and the unterminated tail is kept for the next feed.
   void feed(std::string_view chunk) {
     bytes_consumed_ += chunk.size();
-    buffer_.append(chunk);
     std::size_t start = 0;
-    while (true) {
-      const std::size_t newline = buffer_.find('\n', start);
-      if (newline == std::string::npos) break;
-      consume_line(std::string_view(buffer_).substr(start, newline - start));
+    if (!buffer_.empty()) {
+      const std::size_t newline = chunk.find('\n');
+      if (newline == std::string_view::npos) {
+        buffer_.append(chunk);
+        return;
+      }
+      buffer_.append(chunk.substr(0, newline));
+      consume_line(buffer_);
+      buffer_.clear();
       start = newline + 1;
     }
-    buffer_.erase(0, start);
+    while (true) {
+      const std::size_t newline = chunk.find('\n', start);
+      if (newline == std::string_view::npos) break;
+      consume_line(chunk.substr(start, newline - start));
+      start = newline + 1;
+    }
+    buffer_.assign(chunk.substr(start));
   }
 
   /// Flushes a trailing unterminated line and resets the header state so the
@@ -174,7 +192,9 @@ class StreamingLogReader {
     std::string error;
     if (auto record = parse_row(line, &error)) {
       ++records_emitted_;
-      if (dn_pool_ != nullptr) intern_dn_fields(*record, *dn_pool_);
+      if constexpr (!std::is_same_v<Record, SslRowView>) {  // views carry no ids
+        if (dn_pool_ != nullptr) intern_dn_fields(*record, *dn_pool_);
+      }
       callback_(*std::move(record));
     } else {
       ++lines_skipped_;
@@ -228,10 +248,15 @@ ShardHeaderScan scan_shard_header_state(std::string_view shard,
                                         std::string_view expected_fields);
 
 using StreamingSslReader = StreamingLogReader<SslLogRecord>;
+using StreamingSslViewReader = StreamingLogReader<SslRowView>;
 using StreamingX509Reader = StreamingLogReader<X509LogRecord>;
 
 /// Factory helpers wiring the expected field layouts.
 StreamingSslReader make_streaming_ssl_reader(StreamingSslReader::Callback callback);
+/// The SSL reader the study fold uses: rows reach the callback as views,
+/// with no per-row allocation.
+StreamingSslViewReader make_streaming_ssl_view_reader(
+    StreamingSslViewReader::Callback callback);
 StreamingX509Reader make_streaming_x509_reader(StreamingX509Reader::Callback callback);
 
 }  // namespace certchain::zeek

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/dn_id.hpp"
@@ -68,6 +69,31 @@ struct SslLogRecord {
            subject == other.subject && issuer == other.issuer &&
            validation_status == other.validation_status;
   }
+};
+
+/// One SSL.log body row as views into the line it was parsed from, with the
+/// scalar fields decoded. Text cells are raw: still Zeek-escaped, with the
+/// unset marker ("-") already mapped to empty wherever SslLogRecord maps it.
+/// `cert_chain_fuids` is the whole vector cell ("(empty)", "-" or the
+/// comma-joined escaped fuids). Valid only while the line's bytes live; the
+/// fold reads it in place, and parse_ssl_row materializes it into an
+/// SslLogRecord.
+struct SslRowView {
+  util::SimTime ts = 0;
+  std::string_view uid;
+  std::string_view id_orig_h;
+  std::uint16_t id_orig_p = 0;
+  std::string_view id_resp_h;
+  std::uint16_t id_resp_p = 0;
+  std::string_view version;
+  std::string_view cipher;
+  std::string_view server_name;
+  bool resumed = false;
+  bool established = false;
+  std::string_view cert_chain_fuids;
+  std::string_view subject;
+  std::string_view issuer;
+  std::string_view validation_status;
 };
 
 /// One observed certificate (X509.log row).

@@ -7,10 +7,15 @@
 #include "core/hybrid_analysis.hpp"
 #include "core/interception.hpp"
 #include "core/nonpublic_analysis.hpp"
+#include "core/pipeline.hpp"
 #include "core/pki_graph.hpp"
+#include "core/report_text.hpp"
 #include "netsim/pki_world.hpp"
+#include "obs/json.hpp"
 #include "obs/run_context.hpp"
 #include "util/hash.hpp"
+#include "util/strings.hpp"
+#include "zeek/log_io.hpp"
 
 namespace certchain::core {
 namespace {
@@ -85,6 +90,182 @@ TEST(CorpusIndex, TotalsTrackCertlessConnections) {
   EXPECT_EQ(corpus.totals().incomplete_joins, 1u);
   // Two chains share the issuing intermediate: 2 leaves + 1 intermediate.
   EXPECT_EQ(corpus.totals().distinct_certificates, 3u);
+}
+
+std::string snapshot_of(const CorpusIndex& corpus) {
+  obs::json::Writer writer;
+  corpus.write_snapshot(writer);
+  return std::move(writer).str();
+}
+
+TEST(CorpusIndex, SnapshotWritesClientAddressesInLexicographicOrder) {
+  TestPki pki;
+  const auto chain = pki.chain_for("order.example");
+  CorpusIndex corpus;
+  // First-seen order (and so id order) is the reverse of string order.
+  corpus.add(make_connection(chain, "10.0.0.9", "198.51.100.1", 443, true, ""));
+  corpus.add(make_connection(chain, "10.0.0.10", "198.51.100.1", 443, true, ""));
+  const std::string snapshot = snapshot_of(corpus);
+  EXPECT_NE(snapshot.find(R"("client_ips":["10.0.0.10","10.0.0.9"])"),
+            std::string::npos)
+      << snapshot;
+}
+
+TEST(CorpusIndex, SnapshotLiteralRestoresAndWritesBackByteIdentically) {
+  TestPki pki;
+  const auto chain = pki.chain_for("literal.example");
+  std::map<std::string, x509::Certificate> by_fingerprint;
+  std::set<std::string> sorted_fingerprints;
+  std::string chain_fingerprints;
+  for (const x509::Certificate& cert : chain) {
+    by_fingerprint.emplace(cert.fingerprint(), cert);
+    sorted_fingerprints.insert(cert.fingerprint());
+    if (!chain_fingerprints.empty()) chain_fingerprints += ",";
+    chain_fingerprints += "\"" + cert.fingerprint() + "\"";
+  }
+  std::string certificates;
+  for (const std::string& fingerprint : sorted_fingerprints) {
+    if (!certificates.empty()) certificates += ",";
+    certificates += "\"" + fingerprint + "\"";
+  }
+  // The snapshot format, with this chain's digests spliced in.
+  std::string literal =
+      R"({"totals":{"connections":4,"with_certificates":3,"tls13_connections":1,)"
+      R"("incomplete_joins":0},"certificates":[CERTS],"chains":[{"id":"ID",)"
+      R"("fingerprints":[FPS],"connections":3,"established":2,)"
+      R"("client_ips":["10.0.0.10","10.0.0.9","2001:db8::7"],)"
+      R"("server_keys":["198.51.100.1:443","198.51.100.2:8443"],)"
+      R"("ports":[[443,2],[8443,1]],"with_sni":2,"without_sni":1,)"
+      R"("domains":["literal.example"],"first_seen":100,"last_seen":300}]})";
+  literal = util::replace_all(literal, "CERTS", certificates);
+  literal = util::replace_all(literal, "FPS", chain_fingerprints);
+  literal = util::replace_all(literal, "ID", chain.id());
+
+  const std::optional<obs::json::Value> value = obs::json::parse(literal);
+  ASSERT_TRUE(value.has_value());
+  CorpusIndex corpus;
+  std::string error;
+  ASSERT_TRUE(corpus.restore_snapshot(*value, by_fingerprint, &error)) << error;
+  EXPECT_EQ(snapshot_of(corpus), literal);
+  EXPECT_EQ(corpus.chains().begin()->second.client_ips.size(), 3u);
+
+  // A chain listed twice is malformed, not merged or dropped.
+  const std::size_t chains_at = literal.find(R"("chains":[)") + 10;
+  const std::string entry =
+      literal.substr(chains_at, literal.size() - 2 - chains_at);
+  std::string repeated = literal;
+  repeated.insert(chains_at, entry + ",");
+  const std::optional<obs::json::Value> twice = obs::json::parse(repeated);
+  ASSERT_TRUE(twice.has_value());
+  EXPECT_FALSE(corpus.restore_snapshot(*twice, by_fingerprint, &error));
+  EXPECT_NE(error.find("repeats chain"), std::string::npos) << error;
+  EXPECT_EQ(corpus.unique_chain_count(), 0u);
+}
+
+TEST(CorpusIndex, CopiesAnalyzeLikeTheSourceAndKeepFolding) {
+  TestPki pki;
+  const truststore::TrustStoreSet stores = pki.trusted_stores();
+  const ct::CtLogSet ct_logs{2};
+  const VendorDirectory vendors;
+  const StudyPipeline pipeline(stores, ct_logs, vendors, nullptr);
+  DnPool pool;
+  zeek::LogJoiner joiner;
+  joiner.set_dn_pool(&pool);
+
+  // Both chains land in one category, so its distinct-client count spans
+  // the two chains' client lists.
+  const auto chain_a = pki.chain_for("a.example");
+  const auto chain_b = pki.chain_for("b.example");
+  const auto row = [&joiner](const chain::CertificateChain& chain,
+                             const std::string& client) {
+    zeek::SslLogRecord ssl =
+        make_connection(chain, client, "198.51.100.1", 443, true, "").ssl;
+    for (const x509::Certificate& cert : chain) {
+      const std::string fuid = util::zeek_style_fuid(cert.fingerprint());
+      joiner.add(zeek::record_from_certificate(cert, 1000, fuid));
+      ssl.cert_chain_fuids.push_back(fuid);
+    }
+    return ssl;
+  };
+  const auto analyzed = [&](const CorpusIndex& corpus) {
+    ReportTextOptions options;
+    options.graphs = true;
+    return render_report_text(pipeline.analyze(corpus, nullptr, &pool),
+                              options) +
+           snapshot_of(corpus);
+  };
+
+  CorpusIndex source;
+  source.add(joiner, row(chain_a, "10.0.0.1"));
+  source.add(joiner, row(chain_b, "10.0.0.2"));
+  source.add(joiner, row(chain_a, "10.0.0.3"));
+  CorpusIndex copy(source);
+  CorpusIndex assigned;
+  assigned.add(joiner, row(chain_b, "192.0.2.77"));
+  assigned = source;
+  EXPECT_EQ(analyzed(copy), analyzed(source));
+  EXPECT_EQ(analyzed(assigned), analyzed(source));
+
+  // A known client and a new one, folded into all three alike.
+  for (CorpusIndex* corpus : {&source, &copy, &assigned}) {
+    corpus->add(joiner, row(chain_b, "10.0.0.1"));
+    corpus->add(joiner, row(chain_a, "10.0.0.4"));
+  }
+  const StudyReport report = pipeline.analyze(source, nullptr, &pool);
+  EXPECT_EQ(report.categories.at(chain::ChainCategory::kPublicDbOnly).client_ips,
+            4u);
+  EXPECT_EQ(analyzed(copy), analyzed(source));
+  EXPECT_EQ(analyzed(assigned), analyzed(source));
+}
+
+TEST(CorpusIndex, FuidsHoldingNulFoldLikeTheJoin) {
+  // A raw NUL byte or a `\x00` escape puts a NUL inside one fuid. Every fold
+  // looks that fuid up whole, as the join does: "Fa\0Fb" is one unknown
+  // fuid, not the two known fuids "Fa" and "Fb".
+  TestPki pki;
+  const auto chain = pki.chain_for("nul.example");
+  const std::vector<x509::Certificate> certs(chain.begin(), chain.end());
+  ASSERT_EQ(certs.size(), 2u);
+  const std::string split("Fa\0Fb", 5);
+  const std::string whole("Fc\0x", 4);
+  zeek::LogJoiner joiner;
+  joiner.add(zeek::record_from_certificate(certs[0], 1000, "Fa"));
+  joiner.add(zeek::record_from_certificate(certs[1], 1000, "Fb"));
+  joiner.add(zeek::record_from_certificate(certs[0], 1000, whole));
+
+  std::vector<zeek::SslLogRecord> rows;
+  for (const std::vector<std::string>& fuids :
+       {std::vector<std::string>{split}, std::vector<std::string>{whole, "Fb"}}) {
+    zeek::SslLogRecord ssl =
+        make_connection(chain, "10.0.0.1", "198.51.100.1", 443, true, "").ssl;
+    ssl.cert_chain_fuids = fuids;
+    rows.push_back(std::move(ssl));
+  }
+
+  CorpusIndex via_join;
+  CorpusIndex via_record;
+  CorpusIndex via_raw_view;
+  CorpusIndex via_escaped_view;
+  for (const zeek::SslLogRecord& ssl : rows) {
+    via_join.add(joiner.join(ssl));
+    via_record.add(joiner, ssl);
+    const std::string raw = zeek::render_ssl_row(ssl);
+    ASSERT_NE(raw.find('\0'), std::string::npos);
+    const std::string escaped = util::replace_all(raw, std::string(1, '\0'), "\\x00");
+    for (const auto& [line, corpus] :
+         {std::pair{raw, &via_raw_view}, std::pair{escaped, &via_escaped_view}}) {
+      const std::optional<zeek::SslRowView> view = zeek::parse_ssl_row_view(line);
+      ASSERT_TRUE(view.has_value());
+      corpus->add(joiner, *view);
+    }
+  }
+
+  EXPECT_EQ(via_join.totals().incomplete_joins, 1u);
+  EXPECT_EQ(via_join.totals().with_certificates, 1u);
+  const std::string reference = snapshot_of(via_join);
+  EXPECT_EQ(snapshot_of(via_record), reference);
+  EXPECT_EQ(snapshot_of(via_raw_view), reference);
+  EXPECT_EQ(snapshot_of(via_escaped_view), reference);
 }
 
 // --- interception detector -----------------------------------------------------
@@ -332,13 +513,13 @@ TEST(NonPublicAnalyzer, SinglesSelfSignedAndDga) {
   localhost_obs.connections = 10;
   localhost_obs.without_sni = 9;
   localhost_obs.with_sni = 1;
-  localhost_obs.client_ips = {"10.0.0.1", "10.0.0.2"};
+  localhost_obs.client_ips = {1, 2};
   localhost_obs.ports.add(8888, 10);
 
   ChainObservation dga_obs;
   dga_obs.chain = make_chain({world.make_dga_certificate(rng)});
   dga_obs.connections = 4;
-  dga_obs.client_ips = {"10.0.0.3"};
+  dga_obs.client_ips = {3};
   dga_obs.ports.add(33854, 4);
 
   ChainObservation multi_obs;

@@ -2,8 +2,14 @@
 // behaviour is covered by test_integration.cpp).
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <utility>
+
 #include "../tests/helpers.hpp"
 #include "core/pipeline.hpp"
+#include "core/pipeline_detail.hpp"
+#include "core/report_text.hpp"
+#include "obs/json.hpp"
 #include "obs/manifest.hpp"
 #include "obs/run_context.hpp"
 #include "util/hash.hpp"
@@ -147,6 +153,107 @@ TEST_F(PipelineUnitTest, RunFromTextEqualsRunFromRecords) {
   EXPECT_EQ(from_text.totals.connections, from_records.totals.connections);
   EXPECT_EQ(from_text.totals.distinct_certificates,
             from_records.totals.distinct_certificates);
+}
+
+TEST_F(PipelineUnitTest, EscapedFieldsFoldIdenticallyThroughEveryInput) {
+  // Cells no generated corpus has: an SNI holding the three bytes the writer
+  // escapes (',' '\t' '\\' -> \x2c \x09 \x5c), a fuid holding a comma,
+  // both spellings of an empty fuid cell, and an IPv6 client. Raw text folds
+  // them as views that unescape on demand; records arrive unescaped.
+  const auto chain = pki_.chain_for("esc.example");
+  std::vector<std::string> fuids;
+  for (const auto& cert : chain) {
+    fuids.push_back("F,comma," + util::zeek_style_fuid(cert.fingerprint()));
+    x509_.push_back(zeek::record_from_certificate(cert, 1000, fuids.back()));
+  }
+  const auto add_ssl = [this](const std::string& uid, const std::string& client,
+                              const std::string& sni,
+                              const std::vector<std::string>& chain_fuids) {
+    zeek::SslLogRecord ssl;
+    ssl.ts = util::make_time(2021, 1, 1) + static_cast<util::SimTime>(ssl_.size());
+    ssl.uid = uid;
+    ssl.id_orig_h = client;
+    ssl.id_resp_h = "2001:db8::443";
+    ssl.id_resp_p = 8443;
+    ssl.version = chain_fuids.empty() ? "TLSv13" : "TLSv12";
+    ssl.established = true;
+    ssl.server_name = sni;
+    ssl.cert_chain_fuids = chain_fuids;
+    ssl_.push_back(std::move(ssl));
+  };
+  add_ssl("Cescaped", "2001:db8::7", "a,b\tc\\d.example", fuids);
+  add_ssl("Cplain", "10.0.0.9", "", fuids);
+  add_ssl("Cescaped2", "10.0.0.10", "a,b\tc\\d.example", fuids);
+  add_ssl("Cempty", "10.0.0.11", "", {});
+  add_ssl("Cdash", "10.0.0.12", "", {});
+
+  zeek::SslLogWriter ssl_writer;
+  for (const auto& record : ssl_) ssl_writer.add(record);
+  zeek::X509LogWriter x509_writer;
+  for (const auto& record : x509_) x509_writer.add(record);
+  std::string ssl_text = ssl_writer.finish();
+  const std::string x509_text = x509_writer.finish();
+  const std::size_t dash_row = ssl_text.find("\tCdash\t");
+  const std::size_t dash_cell = ssl_text.find("\t(empty)\t", dash_row);
+  ASSERT_NE(dash_cell, std::string::npos);
+  ssl_text.replace(dash_cell + 1, 7, "-");
+  for (const char* escape : {"a\\x2cb\\x09c\\x5cd", "F\\x2ccomma\\x2c"}) {
+    ASSERT_NE(ssl_text.find(escape), std::string::npos) << escape;
+  }
+
+  const std::string ssl_path = ::testing::TempDir() + "certchain_escaped_ssl.log";
+  const std::string x509_path = ::testing::TempDir() + "certchain_escaped_x509.log";
+  for (const auto& [path, text] :
+       {std::pair{ssl_path, ssl_text}, std::pair{x509_path, x509_text}}) {
+    std::FILE* file = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(file, nullptr);
+    ASSERT_EQ(std::fwrite(text.data(), 1, text.size(), file), text.size());
+    ASSERT_EQ(std::fclose(file), 0);
+  }
+
+  // The engine's fold of one input, analyzed (report bytes) and snapshotted.
+  const auto fold = [this](const StudyInput& input, std::size_t chunk_bytes) {
+    DnPool pool;
+    zeek::LogJoiner joiner;
+    joiner.set_dn_pool(&pool);
+    CorpusIndex corpus;
+    obs::RunContext ctx;
+    RunOptions options;
+    options.chunk_bytes = chunk_bytes;
+    detail::fold_input(input, options, joiner, corpus, ctx);
+    ReportTextOptions text;
+    text.graphs = true;
+    obs::json::Writer snapshot;
+    corpus.write_snapshot(snapshot);
+    return render_report_text(pipeline_.analyze(corpus, nullptr, &pool), text) +
+           std::move(snapshot).str();
+  };
+  const std::string reference = fold(StudyInput::records(ssl_, x509_), 0);
+  EXPECT_NE(reference.find(R"("domains":["a,b\tc\\d.example"])"),
+            std::string::npos)
+      << reference;
+  EXPECT_NE(reference.find(R"("client_ips":["10.0.0.10","10.0.0.9","2001:db8::7"])"),
+            std::string::npos)
+      << reference;
+  EXPECT_NE(reference.find(R"("incomplete_joins":0)"), std::string::npos);
+  for (const std::size_t chunk_bytes :
+       {std::size_t{1}, std::size_t{7}, RunOptions::kDefaultChunkBytes}) {
+    EXPECT_EQ(fold(StudyInput::text(ssl_text, x509_text), chunk_bytes), reference)
+        << "chunk_bytes=" << chunk_bytes;
+  }
+  EXPECT_EQ(fold(StudyInput::files(ssl_path, x509_path), 7), reference);
+
+  // Whole runs, ingest accounting included, agree byte for byte too.
+  ReportTextOptions full;
+  full.graphs = true;
+  const StudyReport from_text = pipeline_.run(StudyInput::text(ssl_text, x509_text));
+  EXPECT_EQ(from_text.ingest.ssl.records, ssl_.size());
+  EXPECT_EQ(from_text.ingest.ssl.malformed_rows, 0u);
+  EXPECT_EQ(render_report_text(pipeline_.run(StudyInput::files(ssl_path, x509_path)),
+                               full),
+            render_report_text(from_text, full));
+  std::remove(ssl_path.c_str());
+  std::remove(x509_path.c_str());
 }
 
 TEST_F(PipelineUnitTest, TelemetryManifestReconcilesWithReport) {

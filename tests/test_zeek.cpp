@@ -162,6 +162,68 @@ TEST(ZeekLogs, DnWithCommaSurvivesVectorEncoding) {
   EXPECT_EQ(parsed[0].subject, "CN=Acme, Inc.,O=Acme");
 }
 
+/// `row` with tab-separated cell `index` replaced by `value`.
+std::string with_cell(const std::string& row, std::size_t index,
+                      const std::string& value) {
+  std::vector<std::string> cells = util::split(row, '\t');
+  cells.at(index) = value;
+  return util::join(cells, "\t");
+}
+
+// A scalar that does not fit its field is malformed, never truncated: each
+// of these values used to parse as a different, in-range number.
+
+TEST(ZeekLogs, RejectsOutOfRangePort) {
+  const std::string row = render_ssl_row(sample_ssl());
+  for (const std::size_t cell : {3u, 5u}) {  // id.orig_p, id.resp_p
+    ASSERT_TRUE(parse_ssl_row(with_cell(row, cell, "65535")).has_value());
+    std::string error;
+    EXPECT_FALSE(parse_ssl_row(with_cell(row, cell, "70000"), &error));
+    EXPECT_EQ(error, "malformed scalar field");
+    EXPECT_FALSE(parse_ssl_row_view(with_cell(row, cell, "70000")));
+  }
+}
+
+TEST(ZeekLogs, RejectsOutOfRangeKeyLength) {
+  const std::string row = render_x509_row(sample_x509());
+  std::string error;
+  EXPECT_FALSE(parse_x509_row(with_cell(row, 10, "4294969344"), &error));
+  EXPECT_EQ(error, "malformed scalar field");
+  EXPECT_EQ(parse_x509_row(with_cell(row, 10, "2147483647"))->key_length,
+            2147483647);
+}
+
+TEST(ZeekLogs, RejectsOutOfRangeVersion) {
+  const std::string row = render_x509_row(sample_x509());
+  std::string error;
+  EXPECT_FALSE(parse_x509_row(with_cell(row, 2, "4294967299"), &error));
+  EXPECT_EQ(error, "malformed scalar field");
+  EXPECT_FALSE(parse_x509_row(with_cell(row, 2, "2147483648")));
+}
+
+TEST(ZeekLogs, RejectsOutOfRangePathLen) {
+  const std::string row = render_x509_row(sample_x509());
+  EXPECT_EQ(parse_x509_row(with_cell(row, 12, "2"))->basic_constraints_path_len,
+            2);
+  std::string error;
+  EXPECT_FALSE(parse_x509_row(with_cell(row, 12, "4294967298"), &error));
+  EXPECT_EQ(error, "malformed basic_constraints.path_len");
+}
+
+TEST(ZeekLogs, RejectsMalformedTimeFraction) {
+  EXPECT_FALSE(tsv::parse_time("1598918400.xyz").has_value());
+  EXPECT_FALSE(tsv::parse_time("1598918400.").has_value());
+  EXPECT_FALSE(tsv::parse_time("1598918400.12x").has_value());
+  EXPECT_EQ(tsv::parse_time("1598918400"), 1598918400);
+  std::string error;
+  EXPECT_FALSE(parse_ssl_row(
+      with_cell(render_ssl_row(sample_ssl()), 0, "1598918400.xyz"), &error));
+  EXPECT_EQ(error, "malformed scalar field");
+  EXPECT_FALSE(parse_x509_row(
+      with_cell(render_x509_row(sample_x509()), 7, "1598918400.xyz"), &error));
+  EXPECT_EQ(error, "malformed scalar field");
+}
+
 // --- joiner -------------------------------------------------------------------
 
 TEST(Joiner, CertificateProjectionRoundTrips) {
