@@ -14,15 +14,6 @@ namespace certchain::core {
 
 namespace {
 
-/// Numeric member lookup for snapshot restore; false when absent/non-number.
-bool read_uint(const obs::json::Value& object, const char* key,
-               std::uint64_t& out) {
-  const obs::json::Value* member = object.find(key);
-  if (member == nullptr || !member->is_number() || member->num < 0) return false;
-  out = static_cast<std::uint64_t>(member->num);
-  return true;
-}
-
 /// Writes an ordered string collection as a JSON array.
 template <typename Strings>
 void write_strings(obs::json::Writer& writer, const char* key,
@@ -271,7 +262,8 @@ ChainObservation* CorpusIndex::resolve_and_register(
       observation_slot(util::digest256_hex(fold_.id_bytes));
   if (observation.connections == 0) {
     // First observation of this chain id: the one place the certificates are
-    // deep-copied (once per unique chain, not once per connection).
+    // copied (once per unique chain, not once per connection); their issuer
+    // and subject share the joiner's DN bodies.
     std::vector<x509::Certificate> certs;
     certs.reserve(fold_.certs.size());
     for (const x509::Certificate* cert : fold_.certs) certs.push_back(*cert);
@@ -370,10 +362,13 @@ bool CorpusIndex::restore_snapshot(
 
   const obs::json::Value* totals = value.find("totals");
   if (totals == nullptr || !totals->is_object() ||
-      !read_uint(*totals, "connections", totals_.connections) ||
-      !read_uint(*totals, "with_certificates", totals_.with_certificates) ||
-      !read_uint(*totals, "tls13_connections", totals_.tls13_connections) ||
-      !read_uint(*totals, "incomplete_joins", totals_.incomplete_joins)) {
+      !obs::json::read_uint(totals->find("connections"), totals_.connections) ||
+      !obs::json::read_uint(totals->find("with_certificates"),
+                            totals_.with_certificates) ||
+      !obs::json::read_uint(totals->find("tls13_connections"),
+                            totals_.tls13_connections) ||
+      !obs::json::read_uint(totals->find("incomplete_joins"),
+                            totals_.incomplete_joins)) {
     return fail("corpus snapshot totals malformed");
   }
 
@@ -427,12 +422,12 @@ bool CorpusIndex::restore_snapshot(
     const auto add_address = [this, &observation](const std::string& address) {
       add_client(observation, intern_client(address));
     };
-    if (!read_uint(entry, "connections", observation.connections) ||
-        !read_uint(entry, "established", observation.established) ||
-        !read_uint(entry, "with_sni", with_sni) ||
-        !read_uint(entry, "without_sni", without_sni) ||
-        !read_uint(entry, "first_seen", first_seen) ||
-        !read_uint(entry, "last_seen", last_seen) ||
+    if (!obs::json::read_uint(entry.find("connections"), observation.connections) ||
+        !obs::json::read_uint(entry.find("established"), observation.established) ||
+        !obs::json::read_uint(entry.find("with_sni"), with_sni) ||
+        !obs::json::read_uint(entry.find("without_sni"), without_sni) ||
+        !obs::json::read_uint(entry.find("first_seen"), first_seen) ||
+        !obs::json::read_uint(entry.find("last_seen"), last_seen) ||
         !read_strings(entry, "client_ips", add_address) ||
         !read_string_set(entry, "server_keys", observation.server_keys) ||
         !read_string_set(entry, "domains", observation.domains)) {
@@ -448,12 +443,15 @@ bool CorpusIndex::restore_snapshot(
       return fail("corpus snapshot ports malformed for " + id->string);
     }
     for (const obs::json::Value& pair : ports->array) {
+      std::uint64_t port = 0;
+      std::uint64_t count = 0;
       if (!pair.is_array() || pair.array.size() != 2 ||
-          !pair.array[0].is_number() || !pair.array[1].is_number()) {
+          !obs::json::read_uint(&pair.array[0], port,
+                                std::numeric_limits<std::uint16_t>::max()) ||
+          !obs::json::read_uint(&pair.array[1], count)) {
         return fail("corpus snapshot ports malformed for " + id->string);
       }
-      observation.ports.add(static_cast<std::uint16_t>(pair.array[0].num),
-                            static_cast<std::uint64_t>(pair.array[1].num));
+      observation.ports.add(static_cast<std::uint16_t>(port), count);
     }
   }
   return true;

@@ -84,8 +84,9 @@ class CorpusIndex {
   /// Fused join+fold (DESIGN.md §16). Resolves the row's fuids against the
   /// joiner and folds the connection in place: no JoinedConnection is
   /// materialized, so the SSL record and the certificates are never copied
-  /// per row; a chain is deep-copied exactly once, when its id is first
-  /// observed. Byte-identical in effect to add(joiner.join(ssl)).
+  /// per row; a chain's certificates are copied exactly once, when its id is
+  /// first observed, their names as shared DN bodies. Byte-identical in
+  /// effect to add(joiner.join(ssl)).
   void add(const zeek::LogJoiner& joiner, const zeek::SslLogRecord& ssl);
 
   /// The same fold over a row parsed in place — the engine's hot path. No

@@ -37,10 +37,8 @@ DnId DnPool::intern_parsed(x509::DistinguishedName name) {
   const auto it = by_canonical_.find(name.canonical());
   if (it != by_canonical_.end()) return it->second;
   const DnId id = static_cast<DnId>(entries_.size());
-  entries_.push_back(
-      std::make_unique<x509::DistinguishedName>(std::move(name)));
-  displays_.push_back(entries_.back()->to_string());
-  by_canonical_.emplace(std::string_view(entries_.back()->canonical()), id);
+  entries_.push_back(std::move(name));
+  by_canonical_.emplace(std::string_view(entries_.back().canonical()), id);
   return id;
 }
 
@@ -57,15 +55,14 @@ DnPool::Interned DnPool::memo_raw(std::string_view raw) {
   const auto canonical_it = by_canonical_.find(parsed.canonical());
   if (canonical_it == by_canonical_.end()) {
     const DnId id = intern_parsed(std::move(parsed));
-    return Interned{id, entries_[id].get()};
+    return Interned{id, &entries_[id]};
   }
   // Canonical collision with a different spelling: keep this parse as a
   // variant so name_for_raw() renders these exact bytes.
   const DnId id = canonical_it->second;
-  if (parsed == *entries_[id]) return Interned{id, entries_[id].get()};
-  variants_.push_back(
-      std::make_unique<x509::DistinguishedName>(std::move(parsed)));
-  return Interned{id, variants_.back().get()};
+  if (parsed == entries_[id]) return Interned{id, &entries_[id]};
+  variants_.push_back(std::move(parsed));
+  return Interned{id, &variants_.back()};
 }
 
 DnId DnPool::intern(const x509::DistinguishedName& name) {

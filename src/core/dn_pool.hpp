@@ -24,6 +24,11 @@
 // "cn=example") share one id but keep their own parsed form: name_for_raw()
 // returns the parse of *those* bytes, so certificates built through the pool
 // render exactly as they would without it (byte-identity of reports).
+//
+// Entries are DistinguishedName handles held by value: each body (RDNs,
+// canonical form, display) lives on the heap and is shared with every
+// certificate the joiner builds from it, so the pool keeps no display copy
+// and canonical()/display() are views into the shared body.
 #pragma once
 
 #include <deque>
@@ -74,13 +79,13 @@ class DnPool {
   DnId find_canonical(std::string_view canonical) const;
 
   /// The first-interned DistinguishedName behind `id`.
-  const x509::DistinguishedName& name(DnId id) const { return *entries_[id]; }
+  const x509::DistinguishedName& name(DnId id) const { return entries_[id]; }
 
-  /// Canonical form of `id`; a view into pool-owned storage.
-  std::string_view canonical(DnId id) const { return entries_[id]->canonical(); }
+  /// Canonical form of `id`; a view into the entry's shared body.
+  std::string_view canonical(DnId id) const { return entries_[id].canonical(); }
 
-  /// RFC 4514 display form of `id` (materialized on first intern).
-  std::string_view display(DnId id) const { return displays_[id]; }
+  /// RFC 4514 display form of `id`; a view into the entry's shared body.
+  std::string_view display(DnId id) const { return entries_[id].to_string(); }
 
   std::size_t size() const { return entries_.size(); }
 
@@ -92,12 +97,12 @@ class DnPool {
   DnId intern_parsed(x509::DistinguishedName name);
   Interned memo_raw(std::string_view raw);
 
-  // Entries are heap-allocated so views into their canonical strings survive
-  // deque growth and pool moves.
-  std::deque<std::unique_ptr<x509::DistinguishedName>> entries_;
-  std::deque<std::string> displays_;  // entries_[i].to_string(), same index
+  // Canonical and display views point into the entries' heap bodies, so
+  // they survive deque growth and pool moves; Interned::name points at the
+  // handles themselves, which a deque never relocates.
+  std::deque<x509::DistinguishedName> entries_;
   // Variant parses: spellings whose canonical form was already interned.
-  std::deque<std::unique_ptr<x509::DistinguishedName>> variants_;
+  std::deque<x509::DistinguishedName> variants_;
 
   std::unordered_map<std::string_view, DnId> by_canonical_;
   std::unordered_map<std::string_view, Interned> by_raw_;

@@ -54,9 +54,9 @@ void write_ledger_json(obs::json::Writer& w, const scanner::ScanLedger& ledger) 
 }
 
 std::uint64_t u64_field(const obs::json::Value& object, std::string_view key) {
-  const obs::json::Value* field = object.find(key);
-  if (field == nullptr || !field->is_number() || field->num < 0) return 0;
-  return static_cast<std::uint64_t>(field->num);
+  std::uint64_t value = 0;
+  obs::json::read_uint(object.find(key), value);
+  return value;
 }
 
 bool bool_field(const obs::json::Value& object, std::string_view key) {
@@ -84,16 +84,16 @@ bool parse_ledger(const obs::json::Value& value, scanner::ScanLedger* ledger) {
   const obs::json::Value* errors = value.find("errors");
   if (errors != nullptr && errors->is_array()) {
     for (const obs::json::Value& entry : errors->array) {
+      std::uint64_t code = 0;
+      std::uint64_t count = 0;
       if (!entry.is_array() || entry.array.size() != 2 ||
-          !entry.array[0].is_number() || !entry.array[1].is_number()) {
+          !obs::json::read_uint(
+              &entry.array[0], code,
+              static_cast<std::uint64_t>(scanner::ScanError::kDeadlineExceeded)) ||
+          !obs::json::read_uint(&entry.array[1], count)) {
         return false;
       }
-      const auto code = static_cast<std::uint8_t>(entry.array[0].num);
-      if (code > static_cast<std::uint8_t>(scanner::ScanError::kDeadlineExceeded)) {
-        return false;
-      }
-      ledger->error_counts[static_cast<scanner::ScanError>(code)] =
-          static_cast<std::uint64_t>(entry.array[1].num);
+      ledger->error_counts[static_cast<scanner::ScanError>(code)] = count;
     }
   }
   return true;

@@ -37,18 +37,10 @@ bool from_hex(std::string_view text, std::uint64_t& out) {
   return true;
 }
 
-bool read_uint(const obs::json::Value& object, const char* key,
-               std::uint64_t& out) {
-  const obs::json::Value* member = object.find(key);
-  if (member == nullptr || !member->is_number() || member->num < 0) return false;
-  out = static_cast<std::uint64_t>(member->num);
-  return true;
-}
-
 bool read_size(const obs::json::Value& object, const char* key,
                std::size_t& out) {
   std::uint64_t value = 0;
-  if (!read_uint(object, key, value)) return false;
+  if (!obs::json::read_uint(object.find(key), value)) return false;
   out = static_cast<std::size_t>(value);
   return true;
 }
@@ -180,7 +172,7 @@ std::optional<StreamCheckpoint> decode_stream_checkpoint(
     return fail("checkpoint schema mismatch");
   }
   std::uint64_t version = 0;
-  if (!read_uint(*root, "version", version) ||
+  if (!obs::json::read_uint(root->find("version"), version) ||
       version != static_cast<std::uint64_t>(kStreamCheckpointVersion)) {
     return fail("unsupported checkpoint version");
   }
@@ -198,8 +190,8 @@ std::optional<StreamCheckpoint> decode_stream_checkpoint(
 
   if (!read_hex(*root, "x509_digest", checkpoint.x509_digest) ||
       !read_hex(*root, "ssl_digest_state", checkpoint.ssl_digest_state) ||
-      !read_uint(*root, "ssl_offset", checkpoint.ssl_offset) ||
-      !read_uint(*root, "chunks_done", checkpoint.chunks_done)) {
+      !obs::json::read_uint(root->find("ssl_offset"), checkpoint.ssl_offset) ||
+      !obs::json::read_uint(root->find("chunks_done"), checkpoint.chunks_done)) {
     return fail("checkpoint frontier fields malformed");
   }
 

@@ -1,5 +1,6 @@
 #include "obs/json.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <cmath>
 #include <cstdio>
@@ -35,11 +36,12 @@ std::string quote(std::string_view text) {
 
 std::string number(double value) {
   if (!std::isfinite(value)) return "null";
-  if (value == static_cast<double>(static_cast<long long>(value)) &&
-      std::fabs(value) < 9e15) {
+  if (std::fabs(value) < 9e15 &&
+      value == static_cast<double>(static_cast<long long>(value))) {
     return std::to_string(static_cast<long long>(value));
   }
-  char buffer[40];
+  // Wide enough for %.6f of any finite double (309 integer digits).
+  char buffer[328];
   std::snprintf(buffer, sizeof(buffer), "%.6f", value);
   return buffer;
 }
@@ -272,21 +274,37 @@ class Parser {
   }
 
   bool parse_number(Value& out) {
+    // RFC 8259: -? (0 | [1-9][0-9]*) (.[0-9]+)? ([eE][+-]?[0-9]+)?
     const std::size_t begin = pos_;
-    if (pos_ < text_.size() && (text_[pos_] == '-' || text_[pos_] == '+')) ++pos_;
-    bool digits = false;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-            text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
-            text_[pos_] == '-' || text_[pos_] == '+')) {
-      digits = digits || std::isdigit(static_cast<unsigned char>(text_[pos_]));
-      ++pos_;
+    consume('-');
+    if (consume('0')) {
+      if (digit()) return fail("bad number");  // no leading zeros
+    } else if (!digits()) {
+      return fail(pos_ == begin ? "expected value" : "bad number");
     }
-    if (!digits) return fail("expected value");
+    if (consume('.') && !digits()) return fail("bad number");
+    if (consume('e') || consume('E')) {
+      if (!consume('+')) consume('-');
+      if (!digits()) return fail("bad number");
+    }
+    const double value = std::strtod(
+        std::string(text_.substr(begin, pos_ - begin)).c_str(), nullptr);
+    if (!std::isfinite(value)) return fail("number out of range");
     out.kind = Value::Kind::kNumber;
-    out.num = std::strtod(std::string(text_.substr(begin, pos_ - begin)).c_str(),
-                          nullptr);
+    out.num = value;
     return true;
+  }
+
+  bool digit() const {
+    return pos_ < text_.size() &&
+           std::isdigit(static_cast<unsigned char>(text_[pos_]));
+  }
+
+  /// Consumes a run of decimal digits; false when there is none.
+  bool digits() {
+    const std::size_t begin = pos_;
+    while (digit()) ++pos_;
+    return pos_ != begin;
   }
 
   std::string_view text_;
@@ -298,6 +316,17 @@ class Parser {
 
 std::optional<Value> parse(std::string_view text, std::string* error) {
   return Parser(text, error).run();
+}
+
+bool read_uint(const Value* value, std::uint64_t& out, std::uint64_t max) {
+  if (value == nullptr || !value->is_number()) return false;
+  const double num = value->num;
+  if (!(num >= 0) || num != std::floor(num) ||
+      num > static_cast<double>(std::min(max, kMaxExactInteger))) {
+    return false;
+  }
+  out = static_cast<std::uint64_t>(num);
+  return true;
 }
 
 }  // namespace certchain::obs::json

@@ -80,8 +80,19 @@ struct Value {
 };
 
 /// Parses a complete JSON document (trailing whitespace allowed, trailing
-/// garbage rejected). On failure returns nullopt and, when `error` is given,
-/// a short reason with the byte offset.
+/// garbage rejected). Numbers follow the RFC 8259 grammar exactly and must
+/// be finite. On failure returns nullopt and, when `error` is given, a short
+/// reason ("bad number", "number out of range", ...) with the byte offset.
 std::optional<Value> parse(std::string_view text, std::string* error = nullptr);
+
+/// 2^53: every integer up to here is exact in a double, and no further.
+inline constexpr std::uint64_t kMaxExactInteger = std::uint64_t{1} << 53;
+
+/// The one checked number-to-integer read: stores `*value` in `out` when it
+/// is a number holding a non-negative integer no larger than `max` (nor than
+/// kMaxExactInteger). False, with `out` untouched, for a null `value`, a
+/// non-number, a negative, a fraction or a larger number.
+bool read_uint(const Value* value, std::uint64_t& out,
+               std::uint64_t max = kMaxExactInteger);
 
 }  // namespace certchain::obs::json

@@ -140,19 +140,6 @@ void MetricsRegistry::observe_timing(std::string_view name, double ms) {
   timings_.emplace(std::string(name), FixedHistogram()).first->second.observe(ms);
 }
 
-void MetricsRegistry::merge_from(const MetricsRegistry& other) {
-  for (const auto& [name, value] : other.counters_) counters_[name] += value;
-  for (const auto& [name, value] : other.gauges_) gauges_[name] = value;
-  for (const auto& [name, histogram] : other.histograms_) {
-    const auto [it, inserted] = histograms_.try_emplace(name, histogram);
-    if (!inserted) it->second.merge_from(histogram);
-  }
-  for (const auto& [name, timing] : other.timings_) {
-    const auto [it, inserted] = timings_.try_emplace(name, timing);
-    if (!inserted) it->second.merge_from(timing);
-  }
-}
-
 void MetricsRegistry::clear() {
   counters_.clear();
   gauges_.clear();

@@ -117,13 +117,6 @@ class MetricsRegistry {
   }
   void clear();
 
-  /// Folds another registry in: partial registries merged in a fixed order
-  /// leave counters indistinguishable from one registry's. Counters sum; gauges keep last-write-wins semantics (the merged
-  /// registry's value overwrites, so merge in shard order); histograms merge
-  /// via FixedHistogram::merge_from. Timings merge the same way but stay in
-  /// the separate timing map — wall time never becomes a counter.
-  void merge_from(const MetricsRegistry& other);
-
   /// The process-wide default instance. Components take a registry by
   /// pointer so tests and tools can inject their own; code that wants the
   /// ambient one passes &MetricsRegistry::global().

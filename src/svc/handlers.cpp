@@ -515,18 +515,16 @@ std::string RequestHandlers::dispatch(const Frame& request,
       const ServiceState::SnapshotPtr snapshot = state_->acquire_snapshot();
       const std::vector<core::EpochSummary>& epochs = snapshot->fleet_epochs;
       // "epoch" selects the delta's destination index; absent = latest.
-      std::size_t to_index;
+      std::uint64_t to_index = 0;
       if (epoch_field == nullptr) {
         if (epochs.size() < 2) {
           return encode_error(ErrorCode::kNotFound,
                               "fewer than two completed epochs — no delta yet");
         }
         to_index = epochs.back().index;
-      } else if (epoch_field->is_number() && epoch_field->num >= 0) {
-        to_index = static_cast<std::size_t>(epoch_field->num);
-      } else {
+      } else if (!obs::json::read_uint(epoch_field, to_index)) {
         return encode_error(ErrorCode::kBadPayload,
-                            "\"epoch\" must be a non-negative number");
+                            "\"epoch\" must be a non-negative integer");
       }
       const core::EpochSummary* from = nullptr;
       const core::EpochSummary* to = nullptr;

@@ -63,21 +63,15 @@ bool read_string_array(const obs::json::Value& object, std::string_view key,
   return true;
 }
 
-bool read_uint(const obs::json::Value& object, const char* key,
-               std::uint64_t& out) {
-  const obs::json::Value* member = object.find(key);
-  if (member == nullptr || !member->is_number() || member->num < 0) return false;
-  out = static_cast<std::uint64_t>(member->num);
-  return true;
-}
-
 /// Decodes one record payload; a payload that doesn't carry the expected
 /// shape reads as damage (the caller treats it as the torn tail).
 std::optional<WalRecord> decode_wal_payload(std::string_view payload) {
   const std::optional<obs::json::Value> root = obs::json::parse(payload);
   if (!root || !root->is_object()) return std::nullopt;
   WalRecord record;
-  if (!read_uint(*root, "seq", record.seq) || record.seq == 0) return std::nullopt;
+  if (!obs::json::read_uint(root->find("seq"), record.seq) || record.seq == 0) {
+    return std::nullopt;
+  }
   const obs::json::Value* key = root->find("key");
   if (key == nullptr || !key->is_string()) return std::nullopt;
   record.idempotency_key = key->string;
@@ -399,14 +393,14 @@ std::optional<SvcSnapshot> decode_svc_snapshot(std::string_view text,
     return fail("snapshot schema mismatch");
   }
   std::uint64_t version = 0;
-  if (!read_uint(*root, "version", version) ||
+  if (!obs::json::read_uint(root->find("version"), version) ||
       version != static_cast<std::uint64_t>(kSvcSnapshotVersion)) {
     return fail("unsupported snapshot version");
   }
 
   SvcSnapshot snapshot;
-  if (!read_uint(*root, "generation", snapshot.generation) ||
-      !read_uint(*root, "wal_seq", snapshot.wal_seq)) {
+  if (!obs::json::read_uint(root->find("generation"), snapshot.generation) ||
+      !obs::json::read_uint(root->find("wal_seq"), snapshot.wal_seq)) {
     return fail("snapshot frontier fields malformed");
   }
   if (!read_string_array(*root, "appended_x509_rows",
@@ -422,14 +416,14 @@ std::optional<SvcSnapshot> decode_svc_snapshot(std::string_view text,
     AppliedAppend item;
     const obs::json::Value* key = entry.find("key");
     if (key == nullptr || !key->is_string() ||
-        !read_uint(entry, "wal_seq", item.wal_seq) ||
-        !read_uint(entry, "generation", item.generation) ||
-        !read_uint(entry, "ssl_added", item.ssl_added) ||
-        !read_uint(entry, "x509_added", item.x509_added) ||
-        !read_uint(entry, "ssl_malformed", item.ssl_malformed) ||
-        !read_uint(entry, "x509_malformed", item.x509_malformed) ||
-        !read_uint(entry, "unique_chains", item.unique_chains) ||
-        !read_uint(entry, "connections", item.connections)) {
+        !obs::json::read_uint(entry.find("wal_seq"), item.wal_seq) ||
+        !obs::json::read_uint(entry.find("generation"), item.generation) ||
+        !obs::json::read_uint(entry.find("ssl_added"), item.ssl_added) ||
+        !obs::json::read_uint(entry.find("x509_added"), item.x509_added) ||
+        !obs::json::read_uint(entry.find("ssl_malformed"), item.ssl_malformed) ||
+        !obs::json::read_uint(entry.find("x509_malformed"), item.x509_malformed) ||
+        !obs::json::read_uint(entry.find("unique_chains"), item.unique_chains) ||
+        !obs::json::read_uint(entry.find("connections"), item.connections)) {
       return fail("snapshot applied entry malformed");
     }
     item.key = key->string;

@@ -67,8 +67,10 @@ struct EmbeddedSct {
   bool operator==(const EmbeddedSct&) const = default;
 };
 
-/// A certificate. Value type; copies are cheap enough for the corpus sizes
-/// used here and keep the analysis pipeline free of ownership concerns.
+/// A certificate. Value type, which keeps the analysis pipeline free of
+/// ownership concerns. Copies stay cheap by construction: issuer and subject
+/// are handles to shared immutable DN bodies, so a copy bumps two reference
+/// counts instead of copying RDN vectors and strings (DESIGN.md §16.1).
 struct Certificate {
   int version = 3;
   std::string serial;  // hex, unique per issuer in well-formed corpora
@@ -120,7 +122,8 @@ struct Certificate {
   bool expired_at(util::SimTime t) const { return t >= validity.end; }
 
   /// Canonical to-be-signed serialization. Every field that a signer commits
-  /// to is folded in; signatures are computed over these bytes.
+  /// to is folded in; signatures are computed over these bytes. Issuer and
+  /// subject enter as their kept RFC 4514 displays, escaped once per body.
   std::string tbs_bytes() const;
 
   /// Content fingerprint (digest of tbs + signature), hex. Used as the

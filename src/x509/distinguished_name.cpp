@@ -55,9 +55,30 @@ std::string canonical_value(std::string_view value) {
 
 }  // namespace
 
-DistinguishedName::DistinguishedName(std::vector<Rdn> rdns)
-    : rdns_(std::move(rdns)) {
-  rebuild_canonical();
+DistinguishedName::DistinguishedName(std::vector<Rdn> rdns) {
+  auto body = std::make_shared<Body>();
+  body->rdns.reserve(rdns.size());
+  for (Rdn& rdn : rdns) body->append(std::move(rdn));
+  body_ = std::move(body);
+}
+
+const DistinguishedName::Body& DistinguishedName::empty_body() {
+  static const Body empty;
+  return empty;
+}
+
+void DistinguishedName::Body::append(Rdn rdn) {
+  if (!rdns.empty()) {
+    canonical.push_back('\n');  // unambiguous separator
+    display.push_back(',');
+  }
+  canonical.append(canonical_type(rdn.type));
+  canonical.push_back('=');
+  canonical.append(canonical_value(rdn.value));
+  display.append(rdn.type);
+  display.push_back('=');
+  display.append(escape_dn_value(rdn.value));
+  rdns.push_back(std::move(rdn));
 }
 
 std::optional<DistinguishedName> DistinguishedName::parse(std::string_view text) {
@@ -153,51 +174,23 @@ std::string escape_dn_value(std::string_view value) {
   return out;
 }
 
-std::string DistinguishedName::to_string() const {
-  std::string out;
-  for (std::size_t i = 0; i < rdns_.size(); ++i) {
-    if (i != 0) out.push_back(',');
-    out.append(rdns_[i].type);
-    out.push_back('=');
-    out.append(escape_dn_value(rdns_[i].value));
-  }
-  return out;
-}
-
-void DistinguishedName::rebuild_canonical() {
-  std::string out;
-  for (std::size_t i = 0; i < rdns_.size(); ++i) {
-    if (i != 0) out.push_back('\n');  // unambiguous separator
-    out.append(canonical_type(rdns_[i].type));
-    out.push_back('=');
-    out.append(canonical_value(rdns_[i].value));
-  }
-  canonical_ = std::move(out);
-}
-
-bool DistinguishedName::matches(const DistinguishedName& other) const {
-  return canonical_ == other.canonical_;
-}
-
 std::optional<std::string> DistinguishedName::attribute(std::string_view type) const {
   const std::string wanted = canonical_type(type);
-  for (const Rdn& rdn : rdns_) {
+  for (const Rdn& rdn : rdns()) {
     if (canonical_type(rdn.type) == wanted) return rdn.value;
   }
   return std::nullopt;
 }
 
 DistinguishedName& DistinguishedName::add(std::string type, std::string value) {
-  if (!rdns_.empty()) canonical_.push_back('\n');
-  canonical_.append(canonical_type(type));
-  canonical_.push_back('=');
-  canonical_.append(canonical_value(value));
-  rdns_.push_back(Rdn{std::move(type), std::move(value)});
+  auto body = std::make_shared<Body>(this->body());
+  body->append(Rdn{std::move(type), std::move(value)});
+  body_ = std::move(body);
   return *this;
 }
 
 std::uint64_t DistinguishedName::canonical_hash() const {
-  return certchain::util::fnv1a64(canonical_);
+  return certchain::util::fnv1a64(canonical());
 }
 
 }  // namespace certchain::x509

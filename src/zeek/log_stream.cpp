@@ -1,40 +1,8 @@
 #include "zeek/log_stream.hpp"
 
-#include <algorithm>
+#include <utility>
 
 namespace certchain::zeek {
-
-ShardHeaderScan scan_shard_header_state(std::string_view shard,
-                                        std::string_view expected_fields) {
-  ShardHeaderScan scan;
-  scan.newlines =
-      static_cast<std::size_t>(std::count(shard.begin(), shard.end(), '\n'));
-
-  // Directive lines are rare, so jump between '#'-at-line-start positions
-  // instead of walking every line. Shards are line-aligned, so a directive
-  // line never straddles a shard boundary.
-  std::size_t line_start = 0;
-  while (line_start != std::string_view::npos && line_start < shard.size()) {
-    if (shard[line_start] == '#') {
-      std::size_t line_end = shard.find('\n', line_start);
-      if (line_end == std::string_view::npos) line_end = shard.size();
-      const std::string_view line = shard.substr(line_start, line_end - line_start);
-      if (line.rfind("#close", 0) == 0) {
-        scan.has_directive = true;
-        scan.exit_in_body = false;
-      } else if (line.rfind("#fields\t", 0) == 0) {
-        scan.has_directive = true;
-        scan.exit_in_body = (line.substr(8) == expected_fields);
-      }
-      line_start = line_end == shard.size() ? std::string_view::npos : line_end + 1;
-      continue;
-    }
-    // Skip to the start of the next '#' line.
-    const std::size_t next = shard.find("\n#", line_start);
-    line_start = next == std::string_view::npos ? std::string_view::npos : next + 1;
-  }
-  return scan;
-}
 
 // The canonical field layouts live in log_io.cpp; re-derive them here from a
 // rendered header so the two stay in sync by construction.

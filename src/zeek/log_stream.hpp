@@ -70,18 +70,6 @@ class StreamingLogReader {
   /// checkpoint state — a restored reader re-attaches its pool.
   void set_dn_pool(core::DnPool* pool) { dn_pool_ = pool; }
 
-  /// Primes the reader to take over mid-stream at a line-aligned shard
-  /// boundary: `in_body` is the header state prevailing at the boundary
-  /// (computed by scan_shard_header_state over the preceding shards) and
-  /// `line_offset` the number of lines before it, so recorded error line
-  /// numbers stay absolute within the original stream. Call before the
-  /// first feed(). An unprimed reader starts at offset 0, outside any body —
-  /// the whole-stream behaviour.
-  void prime(bool in_body, std::size_t line_offset) {
-    in_body_ = in_body;
-    line_offset_ = line_offset;
-  }
-
   /// Feeds a chunk of bytes. Complete lines are parsed in place, straight
   /// out of `chunk`; only a line split across feeds is assembled in the
   /// reader's buffer, and the unterminated tail is kept for the next feed.
@@ -228,24 +216,6 @@ class StreamingLogReader {
 /// Field layouts matching the writers in log_io.cpp.
 std::string ssl_log_fields();
 std::string x509_log_fields();
-
-/// Header-state summary of one line-aligned shard, computed without parsing
-/// any rows: the number of newline characters it holds and — when it
-/// contains `#fields` / `#close` directives — the body state left behind by
-/// the last one. Combining these summaries left-to-right yields the exact
-/// state a serial reader would be in at every shard boundary (the classic
-/// scan trick), which is what StreamingLogReader::prime consumes. The
-/// directive tests mirror consume_line exactly: `#close` leaves the body,
-/// `#fields\t` enters it only for the expected layout, every other line
-/// (data, blank, unknown directive) leaves the state untouched.
-struct ShardHeaderScan {
-  std::size_t newlines = 0;
-  bool has_directive = false;  // shard contains at least one state directive
-  bool exit_in_body = false;   // state after its last directive (if any)
-};
-
-ShardHeaderScan scan_shard_header_state(std::string_view shard,
-                                        std::string_view expected_fields);
 
 using StreamingSslReader = StreamingLogReader<SslLogRecord>;
 using StreamingSslViewReader = StreamingLogReader<SslRowView>;

@@ -160,6 +160,34 @@ TEST(CorpusIndex, SnapshotLiteralRestoresAndWritesBackByteIdentically) {
   EXPECT_FALSE(corpus.restore_snapshot(*twice, by_fingerprint, &error));
   EXPECT_NE(error.find("repeats chain"), std::string::npos) << error;
   EXPECT_EQ(corpus.unique_chain_count(), 0u);
+
+  // A number its field cannot hold is malformed, never truncated: a
+  // fraction, a negative, one past 2^53, a port past 65535.
+  const auto damaged = [&literal](const std::string& from, const std::string& to) {
+    std::string text = literal;
+    text.replace(text.find(from), from.size(), to);
+    return text;
+  };
+  for (const auto& [from, to] : std::vector<std::pair<std::string, std::string>>{
+           {R"("with_certificates":3)", R"("with_certificates":1.5)"},
+           {R"("connections":4)", R"("connections":-4)"},
+           {R"("established":2)", R"("established":9007199254740994)"},
+           {R"("first_seen":100)", R"("first_seen":1e300)"},
+           {"[443,2]", "[70000,2]"},
+           {"[443,2]", "[443.5,2]"},
+           {"[8443,1]", "[8443,0.5]"}}) {
+    const std::optional<obs::json::Value> bad = obs::json::parse(damaged(from, to));
+    ASSERT_TRUE(bad.has_value()) << to;
+    EXPECT_FALSE(corpus.restore_snapshot(*bad, by_fingerprint, &error)) << to;
+    EXPECT_NE(error.find("malformed"), std::string::npos) << to << ": " << error;
+    EXPECT_EQ(corpus.unique_chain_count(), 0u);
+  }
+  // Out-of-range and ungrammatical numbers never parse at all.
+  for (const std::string to : {R"("connections":1e999)", R"("connections":4-1)",
+                               R"("connections":04)"}) {
+    EXPECT_FALSE(obs::json::parse(damaged(R"("connections":4)", to)).has_value())
+        << to;
+  }
 }
 
 TEST(CorpusIndex, CopiesAnalyzeLikeTheSourceAndKeepFolding) {

@@ -1,7 +1,14 @@
-// DistinguishedName: RFC 4514 parsing, escaping, canonical matching.
+// DistinguishedName: RFC 4514 parsing, escaping, canonical matching, and
+// the shared immutable body behind every copy.
 #include "x509/distinguished_name.hpp"
 
 #include <gtest/gtest.h>
+
+#include <string>
+#include <thread>
+#include <vector>
+
+#include "core/dn_pool.hpp"
 
 namespace certchain::x509 {
 namespace {
@@ -139,6 +146,120 @@ TEST(DistinguishedName, CanonicalDistinguishesSeparatorAmbiguity) {
   const auto two = DistinguishedName::parse_or_die("CN=a,O=b");
   const auto one = DistinguishedName::parse_or_die(R"(CN=a\,O=b)");
   EXPECT_FALSE(two.matches(one));
+}
+
+// --- the shared body ---------------------------------------------------------
+
+TEST(DistinguishedName, CopiesShareOneBody) {
+  const auto name = DistinguishedName::parse_or_die("CN=Shared CA,O=Org,C=US");
+  const DistinguishedName copy = name;
+  EXPECT_EQ(copy.canonical().data(), name.canonical().data());
+  EXPECT_EQ(copy.to_string().data(), name.to_string().data());
+  EXPECT_EQ(&copy.rdns(), &name.rdns());
+
+  DistinguishedName assigned;
+  assigned = copy;
+  EXPECT_EQ(assigned.canonical().data(), name.canonical().data());
+}
+
+TEST(DistinguishedName, AddOnACopyLeavesTheOriginalUnchanged) {
+  const auto original = DistinguishedName::parse_or_die("CN=Leaf,O=Org");
+  const std::vector<Rdn> rdns = original.rdns();
+  const std::string canonical = original.canonical();
+  const std::string display = original.to_string();
+
+  DistinguishedName copy = original;
+  copy.add("C", "US");
+  EXPECT_EQ(copy.to_string(), "CN=Leaf,O=Org,C=US");
+  EXPECT_EQ(copy.canonical(), canonical + "\nC=us");
+  EXPECT_NE(copy.canonical().data(), original.canonical().data());
+
+  EXPECT_EQ(original.rdns(), rdns);
+  EXPECT_EQ(original.canonical(), canonical);
+  EXPECT_EQ(original.to_string(), display);
+  EXPECT_FALSE(copy.matches(original));
+}
+
+TEST(DistinguishedName, DisplayBytesMatchTheRfc4514Serializer) {
+  // Golden bytes: what the per-call escaping serializer produced, for each
+  // position-dependent escape and each special character.
+  const auto built = [](std::string value) {
+    DistinguishedName name;
+    name.add("CN", std::move(value)).add("O", "Org");
+    return name;
+  };
+  EXPECT_EQ(built(" lead").to_string(), R"(CN=\ lead,O=Org)");
+  EXPECT_EQ(built("#hash").to_string(), R"(CN=\#hash,O=Org)");
+  EXPECT_EQ(built("mid#dle").to_string(), "CN=mid#dle,O=Org");
+  EXPECT_EQ(built("trail ").to_string(), R"(CN=trail\ ,O=Org)");
+  EXPECT_EQ(built("a,b").to_string(), R"(CN=a\,b,O=Org)");
+  EXPECT_EQ(built("a+b").to_string(), R"(CN=a\+b,O=Org)");
+  EXPECT_EQ(built("a\"b").to_string(), R"(CN=a\"b,O=Org)");
+  EXPECT_EQ(built("a\\b").to_string(), R"(CN=a\\b,O=Org)");
+  EXPECT_EQ(built("a<b").to_string(), R"(CN=a\<b,O=Org)");
+  EXPECT_EQ(built("a>b").to_string(), R"(CN=a\>b,O=Org)");
+  EXPECT_EQ(built("a;b").to_string(), R"(CN=a\;b,O=Org)");
+  EXPECT_EQ(built("a=b").to_string(), "CN=a=b,O=Org");
+
+  // A parsed name keeps the same display as one built from the same RDNs.
+  const auto parsed = DistinguishedName::parse_or_die(R"(CN=\ a\,b\;c\ ,O=Org)");
+  EXPECT_EQ(parsed.to_string(), built(" a,b;c ").to_string());
+  EXPECT_EQ(DistinguishedName().to_string(), "");
+}
+
+TEST(DistinguishedName, EqualityAndMatchingAgreeAcrossBodies) {
+  const auto name = DistinguishedName::parse_or_die("CN=Example CA,O=Org");
+  const DistinguishedName shared = name;
+  const auto separate = DistinguishedName::parse_or_die("CN=Example CA,O=Org");
+  const auto colliding = DistinguishedName::parse_or_die("cn=example  ca,o=ORG");
+  ASSERT_NE(separate.canonical().data(), name.canonical().data());
+
+  EXPECT_TRUE(name == shared);
+  EXPECT_TRUE(name.matches(shared));
+  EXPECT_TRUE(name == separate);
+  EXPECT_TRUE(name.matches(separate));
+  EXPECT_FALSE(name == colliding);  // spelled differently
+  EXPECT_TRUE(name.matches(colliding));  // one entity under caseIgnoreMatch
+  EXPECT_TRUE(colliding.matches(name));
+
+  // A default name and an explicitly empty one are the same empty name.
+  const DistinguishedName empty;
+  const DistinguishedName built_empty{std::vector<Rdn>{}};
+  EXPECT_TRUE(empty == built_empty);
+  EXPECT_TRUE(empty.matches(built_empty));
+  EXPECT_FALSE(empty == name);
+  EXPECT_FALSE(empty.matches(name));
+}
+
+TEST(DistinguishedName, PoolNamesCopyAndCompareFromManyThreads) {
+  // Pool-owned names are copied, compared and read from every analysis
+  // shard at once; their bodies' reference counts are the shared state.
+  core::DnPool pool;
+  std::vector<core::DnId> ids;
+  for (int i = 0; i < 64; ++i) {
+    ids.push_back(pool.intern("CN=Issuer " + std::to_string(i) + ",O=Org"));
+  }
+  constexpr int kThreads = 4;
+  std::vector<std::size_t> mismatches(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&pool, &ids, &mismatches, t] {
+      std::vector<DistinguishedName> held;
+      for (int round = 0; round < 200; ++round) {
+        for (const core::DnId id : ids) {
+          DistinguishedName copy = pool.name(id);
+          const bool same = copy == pool.name(id) && copy.matches(pool.name(id)) &&
+                            copy.to_string() == pool.display(id);
+          if (!same) ++mismatches[t];
+          held.push_back(std::move(copy));
+        }
+        held.clear();
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (int t = 0; t < kThreads; ++t) EXPECT_EQ(mismatches[t], 0u) << t;
+  EXPECT_EQ(pool.display(ids[7]), "CN=Issuer 7,O=Org");
 }
 
 }  // namespace

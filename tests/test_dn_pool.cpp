@@ -81,6 +81,32 @@ TEST(DnPool, CanonicalizesOnceAtInternTime) {
   EXPECT_EQ(std::string_view(variant.canonical()), pool.canonical(base));
 }
 
+TEST(DnPool, ViewsSurviveGrowthAndMove) {
+  DnPool pool;
+  const DnPool::Interned first = pool.intern_raw("CN=First CA,O=Org");
+  const DnPool::Interned variant = pool.intern_raw("cn=first ca,o=org");
+  const std::string_view display = pool.display(first.id);
+  const std::string_view canonical = pool.canonical(first.id);
+  const x509::DistinguishedName* name = &pool.name(first.id);
+  ASSERT_EQ(first.name, name);
+  ASSERT_NE(variant.name, name);  // the variant parse of the other spelling
+
+  for (int i = 0; i < 10000; ++i) {
+    pool.intern("CN=host-" + std::to_string(i) + ".example,O=Org");
+  }
+  DnPool moved = std::move(pool);
+
+  EXPECT_EQ(moved.size(), 10001u);
+  EXPECT_EQ(moved.display(first.id).data(), display.data());
+  EXPECT_EQ(moved.canonical(first.id).data(), canonical.data());
+  EXPECT_EQ(display, "CN=First CA,O=Org");
+  EXPECT_EQ(canonical, "CN=first ca\nO=org");
+  EXPECT_EQ(&moved.name(first.id), name);
+  EXPECT_EQ(name->to_string(), "CN=First CA,O=Org");
+  EXPECT_EQ(variant.name->to_string(), "cn=first ca,o=org");
+  EXPECT_EQ(moved.intern_raw("cn=first ca,o=org").name, variant.name);
+}
+
 TEST(DnPool, DnHandleEquality) {
   DnPool pool;
   DnPool other;

@@ -31,6 +31,8 @@
 #include "netsim/faults.hpp"
 #include "obs/json.hpp"
 #include "svc/client.hpp"
+#include "svc/handlers.hpp"
+#include "svc/protocol.hpp"
 #include "svc/server.hpp"
 #include "svc/service_state.hpp"
 #include "svc/telemetry.hpp"
@@ -150,6 +152,39 @@ TEST(FleetDelta, ParseRejectsInconsistentSummaries) {
   EXPECT_FALSE(core::parse_epoch_summary(*parsed_value).has_value());
 
   EXPECT_FALSE(core::parse_epoch_summary(obs::json::Value{}).has_value());
+}
+
+TEST(FleetDelta, ParseRejectsMalformedLedgerNumbers) {
+  core::EpochSummary summary = make_summary(0, {{"a:443", "fp", "key"}});
+  summary.health.ledger.error_counts[scanner::ScanError::kDeadlineExceeded] = 2;
+  obs::json::Writer writer;
+  core::write_epoch_summary_json(writer, summary);
+  const std::string text = std::move(writer).str();
+  const std::string errors = R"("errors":[[6,2]])";
+  ASSERT_NE(text.find(errors), std::string::npos) << text;
+  const auto parsed = core::parse_epoch_summary(*obs::json::parse(text));
+  ASSERT_TRUE(parsed.has_value());
+  EXPECT_EQ(parsed->health.ledger.error_counts, summary.health.ledger.error_counts);
+
+  const auto with_errors = [&](const std::string& replacement) {
+    std::string damaged = text;
+    damaged.replace(damaged.find(errors), errors.size(), replacement);
+    return damaged;
+  };
+  // 7 is past the last ScanError; 262 = 256 + 6 once wrapped to the error
+  // code's byte; the rest are fractions, negatives and counts past 2^53.
+  for (const char* bad : {R"("errors":[[7,2]])", R"("errors":[[262,2]])",
+                          R"("errors":[[5.5,2]])", R"("errors":[[-1,2]])",
+                          R"("errors":[[6,2.5]])", R"("errors":[[6,-2]])",
+                          R"("errors":[[6,9007199254740994]])"}) {
+    const auto value = obs::json::parse(with_errors(bad));
+    ASSERT_TRUE(value.has_value()) << bad;
+    EXPECT_FALSE(core::parse_epoch_summary(*value).has_value()) << bad;
+  }
+  for (const char* bad : {R"("errors":[[6,1e999]])", R"("errors":[[6-1,2]])",
+                          R"("errors":[[06,2]])"}) {
+    EXPECT_FALSE(obs::json::parse(with_errors(bad)).has_value()) << bad;
+  }
 }
 
 // --- determinism over the drifted population --------------------------------
@@ -426,6 +461,37 @@ TEST_F(FleetServiceTest, EndpointsAnswerFromTheSnapshotByteIdentically) {
 
   client.shutdown();
   server.wait();
+}
+
+TEST_F(FleetServiceTest, EpochDeltaRejectsNonIntegerEpochs) {
+  auto state = make_state();
+  feed_epochs(*state, kEpochs);
+  svc::SyncTelemetry telemetry;
+  const svc::RequestHandlers handlers(*state, telemetry);
+  const auto answer = [&handlers](const std::string& payload) {
+    bool shutdown_requested = false;
+    svc::FrameReader reader;
+    reader.feed(handlers.handle(
+        svc::Frame{svc::MessageType::kEpochDelta, payload}, &shutdown_requested));
+    const svc::DecodeResult result = reader.next();
+    EXPECT_EQ(result.status, svc::DecodeResult::Status::kFrame) << payload;
+    return result.frame;
+  };
+  EXPECT_EQ(answer(R"({"epoch":1})").type, svc::MessageType::kEpochDeltaOk);
+
+  for (const char* payload :
+       {R"({"epoch":1.5})", R"({"epoch":-1})", R"({"epoch":9007199254740994})",
+        R"({"epoch":"1"})", R"({"epoch":1e999})", R"({"epoch":1-2})",
+        R"({"epoch":01})"}) {
+    const svc::Frame frame = answer(payload);
+    ASSERT_EQ(frame.type, svc::MessageType::kError) << payload;
+    const auto body = obs::json::parse(frame.payload);
+    ASSERT_TRUE(body.has_value()) << frame.payload;
+    const obs::json::Value* code = body->find("code");
+    ASSERT_NE(code, nullptr) << frame.payload;
+    EXPECT_EQ(code->string, svc::error_code_name(svc::ErrorCode::kBadPayload))
+        << payload;
+  }
 }
 
 TEST_F(FleetServiceTest, FleetStatusBeforeAnyEpochIsEmptyAndDeltaNotFound) {

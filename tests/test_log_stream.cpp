@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include "../tests/helpers.hpp"
-#include "par/shard.hpp"
 #include "util/rng.hpp"
 #include "zeek/joiner.hpp"
 
@@ -136,9 +135,9 @@ TEST(LogStream, MatchesBatchParserOnFullCorpus) {
   EXPECT_EQ(streamed, batch);
 }
 
-// --- shard-boundary correctness (scan + prime, DESIGN.md §10) --------------
+// --- chunk-boundary correctness ---------------------------------------------
 
-/// Serial reference pass with explicit chunk size; collects full accounting.
+/// One streamed pass with the reader's full accounting.
 struct ParseResult {
   std::vector<SslLogRecord> records;
   std::size_t bytes = 0;
@@ -149,52 +148,23 @@ struct ParseResult {
   std::vector<std::pair<std::size_t, std::string>> errors;  // (line, message)
 };
 
-void drain_reader(StreamingSslReader& reader, std::string_view text,
-                  std::size_t chunk, ParseResult& out) {
+/// Feeds `text` in `chunk`-byte pieces (0: one feed of the whole text).
+ParseResult parse_serial(std::string_view text, std::size_t chunk) {
+  ParseResult out;
+  auto reader = make_streaming_ssl_reader(
+      [&out](SslLogRecord record) { out.records.push_back(std::move(record)); });
   if (chunk == 0) chunk = std::max<std::size_t>(1, text.size());
   for (std::size_t pos = 0; pos < text.size(); pos += chunk) {
     reader.feed(text.substr(pos, std::min(chunk, text.size() - pos)));
   }
   reader.finish();
-  out.bytes += reader.bytes_consumed();
-  out.lines += reader.lines_seen();
-  out.skipped += reader.lines_skipped();
-  out.malformed += reader.malformed_rows();
-  out.rotations += reader.rotations_seen();
+  out.bytes = reader.bytes_consumed();
+  out.lines = reader.lines_seen();
+  out.skipped = reader.lines_skipped();
+  out.malformed = reader.malformed_rows();
+  out.rotations = reader.rotations_seen();
   for (const auto& error : reader.errors()) {
     out.errors.emplace_back(error.line_number, error.message);
-  }
-}
-
-ParseResult parse_serial(std::string_view text, std::size_t chunk) {
-  ParseResult out;
-  auto reader = make_streaming_ssl_reader(
-      [&out](SslLogRecord record) { out.records.push_back(std::move(record)); });
-  drain_reader(reader, text, chunk, out);
-  return out;
-}
-
-/// The sharded parse scheme the pipeline uses: line-aligned shards, a header
-/// scan per shard, serial prefix combine, one primed reader per shard. Run
-/// here single-threaded — the determinism of the priming is what's under
-/// test; thread-equivalence is the parallel-diff suite's job.
-ParseResult parse_sharded(std::string_view text, std::size_t shard_count,
-                          std::size_t chunk) {
-  ParseResult out;
-  const auto shards = par::split_line_aligned(text, shard_count);
-  EXPECT_EQ(shards.size(), shard_count);
-  bool in_body = false;
-  std::size_t line_offset = 0;
-  for (const par::TextShard& shard : shards) {
-    const ShardHeaderScan scan =
-        scan_shard_header_state(shard.text, ssl_log_fields());
-    auto reader = make_streaming_ssl_reader([&out](SslLogRecord record) {
-      out.records.push_back(std::move(record));
-    });
-    reader.prime(in_body, line_offset);
-    drain_reader(reader, shard.text, chunk, out);
-    if (scan.has_directive) in_body = scan.exit_in_body;
-    line_offset += scan.newlines;
   }
   return out;
 }
@@ -222,7 +192,7 @@ void expect_same_parse(const ParseResult& a, const ParseResult& b) {
   EXPECT_EQ(a.errors, b.errors);
 }
 
-TEST(LogStreamShards, ChunkSizeNeverChangesTheParse) {
+TEST(LogStream, ChunkSizeNeverChangesTheParse) {
   const std::string log = hazard_log();
   const ParseResult whole = parse_serial(log, 0);
   ASSERT_EQ(whole.records.size(), 4u);
@@ -232,87 +202,6 @@ TEST(LogStreamShards, ChunkSizeNeverChangesTheParse) {
     const ParseResult chunked = parse_serial(log, chunk);
     expect_same_parse(whole, chunked);
   }
-}
-
-TEST(LogStreamShards, ShardedParseMatchesSerialAtEveryShardCount) {
-  const std::string log = hazard_log();
-  const ParseResult serial = parse_serial(log, 0);
-  for (const std::size_t shard_count : {1u, 2u, 3u, 5u, 8u, 64u}) {
-    const ParseResult sharded = parse_sharded(log, shard_count, 0);
-    expect_same_parse(serial, sharded);
-  }
-}
-
-TEST(LogStreamShards, ShardingAndTinyChunksCompose) {
-  const std::string log = hazard_log();
-  const ParseResult serial = parse_serial(log, 0);
-  for (const std::size_t chunk : {std::size_t{1}, std::size_t{7}}) {
-    expect_same_parse(serial, parse_sharded(log, 4, chunk));
-  }
-}
-
-TEST(LogStreamShards, PrimedErrorLineNumbersStayAbsolute) {
-  // Damage near the end so the error lands in a late shard.
-  std::string log = two_record_ssl_log() + two_record_ssl_log();
-  const std::size_t close_pos = log.rfind("#close");
-  log.insert(close_pos, "late\tdamage\n");
-  const ParseResult serial = parse_serial(log, 0);
-  ASSERT_EQ(serial.errors.size(), 1u);
-  const ParseResult sharded = parse_sharded(log, 6, 0);
-  ASSERT_EQ(sharded.errors.size(), 1u);
-  EXPECT_EQ(sharded.errors[0].first, serial.errors[0].first);
-  EXPECT_GT(serial.errors[0].first, 10u);  // genuinely beyond the first shard
-}
-
-TEST(LogStreamShards, SplitLineAlignedInvariants) {
-  const std::string log = hazard_log();
-  for (const std::size_t shard_count : {1u, 2u, 3u, 7u, 100u}) {
-    const auto shards = par::split_line_aligned(log, shard_count);
-    ASSERT_EQ(shards.size(), shard_count);
-    std::string reassembled;
-    std::size_t offset = 0;
-    for (const auto& shard : shards) {
-      EXPECT_EQ(shard.offset, offset);
-      // Boundaries only at the start of the text or right after a newline.
-      if (shard.offset > 0 && !shard.text.empty()) {
-        EXPECT_EQ(log[shard.offset - 1], '\n');
-      }
-      reassembled.append(shard.text);
-      offset += shard.text.size();
-    }
-    EXPECT_EQ(reassembled, log);
-  }
-  // Degenerate inputs.
-  EXPECT_EQ(par::split_line_aligned("", 3).size(), 3u);
-  const auto one_line = par::split_line_aligned("no newline at all", 4);
-  std::size_t non_empty = 0;
-  for (const auto& shard : one_line) non_empty += shard.text.empty() ? 0 : 1;
-  EXPECT_EQ(non_empty, 1u);
-}
-
-TEST(LogStreamShards, HeaderScanMirrorsConsumeLine) {
-  const std::string fields = ssl_log_fields();
-  const std::string header = "#fields\t" + fields + "\n";
-
-  ShardHeaderScan scan = scan_shard_header_state(header, fields);
-  EXPECT_EQ(scan.newlines, 1u);
-  EXPECT_TRUE(scan.has_directive);
-  EXPECT_TRUE(scan.exit_in_body);
-
-  scan = scan_shard_header_state(header + "#close\t2020\n", fields);
-  EXPECT_EQ(scan.newlines, 2u);
-  EXPECT_TRUE(scan.has_directive);
-  EXPECT_FALSE(scan.exit_in_body);
-
-  // A wrong layout enters "skip" state, exactly like the reader.
-  scan = scan_shard_header_state("#fields\twrong\tlayout\n", fields);
-  EXPECT_TRUE(scan.has_directive);
-  EXPECT_FALSE(scan.exit_in_body);
-
-  // Plain data (or other directives) carries no state change.
-  scan = scan_shard_header_state("row\tone\nrow\ttwo\n#open\t2020\n", fields);
-  EXPECT_EQ(scan.newlines, 3u);
-  EXPECT_FALSE(scan.has_directive);
 }
 
 }  // namespace

@@ -3,6 +3,9 @@
 // round trip, and manifest reconciliation.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+
 #include "obs/export.hpp"
 #include "obs/json.hpp"
 #include "obs/manifest.hpp"
@@ -267,6 +270,72 @@ TEST(Json, ParserRejectsGarbage) {
   EXPECT_FALSE(error.empty());
 }
 
+TEST(Json, NumbersFollowTheRfc8259Grammar) {
+  for (const char* text : {"[0]", "[-0]", "[7]", "[-12]", "[0.5]", "[1e3]",
+                           "[1E+2]", "[2.5e-3]", "[123456789012345678901234]"}) {
+    std::string error;
+    EXPECT_TRUE(json::parse(text, &error).has_value()) << text << ": " << error;
+  }
+  // Each malformed form fails with a typed reason instead of keeping the
+  // prefix strtod would have read.
+  for (const char* text : {"[1-2]", "[--5]", "[1.2.3]", "[+5]", "[01]", "[-]",
+                           "[1.]", "[.5]", "[1e]", "[1e+]", "[0x10]", "[1e5.0]",
+                           "[-a]", "[Infinity]"}) {
+    std::string error;
+    EXPECT_FALSE(json::parse(text, &error).has_value()) << text;
+    EXPECT_FALSE(error.empty()) << text;
+  }
+  std::string error;
+  EXPECT_FALSE(json::parse("[--5]", &error).has_value());
+  EXPECT_NE(error.find("bad number"), std::string::npos) << error;
+  for (const char* text : {"[1e999]", "[-1e999]", "{\"a\":1e400}"}) {
+    error.clear();
+    EXPECT_FALSE(json::parse(text, &error).has_value()) << text;
+    EXPECT_NE(error.find("number out of range"), std::string::npos) << error;
+  }
+
+  // Whatever the writer emits still parses back to the same rendering.
+  for (const double value : {0.0, -0.0, 3.0, 0.5, -2.25, 1e15, 123456.789,
+                             1e300, -1e300}) {
+    const std::string text = json::number(value);
+    const auto parsed = json::parse(text, &error);
+    ASSERT_TRUE(parsed.has_value()) << text << ": " << error;
+    EXPECT_EQ(json::number(parsed->num), text);
+  }
+  json::Writer writer;
+  writer.value_uint(18446744073709551615ull);
+  EXPECT_TRUE(json::parse(writer.str()).has_value());
+}
+
+TEST(Json, ReadUintTakesOnlyExactIntegersInRange) {
+  const auto value = [](const char* text) { return *json::parse(text); };
+  std::uint64_t out = 99;
+  EXPECT_TRUE(json::read_uint(&value("[0]").array[0], out));
+  EXPECT_EQ(out, 0u);
+  EXPECT_TRUE(json::read_uint(&value("[9007199254740992]").array[0], out));
+  EXPECT_EQ(out, json::kMaxExactInteger);
+  EXPECT_TRUE(json::read_uint(&value("[65535]").array[0], out, 65535));
+  EXPECT_EQ(out, 65535u);
+
+  out = 7;
+  for (const char* text : {"[-1]", "[1.5]", "[0.000001]", "[9007199254740994]",
+                           "[1e300]", "[\"5\"]", "[true]", "[null]", "[[]]"}) {
+    EXPECT_FALSE(json::read_uint(&value(text).array[0], out)) << text;
+  }
+  EXPECT_FALSE(json::read_uint(&value("[65536]").array[0], out, 65535));
+  EXPECT_FALSE(json::read_uint(&value("[256]").array[0], out, 255));
+  EXPECT_FALSE(json::read_uint(nullptr, out));
+  EXPECT_EQ(out, 7u);  // untouched by every failed read
+
+  // Values built in code (not parsed) are checked the same way.
+  json::Value hand;
+  hand.kind = json::Value::Kind::kNumber;
+  for (const double bad : {std::nan(""), HUGE_VAL, -HUGE_VAL}) {
+    hand.num = bad;
+    EXPECT_FALSE(json::read_uint(&hand, out));
+  }
+}
+
 TEST(Export, JsonRoundTripCarriesEverySection) {
   RunContext context;
   context.set_config("tool", "test");
@@ -339,55 +408,7 @@ TEST(Export, TextRendersCountersAndManifest) {
   EXPECT_EQ(text.find("DOES NOT RECONCILE"), std::string::npos);
 }
 
-// --- registry merging (the sharded pipeline's metric reduction) ------------
-
-TEST(MetricsRegistryMerge, EmptyRegistryIsIdentityOnBothSides) {
-  MetricsRegistry populated;
-  populated.count("stage.join.in", 7);
-  populated.set_gauge("load", 0.5);
-  populated.observe("pipeline.chain_length", 3.0);
-  populated.observe_timing("time.join.ms", 1.25);
-
-  // Merging an empty registry in changes nothing.
-  const MetricsRegistry empty;
-  populated.merge_from(empty);
-  EXPECT_EQ(populated.counter("stage.join.in"), 7u);
-  EXPECT_DOUBLE_EQ(populated.gauge("load"), 0.5);
-  EXPECT_EQ(populated.histograms().at("pipeline.chain_length").count(), 1u);
-  EXPECT_EQ(populated.timings().at("time.join.ms").count(), 1u);
-
-  // Merging into an empty registry reproduces the source exactly.
-  MetricsRegistry target;
-  target.merge_from(populated);
-  EXPECT_EQ(target.counters(), populated.counters());
-  EXPECT_EQ(target.gauges(), populated.gauges());
-  ASSERT_EQ(target.histograms().size(), 1u);
-  EXPECT_EQ(target.histograms().at("pipeline.chain_length").bucket_counts(),
-            populated.histograms().at("pipeline.chain_length").bucket_counts());
-  ASSERT_EQ(target.timings().size(), 1u);
-}
-
-TEST(MetricsRegistryMerge, CountersSumAndGaugesTakeTheMergedValue) {
-  MetricsRegistry a;
-  a.count("ingest.ssl.records", 10);
-  a.count("only.in.a", 1);
-  a.set_gauge("load", 0.25);
-
-  MetricsRegistry b;
-  b.count("ingest.ssl.records", 32);
-  b.count("only.in.b", 2);
-  b.set_gauge("load", 0.75);
-  b.set_gauge("only.in.b", 1.0);
-
-  a.merge_from(b);
-  EXPECT_EQ(a.counter("ingest.ssl.records"), 42u);
-  EXPECT_EQ(a.counter("only.in.a"), 1u);
-  EXPECT_EQ(a.counter("only.in.b"), 2u);
-  // Last write wins: merging shard registries in shard order keeps the
-  // semantics a serial run would have had.
-  EXPECT_DOUBLE_EQ(a.gauge("load"), 0.75);
-  EXPECT_DOUBLE_EQ(a.gauge("only.in.b"), 1.0);
-}
+// --- histogram merging ------------------------------------------------------
 
 TEST(FixedHistogramMerge, SameBoundsAddBucketwiseIncludingBoundaryValues) {
   FixedHistogram a({1.0, 10.0, 100.0});
@@ -428,24 +449,6 @@ TEST(FixedHistogramMerge, DifferentBoundsRefileButKeepTotalsExact) {
   // foreign overflow at the foreign max (20.0) — all <= 100.
   const std::vector<std::uint64_t> expected{4, 0};
   EXPECT_EQ(coarse.bucket_counts(), expected);
-}
-
-TEST(MetricsRegistryMerge, TimingsStayInTheTimingMap) {
-  MetricsRegistry a;
-  a.observe_timing("time.join.ms", 2.0);
-  MetricsRegistry b;
-  b.observe_timing("time.join.ms", 3.0);
-  b.observe_timing("time.enrich.ms", 1.0);
-  b.observe("pipeline.chain_length", 4.0);
-
-  a.merge_from(b);
-  EXPECT_EQ(a.timings().at("time.join.ms").count(), 2u);
-  EXPECT_DOUBLE_EQ(a.timings().at("time.join.ms").sum(), 5.0);
-  EXPECT_EQ(a.timings().at("time.enrich.ms").count(), 1u);
-  // Wall time never crosses into the deterministic histogram map.
-  EXPECT_EQ(a.histograms().count("time.join.ms"), 0u);
-  EXPECT_EQ(a.histograms().at("pipeline.chain_length").count(), 1u);
-  EXPECT_EQ(a.timings().count("pipeline.chain_length"), 0u);
 }
 
 TEST(Trace, AttachClosedNestsUnderTheOpenSpan) {

@@ -19,6 +19,8 @@
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "../tests/helpers.hpp"
 #include "core/log_source.hpp"
@@ -685,6 +687,39 @@ TEST(StreamingCheckpointCodec, RoundTripsAndRejectsDamage) {
                                               scratch, &error));
   EXPECT_FALSE(core::decode_stream_checkpoint(
       encoded.substr(0, encoded.size() / 2), by_fingerprint, scratch, &error));
+}
+
+TEST(StreamingCheckpointCodec, RejectsMalformedNumbers) {
+  core::StreamCheckpoint checkpoint;
+  checkpoint.ssl_offset = 4096;
+  checkpoint.chunks_done = 2;
+  checkpoint.ssl_reader.line_offset = 42;
+  const core::CorpusIndex corpus;
+  const std::string encoded = core::encode_stream_checkpoint(checkpoint, corpus);
+  std::map<std::string, x509::Certificate> by_fingerprint;
+  core::CorpusIndex scratch;
+  std::string error;
+  ASSERT_TRUE(core::decode_stream_checkpoint(encoded, by_fingerprint, scratch,
+                                             &error))
+      << error;
+
+  for (const auto& [from, to] : std::vector<std::pair<std::string, std::string>>{
+           {R"("ssl_offset":4096)", R"("ssl_offset":4096.5)"},
+           {R"("ssl_offset":4096)", R"("ssl_offset":1e999)"},
+           {R"("chunks_done":2)", R"("chunks_done":-2)"},
+           {R"("chunks_done":2)", R"("chunks_done":2-1)"},
+           {R"("line_offset":42)", R"("line_offset":9007199254740994)"},
+           {R"("line_offset":42)", R"("line_offset":042)"}}) {
+    std::string damaged = encoded;
+    const std::size_t at = damaged.find(from);
+    ASSERT_NE(at, std::string::npos) << from;
+    damaged.replace(at, from.size(), to);
+    error.clear();
+    EXPECT_FALSE(core::decode_stream_checkpoint(damaged, by_fingerprint, scratch,
+                                                &error))
+        << to;
+    EXPECT_FALSE(error.empty()) << to;
+  }
 }
 
 TEST(StreamingCheckpointCodec, WriteIsAtomicAndReadableBack) {

@@ -19,9 +19,11 @@
 #include <unistd.h>
 
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/report_text.hpp"
@@ -29,6 +31,8 @@
 #include "datagen/scenario.hpp"
 #include "svc/service_state.hpp"
 #include "svc/wal.hpp"
+#include "util/hash.hpp"
+#include "zeek/joiner.hpp"
 #include "zeek/log_io.hpp"
 
 namespace certchain {
@@ -191,6 +195,83 @@ TEST(SvcWalFraming, SequenceRegressionEndsReplay) {
   EXPECT_EQ(replay->records[0].seq, 5u);
   EXPECT_GT(replay->torn_bytes, 0u);
   ::unlink(path.c_str());
+}
+
+TEST(SvcWalFraming, MalformedSequenceNumbersEndReplay) {
+  const std::string path = temp_path("badseq.wal");
+  const std::string record_two = svc::encode_wal_record(make_record(2, "k2"));
+  const std::string payload = record_two.substr(svc::kWalRecordHeaderBytes);
+  const std::string seq_two = R"({"seq":2)";
+  ASSERT_EQ(payload.rfind(seq_two, 0), 0u);
+  // Length + checksum framing, so only the number inside is damaged.
+  const auto frame = [](const std::string& bytes) {
+    std::string out;
+    const auto length = static_cast<std::uint32_t>(bytes.size());
+    for (int shift = 24; shift >= 0; shift -= 8) {
+      out.push_back(static_cast<char>((length >> shift) & 0xFF));
+    }
+    const std::uint64_t sum = util::fnv1a64(bytes);
+    for (int shift = 56; shift >= 0; shift -= 8) {
+      out.push_back(static_cast<char>((sum >> shift) & 0xFF));
+    }
+    return out + bytes;
+  };
+  ASSERT_EQ(frame(payload), record_two);
+
+  for (const std::string seq :
+       {"2.5", "-2", "9007199254740994", "1e999", "2-1", "02", "+2"}) {
+    const std::string bad =
+        frame(R"({"seq":)" + seq + payload.substr(seq_two.size()));
+    ASSERT_TRUE(write_file(path, svc::encode_wal_header() +
+                                     svc::encode_wal_record(make_record(1, "k1")) +
+                                     bad));
+    std::string error;
+    const auto replay = svc::WriteAheadLog::replay(path, &error);
+    ASSERT_TRUE(replay.has_value()) << error;
+    ASSERT_EQ(replay->records.size(), 1u) << seq;
+    EXPECT_EQ(replay->torn_bytes, bad.size()) << seq;
+  }
+  ::unlink(path.c_str());
+}
+
+TEST(SvcSnapshotCodec, RejectsMalformedNumbers) {
+  svc::SvcSnapshot snapshot;
+  snapshot.generation = 31;
+  snapshot.wal_seq = 5;
+  svc::AppliedAppend applied;
+  applied.key = "k1";
+  applied.wal_seq = 4;
+  applied.generation = 7;
+  applied.ssl_added = 11;
+  snapshot.applied.push_back(applied);
+  const std::string encoded = svc::encode_svc_snapshot(snapshot, core::CorpusIndex{});
+  {
+    zeek::LogJoiner joiner;
+    core::CorpusIndex corpus;
+    std::string error;
+    const auto decoded = svc::decode_svc_snapshot(encoded, joiner, corpus, &error);
+    ASSERT_TRUE(decoded.has_value()) << error;
+    EXPECT_EQ(decoded->generation, 31u);
+  }
+  for (const auto& [from, to] : std::vector<std::pair<std::string, std::string>>{
+           {R"("generation":31)", R"("generation":31.5)"},
+           {R"("generation":31)", R"("generation":-31)"},
+           {R"("generation":31)", R"("generation":1e999)"},
+           {R"("wal_seq":5)", R"("wal_seq":9007199254740994)"},
+           {R"("ssl_added":11)", R"("ssl_added":11.5)"},
+           {R"("ssl_added":11)", R"("ssl_added":1-1)"}}) {
+    std::string damaged = encoded;
+    const std::size_t at = damaged.find(from);
+    ASSERT_NE(at, std::string::npos) << from;
+    damaged.replace(at, from.size(), to);
+    zeek::LogJoiner joiner;
+    core::CorpusIndex corpus;
+    std::string error;
+    EXPECT_FALSE(svc::decode_svc_snapshot(damaged, joiner, corpus, &error)
+                     .has_value())
+        << to;
+    EXPECT_FALSE(error.empty()) << to;
+  }
 }
 
 TEST(SvcWalFraming, ForeignHeaderRefusesReplay) {
