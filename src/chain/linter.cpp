@@ -1,11 +1,8 @@
 #include "chain/linter.hpp"
 
-#include <optional>
 #include <set>
 
 #include "chain/matcher.hpp"
-#include "obs/run_context.hpp"
-#include "par/thread_pool.hpp"
 #include "util/strings.hpp"
 
 namespace certchain::chain {
@@ -155,46 +152,6 @@ LintReport lint_chain(const CertificateChain& chain, const LintOptions& options)
                 "stray certificate");
   }
   return report;
-}
-
-std::vector<LintReport> lint_chains(
-    const std::vector<const CertificateChain*>& chains,
-    const LintOptions& options, par::ThreadPool* pool) {
-  std::vector<LintReport> reports(chains.size());
-  const std::size_t chunks = pool == nullptr ? 1 : pool->size();
-  par::parallel_for_chunks(
-      pool, chains.size(), chunks,
-      [&reports, &chains, &options](std::size_t, std::size_t begin,
-                                    std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i) {
-          reports[i] = lint_chain(*chains[i], options);
-        }
-      });
-  return reports;
-}
-
-std::vector<LintReport> lint_chains(
-    const std::vector<const CertificateChain*>& chains,
-    const LintOptions& options, const par::ExecOptions& exec,
-    obs::RunContext* obs) {
-  std::optional<obs::StageTimer> timer;
-  if (obs != nullptr) timer.emplace(*obs, "lint");
-
-  std::vector<LintReport> reports;
-  const std::size_t threads = par::resolve_threads(exec.threads);
-  if (threads <= 1) {
-    reports = lint_chains(chains, options);
-  } else {
-    par::ThreadPool pool(threads);
-    reports = lint_chains(chains, options, &pool);
-  }
-  if (obs != nullptr) {
-    std::size_t findings = 0;
-    for (const LintReport& report : reports) findings += report.findings.size();
-    obs->metrics.count("lint.chains_in", chains.size());
-    obs->metrics.count("lint.findings", findings);
-  }
-  return reports;
 }
 
 }  // namespace certchain::chain

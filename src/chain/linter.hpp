@@ -16,16 +16,7 @@
 
 #include "chain/chain.hpp"
 #include "chain/cross_sign_registry.hpp"
-#include "par/exec.hpp"
 #include "util/time.hpp"
-
-namespace certchain::obs {
-struct RunContext;
-}  // namespace certchain::obs
-
-namespace certchain::par {
-class ThreadPool;
-}  // namespace certchain::par
 
 namespace certchain::chain {
 
@@ -85,23 +76,5 @@ struct LintOptions {
 
 /// Lints a delivered chain.
 LintReport lint_chain(const CertificateChain& chain, const LintOptions& options = {});
-
-/// Lints a batch of chains into index-aligned reports. Each lint is an
-/// independent pure computation, so with a pool the chains are spread across
-/// its workers — the result vector is identical to the serial loop either
-/// way (a null or single-worker pool runs inline).
-std::vector<LintReport> lint_chains(
-    const std::vector<const CertificateChain*>& chains,
-    const LintOptions& options = {}, par::ThreadPool* pool = nullptr);
-
-/// Uniform `(input, options, obs)` entry (DESIGN.md §11), taking the
-/// layer-neutral par::ExecOptions (core::RunOptions::exec() projects to it):
-/// resolves exec.threads to the serial loop or a pool, and — when `obs` is
-/// given — wraps the batch in a `lint` stage span with chains-in/findings
-/// counters. The result vector is identical at every thread count.
-std::vector<LintReport> lint_chains(
-    const std::vector<const CertificateChain*>& chains,
-    const LintOptions& options, const par::ExecOptions& exec,
-    obs::RunContext* obs = nullptr);
 
 }  // namespace certchain::chain

@@ -1,21 +1,15 @@
 #include "core/cert_stats.hpp"
 
-#include <optional>
 #include <set>
 #include <utility>
-#include <vector>
-
-#include "obs/run_context.hpp"
-#include "par/thread_pool.hpp"
 
 namespace certchain::core {
 
 namespace {
 
 /// Folds one distinct certificate into the statistics. `last_seen` is the
-/// last-seen time of the observation that introduced the certificate —
-/// serial scan order decides which observation that is, and the parallel
-/// overload reproduces that choice exactly.
+/// last-seen time of the first observation, in scan order, that carries the
+/// certificate.
 void accumulate_certificate(CertPopulationStats& stats,
                             const x509::Certificate& cert,
                             util::SimTime last_seen) {
@@ -64,76 +58,6 @@ CertPopulationStats compute_cert_stats(
       if (!seen.insert(cert.fingerprint()).second) continue;
       accumulate_certificate(stats, cert, observation->last_seen);
     }
-  }
-  return stats;
-}
-
-CertPopulationStats compute_cert_stats(
-    std::string label, const std::vector<const ChainObservation*>& chains,
-    std::size_t max_length, par::ThreadPool* pool) {
-  if (pool == nullptr || pool->size() <= 1) {
-    return compute_cert_stats(std::move(label), chains, max_length);
-  }
-
-  // Phase 1 (parallel): each shard scans a consecutive chain range and keeps
-  // the first occurrence of every fingerprint it sees, in scan order. The
-  // fingerprint hashing — the expensive part — happens here.
-  struct Candidate {
-    std::string fingerprint;
-    const x509::Certificate* cert = nullptr;
-    util::SimTime last_seen = 0;
-  };
-  const std::size_t shard_count = pool->size();
-  std::vector<std::vector<Candidate>> shard_candidates(shard_count);
-  par::parallel_for_chunks(
-      pool, chains.size(), shard_count,
-      [&shard_candidates, &chains, max_length](
-          std::size_t chunk, std::size_t begin, std::size_t end) {
-        std::set<std::string> local_seen;
-        for (std::size_t i = begin; i < end; ++i) {
-          const ChainObservation* observation = chains[i];
-          if (observation->chain.length() > max_length) continue;
-          for (const x509::Certificate& cert : observation->chain) {
-            std::string fingerprint = cert.fingerprint();
-            if (!local_seen.insert(fingerprint).second) continue;
-            shard_candidates[chunk].push_back(Candidate{
-                std::move(fingerprint), &cert, observation->last_seen});
-          }
-        }
-      });
-
-  // Phase 2 (serial, shard order): global dedupe + accumulation. Walking the
-  // shards in order visits first occurrences in exactly serial scan order.
-  CertPopulationStats stats;
-  stats.label = std::move(label);
-  std::set<std::string> seen;
-  for (std::vector<Candidate>& candidates : shard_candidates) {
-    for (Candidate& candidate : candidates) {
-      if (!seen.insert(std::move(candidate.fingerprint)).second) continue;
-      accumulate_certificate(stats, *candidate.cert, candidate.last_seen);
-    }
-  }
-  return stats;
-}
-
-CertPopulationStats compute_cert_stats(
-    std::string label, const std::vector<const ChainObservation*>& chains,
-    std::size_t max_length, const RunOptions& options, obs::RunContext* obs) {
-  std::optional<obs::StageTimer> timer;
-  if (obs != nullptr) timer.emplace(*obs, "cert_stats");
-
-  CertPopulationStats stats;
-  const std::size_t threads = par::resolve_threads(options.threads);
-  if (threads <= 1) {
-    stats = compute_cert_stats(std::move(label), chains, max_length);
-  } else {
-    par::ThreadPool pool(threads);
-    stats = compute_cert_stats(std::move(label), chains, max_length, &pool);
-  }
-  if (obs != nullptr) {
-    obs->metrics.count("cert_stats.chains_in", chains.size());
-    obs->metrics.count("cert_stats.distinct_certificates",
-                       stats.distinct_certificates);
   }
   return stats;
 }

@@ -12,16 +12,7 @@
 #include <vector>
 
 #include "core/corpus.hpp"
-#include "core/run_options.hpp"
 #include "util/stats.hpp"
-
-namespace certchain::obs {
-struct RunContext;
-}  // namespace certchain::obs
-
-namespace certchain::par {
-class ThreadPool;
-}  // namespace certchain::par
 
 namespace certchain::core {
 
@@ -56,24 +47,5 @@ struct CertPopulationStats {
 CertPopulationStats compute_cert_stats(
     std::string label, const std::vector<const ChainObservation*>& chains,
     std::size_t max_length = 30);
-
-/// Sharded variant: per-shard first-occurrence scans run on the pool, then a
-/// serial shard-order pass applies the global fingerprint dedupe and
-/// accumulates — so each certificate is attributed to exactly the
-/// observation the serial scan would have picked (expiry-at-observation
-/// depends on it). Output is identical to the serial overload; a null or
-/// single-worker pool falls back to it.
-CertPopulationStats compute_cert_stats(
-    std::string label, const std::vector<const ChainObservation*>& chains,
-    std::size_t max_length, par::ThreadPool* pool);
-
-/// Uniform `(input, options, obs)` entry (DESIGN.md §11): resolves
-/// options.threads to the serial or sharded overload and — when `obs` is
-/// given — wraps the scan in a `cert_stats` stage span with chains-in /
-/// distinct-certificate counters. Output is identical at every thread count.
-CertPopulationStats compute_cert_stats(
-    std::string label, const std::vector<const ChainObservation*>& chains,
-    std::size_t max_length, const RunOptions& options,
-    obs::RunContext* obs = nullptr);
 
 }  // namespace certchain::core

@@ -272,10 +272,6 @@ ChainObservation* CorpusIndex::resolve_and_register(
   return &observation;
 }
 
-void CorpusIndex::add_all(const std::vector<zeek::JoinedConnection>& connections) {
-  for (const zeek::JoinedConnection& connection : connections) add(connection);
-}
-
 void CorpusIndex::write_snapshot(obs::json::Writer& writer) const {
   writer.begin_object();
 

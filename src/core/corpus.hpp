@@ -79,7 +79,6 @@ class CorpusIndex {
   /// Folds connections in. Connections without certificates (TLS 1.3,
   /// resumed) contribute to totals only.
   void add(const zeek::JoinedConnection& connection);
-  void add_all(const std::vector<zeek::JoinedConnection>& connections);
 
   /// Fused join+fold (DESIGN.md §16). Resolves the row's fuids against the
   /// joiner and folds the connection in place: no JoinedConnection is

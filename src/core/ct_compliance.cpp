@@ -48,12 +48,4 @@ void CtComplianceAnalyzer::add(const ChainObservation& observation,
   if (ct_logs_->complies(leaf)) bucket->policy_compliant++;
 }
 
-CtComplianceReport CtComplianceAnalyzer::analyze(const CorpusIndex& corpus) const {
-  CtComplianceReport report;
-  for (const auto& [chain_id, observation] : corpus.chains()) {
-    add(observation, report);
-  }
-  return report;
-}
-
 }  // namespace certchain::core

@@ -63,10 +63,6 @@ class CtComplianceAnalyzer {
   /// Folds one unique-chain observation into `into`.
   void add(const ChainObservation& observation, CtComplianceReport& into) const;
 
-  /// Serial fold over the whole corpus (map order; the result is
-  /// order-independent anyway).
-  CtComplianceReport analyze(const CorpusIndex& corpus) const;
-
  private:
   const truststore::TrustStoreSet* stores_;
   const ct::CtLogSet* ct_logs_;

@@ -1,9 +1,11 @@
-// The interned-DN pool and the Dn handle (DESIGN.md §16).
+// The interned-DN pool (DESIGN.md §16).
 //
 // Every distinguished name the ingest path sees is canonicalized exactly
-// once — at intern time — and mapped to a dense DnId. From then on
-// classification, chain categorization, interception lookups, and corpus
-// merges compare 32-bit ids instead of re-canonicalizing strings.
+// once — at intern time — and mapped to a dense DnId, which the joiner
+// stamps on each certificate. From then on the analysis compares 32-bit ids
+// instead of re-canonicalizing strings: issuer classification is a memo
+// load per id (truststore::IssuerClassifier), and categorization's
+// interception-issuer test is an id-set probe.
 //
 // Two intern entry points serve the two ingest shapes:
 //
@@ -110,44 +112,6 @@ class DnPool {
   std::vector<std::unique_ptr<char[]>> arena_chunks_;
   std::size_t arena_used_ = 0;
   std::size_t arena_capacity_ = 0;
-};
-
-/// A pool-qualified DN handle — the public vocabulary for issuer identity
-/// across classify_issuer / categorize_chain / InterceptionDetector. Same
-/// pool: equality is one integer compare. Different pools (or detached
-/// handles): falls back to canonical-view comparison, so handles stay safe
-/// to mix.
-class Dn {
- public:
-  Dn() = default;
-  Dn(DnId id, const DnPool* pool) : id_(id), pool_(pool) {}
-
-  DnId id() const { return id_; }
-  const DnPool* pool() const { return pool_; }
-  bool valid() const { return pool_ != nullptr && id_ != kInvalidDnId; }
-
-  /// Canonical form (matching key). Empty for an invalid handle.
-  std::string_view view() const {
-    return valid() ? pool_->canonical(id_) : std::string_view{};
-  }
-
-  /// RFC 4514 display form.
-  std::string_view display() const {
-    return valid() ? pool_->display(id_) : std::string_view{};
-  }
-
-  /// The parsed name (valid handles only).
-  const x509::DistinguishedName& name() const { return pool_->name(id_); }
-
-  friend bool operator==(const Dn& a, const Dn& b) {
-    if (a.pool_ == b.pool_) return a.id_ == b.id_;
-    return a.view() == b.view();
-  }
-  friend bool operator!=(const Dn& a, const Dn& b) { return !(a == b); }
-
- private:
-  DnId id_ = kInvalidDnId;
-  const DnPool* pool_ = nullptr;
 };
 
 }  // namespace certchain::core

@@ -1,6 +1,5 @@
 #include "core/hybrid_analysis.hpp"
 
-#include <optional>
 #include <set>
 
 #include "util/strings.hpp"
@@ -76,7 +75,7 @@ bool cert_matches_cn(const x509::Certificate& cert, std::string_view cn_fragment
 StructureColumn HybridAnalyzer::build_structure_column(
     const ChainObservation& observation,
     const chain::HybridClassification& cls,
-    truststore::IssuerClassifier* classifier) const {
+    truststore::IssuerClassifier& classifier) const {
   StructureColumn column;
   column.chain_id = observation.chain.id().substr(0, 12);
   const auto& chain = observation.chain;
@@ -111,11 +110,7 @@ StructureColumn HybridAnalyzer::build_structure_column(
       bool any_public = false;
       bool any_non_public = false;
       for (std::size_t j = my_run->begin; j <= my_run->end; ++j) {
-        const IssuerClass cls_j =
-            classifier != nullptr
-                ? classifier->classify(chain.at(j))
-                : stores_->classify_certificate(chain.at(j));
-        if (cls_j == IssuerClass::kPublicDb) {
+        if (classifier.classify(chain.at(j)) == IssuerClass::kPublicDb) {
           any_public = true;
         } else {
           any_non_public = true;
@@ -133,13 +128,10 @@ StructureColumn HybridAnalyzer::build_structure_column(
 HybridReport HybridAnalyzer::analyze(
     const std::vector<const ChainObservation*>& hybrid_chains) const {
   HybridReport report;
-  // One memoized classifier for the whole slice (when a pool was supplied):
-  // every Figure 4 column shares the DnId memo, so each distinct issuer is
-  // classified once per analyze() call instead of once per certificate.
-  std::optional<truststore::IssuerClassifier> column_classifier;
-  if (dn_pool_ != nullptr) column_classifier.emplace(*stores_, *dn_pool_);
-  truststore::IssuerClassifier* memo =
-      column_classifier.has_value() ? &*column_classifier : nullptr;
+  // One memoized classifier for the whole slice: every Figure 4 column
+  // shares the DnId memo, so each distinct issuer is classified once per
+  // analyze() call instead of once per certificate.
+  truststore::IssuerClassifier classifier(*stores_, *dn_pool_);
   std::map<std::string, std::set<std::string>> anchored_entities;  // sector -> entities
   std::map<std::string, std::size_t> anchored_counts;              // sector -> chains
   std::vector<const ChainObservation*> complete;
@@ -194,7 +186,7 @@ HybridReport HybridAnalyzer::analyze(
         report.usage_contains.established += observation->established;
         contains.push_back(observation);
         report.figure4_columns.push_back(
-            build_structure_column(*observation, cls, memo));
+            build_structure_column(*observation, cls, classifier));
 
         // Misconfiguration signatures (Appendix F.2).
         for (const std::size_t index : cls.paths.unnecessary_certificates) {

@@ -113,32 +113,29 @@ struct HybridReport {
 
 class HybridAnalyzer {
  public:
-  /// A non-null `dn_pool` routes the Figure 4 issuer-class lookups through a
-  /// DnId-memoized IssuerClassifier (DESIGN.md §16); certificates without an
-  /// interned issuer id fall back to the string path, so the report is
-  /// byte-identical with or without the pool.
+  /// The Figure 4 issuer-class lookups go through an IssuerClassifier on
+  /// the run's `dn_pool` (DESIGN.md §16); a certificate without an interned
+  /// issuer id falls back to the string path.
   HybridAnalyzer(const truststore::TrustStoreSet& stores,
-                 const ct::CtLogSet& ct_logs,
-                 const chain::CrossSignRegistry* registry = nullptr,
-                 const core::DnPool* dn_pool = nullptr)
-      : stores_(&stores), ct_logs_(&ct_logs), registry_(registry),
-        dn_pool_(dn_pool) {}
+                 const ct::CtLogSet& ct_logs, const core::DnPool& dn_pool,
+                 const chain::CrossSignRegistry* registry = nullptr)
+      : stores_(&stores), ct_logs_(&ct_logs), dn_pool_(&dn_pool),
+        registry_(registry) {}
 
   HybridReport analyze(const std::vector<const ChainObservation*>& hybrid_chains) const;
 
-  /// Builds the Figure 4 column for one analyzed chain. `classifier`, when
-  /// given, memoizes the per-run issuer-class lookups; analyze() threads one
-  /// instance through every column so the memo carries across chains.
+  /// Builds the Figure 4 column for one analyzed chain. analyze() threads
+  /// one classifier through every column so its memo carries across chains.
   StructureColumn build_structure_column(
       const ChainObservation& observation,
       const chain::HybridClassification& cls,
-      truststore::IssuerClassifier* classifier = nullptr) const;
+      truststore::IssuerClassifier& classifier) const;
 
  private:
   const truststore::TrustStoreSet* stores_;
   const ct::CtLogSet* ct_logs_;
-  const chain::CrossSignRegistry* registry_;
   const core::DnPool* dn_pool_;
+  const chain::CrossSignRegistry* registry_;
 };
 
 }  // namespace certchain::core

@@ -1,9 +1,7 @@
 #include "core/interception.hpp"
 
 #include <algorithm>
-#include <optional>
 
-#include "obs/run_context.hpp"
 #include "par/thread_pool.hpp"
 
 namespace certchain::core {
@@ -64,22 +62,6 @@ bool InterceptionDetector::is_interception_candidate(
   if (ct_issuers.empty()) return false;
   for (const x509::DistinguishedName& recorded : ct_issuers) {
     if (recorded.matches(leaf.issuer)) return false;  // observed issuer is on file
-  }
-  return true;
-}
-
-bool InterceptionDetector::is_interception_candidate(
-    core::Dn leaf_issuer, const util::TimeRange& leaf_validity,
-    std::string_view domain) const {
-  if (!leaf_issuer.valid() || domain.empty()) return false;
-  if (stores_->classify_issuer(leaf_issuer) ==
-      truststore::IssuerClass::kPublicDb) {
-    return false;
-  }
-  const auto ct_issuers = ct_logs_->issuers_for_domain(domain, leaf_validity);
-  if (ct_issuers.empty()) return false;
-  for (const x509::DistinguishedName& recorded : ct_issuers) {
-    if (recorded.matches(leaf_issuer.name())) return false;
   }
   return true;
 }
@@ -201,28 +183,6 @@ InterceptionReport InterceptionDetector::detect(const CorpusIndex& corpus,
     merge_fold(folds[0], std::move(folds[i]));
   }
   return finalize_fold(std::move(folds[0]), *directory_);
-}
-
-InterceptionReport InterceptionDetector::detect(const CorpusIndex& corpus,
-                                                const RunOptions& options,
-                                                obs::RunContext* obs) const {
-  std::optional<obs::StageTimer> timer;
-  if (obs != nullptr) timer.emplace(*obs, "interception.detect");
-
-  InterceptionReport report;
-  const std::size_t threads = par::resolve_threads(options.threads);
-  if (threads <= 1) {
-    report = detect(corpus);
-  } else {
-    par::ThreadPool pool(threads);
-    report = detect(corpus, &pool);
-  }
-  if (obs != nullptr) {
-    obs->metrics.count("interception.detect.chains_in",
-                       corpus.unique_chain_count());
-    obs->metrics.count("interception.detect.findings", report.findings.size());
-  }
-  return report;
 }
 
 }  // namespace certchain::core

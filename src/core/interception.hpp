@@ -21,13 +21,8 @@
 
 #include "chain/categorizer.hpp"
 #include "core/corpus.hpp"
-#include "core/run_options.hpp"
 #include "ct/ct_log.hpp"
 #include "truststore/trust_store.hpp"
-
-namespace certchain::obs {
-struct RunContext;
-}  // namespace certchain::obs
 
 namespace certchain::par {
 class ThreadPool;
@@ -99,26 +94,10 @@ class InterceptionDetector {
   InterceptionReport detect(const CorpusIndex& corpus,
                             par::ThreadPool* pool = nullptr) const;
 
-  /// Uniform `(input, options, obs)` entry (DESIGN.md §11): resolves
-  /// options.threads to a pool (or none), and — when `obs` is
-  /// given — wraps detection in an `interception.detect` stage span with
-  /// chains-in/findings counters. Output is identical to the pool overload
-  /// at every thread count.
-  InterceptionReport detect(const CorpusIndex& corpus, const RunOptions& options,
-                            obs::RunContext* obs = nullptr) const;
-
   /// The per-chain primitive: true if the leaf issuer is absent from public
   /// databases and CT records a different issuer for `domain` during the
   /// leaf's validity.
   bool is_interception_candidate(const chain::CertificateChain& chain,
-                                 std::string_view domain) const;
-
-  /// Pool-handle primitive: the same test with the leaf's issuer given as a
-  /// Dn (classification goes through the canonical-form overload, the CT
-  /// cross-reference through the pooled parse). Invalid handles are never
-  /// candidates.
-  bool is_interception_candidate(core::Dn leaf_issuer,
-                                 const util::TimeRange& leaf_validity,
                                  std::string_view domain) const;
 
  private:

@@ -169,8 +169,8 @@ StudyReport StudyPipeline::analyze_corpus(par::ThreadPool* pool,
     auto timer = stage_timer(obs, "structure");
     run_tasks("structure",
               {[&] {
-                 const HybridAnalyzer analyzer(*stores_, *ct_logs_, registry_,
-                                               &dn_pool);
+                 const HybridAnalyzer analyzer(*stores_, *ct_logs_, dn_pool,
+                                               registry_);
                  report.hybrid = analyzer.analyze(hybrid_slice);
                },
                [&] {
@@ -196,15 +196,15 @@ StudyReport StudyPipeline::analyze_corpus(par::ThreadPool* pool,
     run_tasks("graphs",
               {[&] {
                  report.hybrid_graph =
-                     build_pki_graph(hybrid_slice, *stores_, &dn_pool);
+                     build_pki_graph(hybrid_slice, *stores_, dn_pool);
                },
                [&] {
                  report.non_public_graph =
-                     build_pki_graph(non_public_slice, *stores_, &dn_pool);
+                     build_pki_graph(non_public_slice, *stores_, dn_pool);
                },
                [&] {
                  report.interception_graph =
-                     build_pki_graph(interception_slice, *stores_, &dn_pool);
+                     build_pki_graph(interception_slice, *stores_, dn_pool);
                }});
   }
   publish_stage(obs, "graphs", structure_in, structure_in, 0);

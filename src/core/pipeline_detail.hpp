@@ -5,9 +5,10 @@
 // byte-identical reports and identical deterministic counters — is cheap to
 // uphold because one code path serves them all: the fold never sees the
 // pool, and in the analysis a pool only changes how many consecutive ranges
-// run_shards splits the work into, every range running the same body. The counter-publishing blocks read the merged
-// result, so no execution strategy publishes its own numbers. Not part of
-// the public API.
+// run_shards splits the work into, every range running the same body and
+// classifying issuers on the run's one DnPool. The counter-publishing blocks
+// read the merged result, so no execution strategy publishes its own
+// numbers. Not part of the public API.
 #pragma once
 
 #include <functional>
@@ -36,8 +37,8 @@ void publish_stage(obs::RunContext* obs, const char* stage, std::uint64_t in,
 
 /// Splits [0, total) into `shards` consecutive ranges and runs
 /// `body(shard, begin, end)` on each: on `pool` when there is one, else
-/// inline in shard order (the chain::lint_chains shape). With a pool, each
-/// shard's wall time is attached under the open span as `<stage>.shard<k>`.
+/// inline in shard order. With a pool, each shard's wall time is attached
+/// under the open span as `<stage>.shard<k>`.
 void run_shards(
     par::ThreadPool* pool, std::size_t shards, std::size_t total,
     obs::RunContext* obs, const std::string& stage,

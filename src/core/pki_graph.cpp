@@ -1,7 +1,5 @@
 #include "core/pki_graph.hpp"
 
-#include <optional>
-
 #include "chain/matcher.hpp"
 
 namespace certchain::core {
@@ -16,16 +14,14 @@ std::string_view cert_role_name(CertRole role) {
 }
 
 std::size_t PkiGraph::intern_node(const x509::Certificate& cert,
-                                  const truststore::TrustStoreSet& stores,
-                                  truststore::IssuerClassifier* classifier) {
+                                  truststore::IssuerClassifier& classifier) {
   const std::string fingerprint = cert.fingerprint();
   const auto it = by_fingerprint_.find(fingerprint);
   if (it != by_fingerprint_.end()) return it->second;
   PkiGraphNode node;
   node.fingerprint = fingerprint;
   node.subject = cert.subject.to_string();
-  node.issuer_class = classifier != nullptr ? classifier->classify(cert)
-                                            : stores.classify_certificate(cert);
+  node.issuer_class = classifier.classify(cert);
   node.role = CertRole::kLeaf;  // promoted later as evidence accumulates
   const std::size_t index = nodes_.size();
   nodes_.push_back(std::move(node));
@@ -121,21 +117,18 @@ std::size_t PkiGraph::connected_components() const {
 
 PkiGraph build_pki_graph(const std::vector<const ChainObservation*>& chains,
                          const truststore::TrustStoreSet& stores,
-                         const core::DnPool* dn_pool, std::size_t max_length) {
+                         const core::DnPool& dn_pool, std::size_t max_length) {
   PkiGraph graph;
   // One classifier for the whole build: its DnId memo carries across chains,
   // so a corpus that repeats the same few issuers classifies each one once.
-  std::optional<truststore::IssuerClassifier> classifier;
-  if (dn_pool != nullptr) classifier.emplace(stores, *dn_pool);
-  truststore::IssuerClassifier* memo =
-      classifier.has_value() ? &*classifier : nullptr;
+  truststore::IssuerClassifier classifier(stores, dn_pool);
   for (const ChainObservation* observation : chains) {
     const auto& chain = observation->chain;
     if (chain.empty() || chain.length() > max_length) continue;
     std::vector<std::size_t> indices;
     indices.reserve(chain.length());
     for (const x509::Certificate& cert : chain) {
-      indices.push_back(graph.intern_node(cert, stores, memo));
+      indices.push_back(graph.intern_node(cert, classifier));
     }
     const chain::MatchResult match = chain::match_chain(chain);
     std::vector<bool> matched;

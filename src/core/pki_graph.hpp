@@ -69,12 +69,10 @@ class PkiGraph {
   /// edges (all-pairs is quadratic; see note_chain).
   static constexpr std::size_t kMaxCoOccurrenceChain = 64;
 
-  // Construction API (used by build_pki_graph). With a classifier the
-  // issuer-class lookup is a DnId memo load (§16) instead of a canonical-
-  // string probe; verdicts are identical either way.
+  // Construction API (used by build_pki_graph). The issuer-class lookup is
+  // a DnId memo load (§16) for a certificate with an interned issuer id.
   std::size_t intern_node(const x509::Certificate& cert,
-                          const truststore::TrustStoreSet& stores,
-                          truststore::IssuerClassifier* classifier = nullptr);
+                          truststore::IssuerClassifier& classifier);
   void note_chain(const std::vector<std::size_t>& node_indices,
                   const std::vector<bool>& pair_matched);
   void promote_role(std::size_t index, CertRole role);
@@ -91,13 +89,12 @@ class PkiGraph {
 /// a root; a certificate that issues another observed certificate (or is
 /// CA:TRUE) is an intermediate; everything else is a leaf. Chains longer
 /// than `max_length` are excluded entirely (the Figure 1 outlier chains
-/// would otherwise flood the graph with thousands of junk nodes). A non-null
-/// `dn_pool` routes issuer classification through a DnId-memoized
-/// IssuerClassifier; certificates without an interned issuer id fall back to
-/// the string path, so graphs are byte-identical with or without the pool.
+/// would otherwise flood the graph with thousands of junk nodes). Issuer
+/// classification goes through an IssuerClassifier on the run's `dn_pool`;
+/// a certificate without an interned issuer id falls back to the string path.
 PkiGraph build_pki_graph(const std::vector<const ChainObservation*>& chains,
                          const truststore::TrustStoreSet& stores,
-                         const core::DnPool* dn_pool = nullptr,
+                         const core::DnPool& dn_pool,
                          std::size_t max_length = 30);
 
 }  // namespace certchain::core

@@ -1,5 +1,4 @@
-// Execution options for every StudyPipeline entry point and for the
-// standalone parallel analyzers (interception, cert_stats).
+// Execution options for StudyPipeline::run.
 //
 // One options struct covers the whole execution envelope: ingestion policy,
 // worker count, the chunk size every raw-text input is fed in, and the
@@ -12,7 +11,6 @@
 #include <string>
 
 #include "core/ingest.hpp"
-#include "par/exec.hpp"
 
 namespace certchain::core {
 
@@ -42,9 +40,6 @@ struct RunOptions {
   /// of starting over. The file is removed on successful completion. Ignored
   /// for in-memory inputs.
   std::string checkpoint_path;
-
-  /// The layer-neutral projection consumed by analyzers below core.
-  par::ExecOptions exec() const { return par::ExecOptions{threads}; }
 };
 
 }  // namespace certchain::core

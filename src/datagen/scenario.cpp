@@ -78,7 +78,6 @@ void add_public_endpoints(Scenario& scenario, const ScenarioConfig& config,
                           util::Rng& rng) {
   PkiWorld& world = scenario.world;
   const std::size_t count = scaled(240000.0, config.chain_scale, 200);
-  const util::TimeRange validity = PkiWorld::default_leaf_validity();
   const char* ca_names[] = {"digicert", "sectigo",    "lets-encrypt", "godaddy",
                             "comodo",   "globalsign", "symantec",     "usertrust"};
 

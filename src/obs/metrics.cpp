@@ -52,30 +52,6 @@ void FixedHistogram::observe(double value, std::uint64_t count) {
   counts_[static_cast<std::size_t>(it - bounds_.begin())] += count;
 }
 
-void FixedHistogram::merge_from(const FixedHistogram& other) {
-  if (other.count_ == 0) return;
-  if (count_ == 0) {
-    min_ = other.min_;
-    max_ = other.max_;
-  } else {
-    min_ = std::min(min_, other.min_);
-    max_ = std::max(max_, other.max_);
-  }
-  if (bounds_ == other.bounds_) {
-    for (std::size_t i = 0; i < counts_.size(); ++i) counts_[i] += other.counts_[i];
-  } else {
-    for (std::size_t i = 0; i < other.counts_.size(); ++i) {
-      if (other.counts_[i] == 0) continue;
-      const double value =
-          i < other.bounds_.size() ? other.bounds_[i] : other.max_;
-      const auto it = std::lower_bound(bounds_.begin(), bounds_.end(), value);
-      counts_[static_cast<std::size_t>(it - bounds_.begin())] += other.counts_[i];
-    }
-  }
-  count_ += other.count_;
-  sum_ += other.sum_;
-}
-
 double FixedHistogram::percentile(double q) const {
   if (count_ == 0) return 0.0;
   q = std::clamp(q, 0.0, 1.0);
@@ -145,11 +121,6 @@ void MetricsRegistry::clear() {
   gauges_.clear();
   histograms_.clear();
   timings_.clear();
-}
-
-MetricsRegistry& MetricsRegistry::global() {
-  static MetricsRegistry instance;
-  return instance;
 }
 
 }  // namespace certchain::obs

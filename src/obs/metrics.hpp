@@ -1,4 +1,4 @@
-// Process-wide but injectable metrics registry.
+// Injectable metrics registry.
 //
 // Every layer of the pipeline reports what it admitted and dropped through a
 // MetricsRegistry: monotonically increasing counters, last-write gauges, and
@@ -55,14 +55,6 @@ class FixedHistogram {
 
   /// Quantile estimate for q in [0, 1]. 0 when empty.
   double percentile(double q) const;
-
-  /// Folds another histogram in. count/sum/min/max merge exactly regardless
-  /// of grids. Bucket counts add bucket-wise when both histograms share the
-  /// same bounds (the common case — every registry names one grid per
-  /// series); with differing grids each foreign bucket is refiled at its
-  /// upper bound (overflow at the foreign max), which keeps totals exact but
-  /// makes bucket placement approximate.
-  void merge_from(const FixedHistogram& other);
   double p50() const { return percentile(0.50); }
   double p90() const { return percentile(0.90); }
   double p99() const { return percentile(0.99); }
@@ -116,11 +108,6 @@ class MetricsRegistry {
            timings_.empty();
   }
   void clear();
-
-  /// The process-wide default instance. Components take a registry by
-  /// pointer so tests and tools can inject their own; code that wants the
-  /// ambient one passes &MetricsRegistry::global().
-  static MetricsRegistry& global();
 
  private:
   std::map<std::string, std::uint64_t> counters_;

@@ -2,11 +2,6 @@
 
 namespace certchain::obs {
 
-RunContext& RunContext::global() {
-  static RunContext instance;
-  return instance;
-}
-
 StageTimer::StageTimer(RunContext& context, std::string name)
     : metrics_(&context.metrics),
       metric_name_("time." + name + ".ms"),

@@ -2,8 +2,7 @@
 // and the config snapshot the RunManifest is built from.
 //
 // Components accept a RunContext* (nullptr = telemetry off, zero overhead
-// beyond the branch); tools that want ambient process-wide telemetry pass
-// &RunContext::global(). StageTimer is the standard way to mark a pipeline
+// beyond the branch). StageTimer is the standard way to mark a pipeline
 // stage: it opens a span in the trace AND records the duration into the
 // registry's timing map as `time.<name>.ms`, so both the trace tree and the
 // flat exporters see the same number.
@@ -37,9 +36,6 @@ struct RunContext {
     trace.clear();
     config.clear();
   }
-
-  /// Ambient process-wide context, for tools that don't thread their own.
-  static RunContext& global();
 };
 
 /// RAII stage scope: trace span + `time.<name>.ms` timing on close.

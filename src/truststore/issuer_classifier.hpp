@@ -43,19 +43,12 @@ class IssuerClassifier {
     return slot == kPublic ? IssuerClass::kPublicDb : IssuerClass::kNonPublicDb;
   }
 
-  IssuerClass classify(core::Dn issuer) {
-    return issuer.valid() ? classify(issuer.id())
-                          : stores_->classify_issuer(issuer.view());
-  }
-
   /// Classification of a certificate = classification of its issuer; uses
   /// the interned id when the certificate carries one.
   IssuerClass classify(const x509::Certificate& cert) {
     if (cert.issuer_id != core::kInvalidDnId) return classify(cert.issuer_id);
     return stores_->classify_certificate(cert);
   }
-
-  const core::DnPool& pool() const { return *pool_; }
 
  private:
   static constexpr std::uint8_t kUnknown = 0;

@@ -12,7 +12,11 @@
 //     only if they chain to a participating program's root AND are either
 //     technically constrained or publicly audited (mirroring the paper's
 //     description of CCADB inclusion rules);
-//   - TrustStoreSet: the union view used for issuer classification.
+//   - TrustStoreSet: the union view used for issuer classification. Its
+//     overloads key on the canonical issuer form, so they serve names no
+//     DnPool has seen, such as the chains a client submits to the daemon;
+//     the study's analysis classifies through IssuerClassifier
+//     (issuer_classifier.hpp), which memoizes these verdicts per DnId.
 #pragma once
 
 #include <cstdint>
@@ -22,7 +26,6 @@
 #include <string_view>
 #include <vector>
 
-#include "core/dn_pool.hpp"
 #include "x509/certificate.hpp"
 
 namespace certchain::truststore {
@@ -132,13 +135,10 @@ class TrustStoreSet {
 
   /// §3.2.1: public-DB iff the issuer name appears in >= 1 root store or in
   /// an eligible CCADB record. The canonical-form overload is the primitive;
-  /// the DN and pool-handle overloads delegate to it.
+  /// the DN overload delegates to it.
   IssuerClass classify_issuer(std::string_view issuer_canonical) const;
   IssuerClass classify_issuer(const x509::DistinguishedName& issuer_name) const {
     return classify_issuer(std::string_view(issuer_name.canonical()));
-  }
-  IssuerClass classify_issuer(core::Dn issuer) const {
-    return classify_issuer(issuer.view());
   }
 
   /// Classification of a certificate = classification of its issuer.

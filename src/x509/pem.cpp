@@ -1,6 +1,7 @@
 #include "x509/pem.hpp"
 
 #include <charconv>
+#include <limits>
 
 #include "util/base64.hpp"
 #include "util/strings.hpp"
@@ -48,6 +49,19 @@ bool parse_i64(std::string_view text, std::int64_t& out) {
   const auto* end = text.data() + text.size();
   const auto result = std::from_chars(begin, end, out);
   return result.ec == std::errc{} && result.ptr == end;
+}
+
+/// A count field (version, pathlen) in [0, INT_MAX], the range the Zeek x509
+/// row parser enforces for the same fields; anything else is rejected, never
+/// narrowed.
+bool parse_count(std::string_view text, int& out) {
+  std::int64_t value = 0;
+  if (!parse_i64(text, value) || value < 0 ||
+      value > std::numeric_limits<int>::max()) {
+    return false;
+  }
+  out = static_cast<int>(value);
+  return true;
 }
 
 }  // namespace
@@ -117,9 +131,7 @@ std::optional<Certificate> decode_der_sim(std::string_view data) {
       if (value != "certchain-der-sim/1") return std::nullopt;
       saw_format = true;
     } else if (key == "version") {
-      std::int64_t v = 0;
-      if (!parse_i64(value, v)) return std::nullopt;
-      cert.version = static_cast<int>(v);
+      if (!parse_count(value, cert.version)) return std::nullopt;
     } else if (key == "serial") {
       cert.serial = value;
     } else if (key == "issuer") {
@@ -183,9 +195,9 @@ std::optional<Certificate> decode_der_sim(std::string_view data) {
       }
       for (std::size_t i = 1; i < parts.size(); ++i) {
         if (util::starts_with(parts[i], "pathlen:")) {
-          std::int64_t len = 0;
-          if (!parse_i64(std::string_view(parts[i]).substr(8), len)) return std::nullopt;
-          cert.basic_constraints.path_len_constraint = static_cast<int>(len);
+          int len = 0;
+          if (!parse_count(std::string_view(parts[i]).substr(8), len)) return std::nullopt;
+          cert.basic_constraints.path_len_constraint = len;
         }
       }
     } else if (key == "nc-present") {

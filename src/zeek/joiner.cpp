@@ -126,12 +126,4 @@ JoinedConnection LogJoiner::join(const SslLogRecord& ssl) const {
   return joined;
 }
 
-std::vector<JoinedConnection> LogJoiner::join_all(
-    const std::vector<SslLogRecord>& ssl) const {
-  std::vector<JoinedConnection> out;
-  out.reserve(ssl.size());
-  for (const SslLogRecord& record : ssl) out.push_back(join(record));
-  return out;
-}
-
 }  // namespace certchain::zeek

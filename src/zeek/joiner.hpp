@@ -68,7 +68,6 @@ class LogJoiner {
   }
 
   JoinedConnection join(const SslLogRecord& ssl) const;
-  std::vector<JoinedConnection> join_all(const std::vector<SslLogRecord>& ssl) const;
 
  private:
   std::map<std::string, x509::Certificate> by_fuid_;

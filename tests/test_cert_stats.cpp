@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include "../tests/helpers.hpp"
-#include "obs/run_context.hpp"
 
 namespace certchain::core {
 namespace {
@@ -80,33 +79,6 @@ TEST(CertStats, AlgorithmCounters) {
   EXPECT_EQ(stats.key_algorithms.total(), 3u);
   EXPECT_GE(stats.key_algorithms.count("ecdsa-p256"), 1u);  // the leaf key
   EXPECT_GE(stats.signature_algorithms.count("sha256WithRSAEncryption"), 1u);
-}
-
-
-TEST(CertStats, UniformEntryMatchesSerialAndPublishesTelemetry) {
-  TestPki pki;
-  ChainObservation a;
-  a.chain = pki.chain_for("uniform1.example", true);
-  ChainObservation b;
-  b.chain = pki.chain_for("uniform2.example", true);
-  const std::vector<const ChainObservation*> chains = {&a, &b};
-
-  const CertPopulationStats serial = compute_cert_stats("u", chains);
-  obs::RunContext context;
-  RunOptions options;
-  options.threads = 4;
-  const CertPopulationStats uniform =
-      compute_cert_stats("u", chains, 30, options, &context);
-
-  EXPECT_EQ(uniform.distinct_certificates, serial.distinct_certificates);
-  EXPECT_EQ(uniform.self_signed, serial.self_signed);
-  EXPECT_EQ(uniform.key_algorithms.total(), serial.key_algorithms.total());
-  EXPECT_EQ(context.metrics.counter("cert_stats.chains_in"), 2u);
-  EXPECT_EQ(context.metrics.counter("cert_stats.distinct_certificates"),
-            serial.distinct_certificates);
-  ASSERT_EQ(context.trace.node_count(), 1u);
-  EXPECT_EQ(context.trace.root().children[0]->name, "cert_stats");
-  EXPECT_EQ(context.metrics.timings().count("time.cert_stats.ms"), 1u);
 }
 
 }  // namespace

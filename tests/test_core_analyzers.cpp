@@ -12,7 +12,7 @@
 #include "core/report_text.hpp"
 #include "netsim/pki_world.hpp"
 #include "obs/json.hpp"
-#include "obs/run_context.hpp"
+#include "par/thread_pool.hpp"
 #include "util/hash.hpp"
 #include "util/strings.hpp"
 #include "zeek/log_io.hpp"
@@ -338,32 +338,56 @@ TEST_F(InterceptionTest, DetectsForgedChainViaCtMismatch) {
 }
 
 
-TEST_F(InterceptionTest, UniformEntryMatchesSerialAndPublishesTelemetry) {
-  const InterceptionDetector detector(stores_, ct_logs_, directory_);
+TEST_F(InterceptionTest, PooledDetectionMatchesSerial) {
+  // Enough chains that each of four workers folds a range: two confirmed
+  // issuers of one vendor, an unconfirmed issuer and public traffic, with
+  // clients shared across chains so the range merge must sum counts and
+  // deduplicate client ids.
+  x509::CertificateAuthority second_ca(dn("CN=MBox Regional CA,O=MBox"), "mbox2");
+  directory_[second_ca.name().canonical()] =
+      VendorInfo{"Sim MBox", "Security & Network"};
+  x509::CertificateAuthority unknown(dn("CN=Mystery CA"), "mystery");
+  x509::CertificateAuthority* const forgers[] = {&middlebox_, &second_ca, &unknown};
+  x509::DistinguishedName subject;
+  subject.add("CN", "victim.example");
+
   CorpusIndex corpus;
-  corpus.add(make_connection(make_chain({forged_leaf_}), "10.0.0.5", "s", 8013,
-                             true, "victim.example"));
-  corpus.add(make_connection(pki_.chain_for("clean.example"), "10.0.0.6", "t",
-                             443, true, "clean.example"));
-
-  const InterceptionReport serial = detector.detect(corpus);
-  obs::RunContext context;
-  RunOptions options;
-  options.threads = 4;
-  const InterceptionReport uniform = detector.detect(corpus, options, &context);
-
-  ASSERT_EQ(uniform.findings.size(), serial.findings.size());
-  for (std::size_t i = 0; i < serial.findings.size(); ++i) {
-    EXPECT_EQ(uniform.findings[i].vendor.vendor, serial.findings[i].vendor.vendor);
-    EXPECT_EQ(uniform.findings[i].connections, serial.findings[i].connections);
+  for (int i = 0; i < 24; ++i) {
+    const std::string client = "10.0.0." + std::to_string(i % 5);
+    const auto forged = make_chain(
+        {forgers[i % 3]->issue_leaf(subject, "victim.example", test_validity())});
+    corpus.add(make_connection(forged, client, "s", 8013, true, "victim.example"));
+    if (i % 2 == 1) {
+      corpus.add(make_connection(forged, "10.0.0." + std::to_string((i + 1) % 5),
+                                 "s", 8013, true, "victim.example"));
+    }
+    corpus.add(make_connection(pki_.chain_for("clean" + std::to_string(i) + ".example"),
+                               client, "t", 443, true, "clean.example"));
   }
-  EXPECT_EQ(context.metrics.counter("interception.detect.chains_in"),
-            corpus.unique_chain_count());
-  EXPECT_EQ(context.metrics.counter("interception.detect.findings"),
-            serial.findings.size());
-  ASSERT_EQ(context.trace.node_count(), 1u);
-  EXPECT_EQ(context.trace.root().children[0]->name, "interception.detect");
-  EXPECT_EQ(context.metrics.timings().count("time.interception.detect.ms"), 1u);
+  ASSERT_EQ(corpus.unique_chain_count(), 48u);
+
+  const InterceptionDetector detector(stores_, ct_logs_, directory_);
+  const InterceptionReport serial = detector.detect(corpus);
+  par::ThreadPool pool(4);
+  const InterceptionReport pooled = detector.detect(corpus, &pool);
+
+  ASSERT_EQ(serial.findings.size(), 2u);
+  EXPECT_EQ(serial.findings[0].client_ips.size(), 5u);
+  EXPECT_EQ(serial.unconfirmed_candidates.size(), 1u);
+  ASSERT_EQ(pooled.findings.size(), serial.findings.size());
+  for (std::size_t i = 0; i < serial.findings.size(); ++i) {
+    const InterceptionFinding& want = serial.findings[i];
+    const InterceptionFinding& got = pooled.findings[i];
+    EXPECT_EQ(got.issuer_canonical, want.issuer_canonical);
+    EXPECT_EQ(got.issuer_display, want.issuer_display);
+    EXPECT_EQ(got.vendor.vendor, want.vendor.vendor);
+    EXPECT_EQ(got.vendor.category, want.vendor.category);
+    EXPECT_EQ(got.connections, want.connections);
+    EXPECT_EQ(got.client_ips, want.client_ips);
+  }
+  EXPECT_EQ(pooled.unconfirmed_candidates, serial.unconfirmed_candidates);
+  EXPECT_EQ(pooled.total_connections, serial.total_connections);
+  EXPECT_EQ(pooled.vendor_issuer_dns, serial.vendor_issuer_dns);
 }
 
 TEST_F(InterceptionTest, GenuineChainIsNotFlagged) {
@@ -457,7 +481,8 @@ TEST(HybridAnalyzer, Figure4ColumnLabels) {
   TestPki pki;
   const auto stores = pki.trusted_stores();
   ct::CtLogSet ct_logs(2);
-  const HybridAnalyzer analyzer(stores, ct_logs);
+  const DnPool dn_pool;
+  const HybridAnalyzer analyzer(stores, ct_logs, dn_pool);
 
   // [pub leaf, pub int, pub root, enterprise self-signed]: a public complete
   // run plus a non-public single.
@@ -466,7 +491,9 @@ TEST(HybridAnalyzer, Figure4ColumnLabels) {
   ChainObservation observation;
   observation.chain = chain;
   const auto cls = chain::classify_hybrid(chain, stores);
-  const StructureColumn column = analyzer.build_structure_column(observation, cls);
+  truststore::IssuerClassifier classifier(stores, dn_pool);
+  const StructureColumn column =
+      analyzer.build_structure_column(observation, cls, classifier);
   ASSERT_EQ(column.cells.size(), 4u);
   EXPECT_EQ(structure_cell_code(column.cells[0]), "Pub.Complete");
   EXPECT_EQ(structure_cell_code(column.cells[1]), "Pub.Complete");
@@ -496,7 +523,8 @@ TEST(HybridAnalyzer, AnchoredRowsAndCtCompliance) {
   observation.established = 10;
   observation.last_seen = util::make_time(2021, 1, 1);
 
-  const HybridAnalyzer analyzer(stores, ct_logs);
+  const DnPool dn_pool;
+  const HybridAnalyzer analyzer(stores, ct_logs, dn_pool);
   const HybridReport report = analyzer.analyze({&observation});
   EXPECT_EQ(report.complete_nonpub_to_pub, 1u);
   EXPECT_EQ(report.anchored_ct_logged, 1u);
@@ -522,7 +550,8 @@ TEST(HybridAnalyzer, FakeLeSignatureDetected) {
   observation.connections = 5;
   observation.established = 4;
 
-  const HybridAnalyzer analyzer(stores, ct_logs);
+  const DnPool dn_pool;
+  const HybridAnalyzer analyzer(stores, ct_logs, dn_pool);
   const HybridReport report = analyzer.analyze({&observation});
   EXPECT_EQ(report.contains_complete_path, 1u);
   EXPECT_EQ(report.fake_le_chains, 1u);
@@ -627,7 +656,7 @@ TEST(PkiGraph, RolesEdgesAndComponents) {
   ChainObservation lone;
   lone.chain = make_chain({self_signed("lonely"), self_signed("lonelier")});
 
-  const PkiGraph graph = build_pki_graph({&a, &b, &lone}, stores);
+  const PkiGraph graph = build_pki_graph({&a, &b, &lone}, stores, DnPool());
   // Nodes: 2 leaves + shared int + shared root + 2 lonely = 6.
   EXPECT_EQ(graph.node_count(), 6u);
   // Two components: the pki cluster and the lonely pair.
@@ -673,7 +702,7 @@ TEST(PkiGraph, ComplexIntermediates) {
   for (const auto& observation : observations) pointers.push_back(&observation);
 
   const truststore::TrustStoreSet empty_stores;
-  const PkiGraph graph = build_pki_graph(pointers, empty_stores);
+  const PkiGraph graph = build_pki_graph(pointers, empty_stores, DnPool());
   const auto complex = graph.complex_intermediates(3);
   ASSERT_EQ(complex.size(), 1u);
   EXPECT_EQ(graph.nodes()[complex[0]].subject, "CN=CHub");
@@ -685,7 +714,7 @@ TEST(PkiGraph, ChainCountsAndCoOccurrence) {
   const auto stores = pki.trusted_stores();
   ChainObservation a;
   a.chain = pki.chain_for("cc.example");
-  const PkiGraph graph = build_pki_graph({&a}, stores);
+  const PkiGraph graph = build_pki_graph({&a}, stores, DnPool());
   ASSERT_EQ(graph.node_count(), 2u);
   EXPECT_EQ(graph.nodes()[0].chain_count, 1u);
   EXPECT_EQ(graph.co_occurrence_edges().size(), 1u);

@@ -3,6 +3,7 @@
 
 #include "../tests/helpers.hpp"
 #include "crypto/sim_crypto.hpp"
+#include "util/strings.hpp"
 #include "x509/builder.hpp"
 #include "x509/pem.hpp"
 
@@ -270,6 +271,37 @@ TEST(Pem, DerSimRejectsUnknownFields) {
   std::string der = x509::encode_der_sim(pki.leaf("x.example"));
   der += "mystery:value\n";
   EXPECT_FALSE(x509::decode_der_sim(der).has_value());
+}
+
+TEST(Pem, DerSimRejectsOutOfRangeIntegers) {
+  // version and pathlen are ints: a value outside [0, INT_MAX] is rejected,
+  // never narrowed (4294967299 would otherwise decode as 3).
+  TestPki pki;
+  x509::CertificateAuthority constrained(dn("CN=Constrained CA"), "constrained");
+  const std::string der = x509::encode_der_sim(
+      pki.root_ca.issue_intermediate(constrained, test_validity(), 1));
+  ASSERT_NE(der.find("\nversion:3\n"), std::string::npos);
+  ASSERT_NE(der.find(",pathlen:"), std::string::npos);
+  const auto with_version = [&der](const std::string& version) {
+    return util::replace_all(der, "\nversion:3\n", "\nversion:" + version + "\n");
+  };
+  const auto with_pathlen = [&der](const std::string& pathlen) {
+    const std::size_t begin = der.find(",pathlen:") + 9;
+    const std::size_t end = der.find('\n', begin);
+    return der.substr(0, begin) + pathlen + der.substr(end);
+  };
+  for (const std::string bad : {"4294967299", "4294967297", "2147483648", "-7",
+                                "-5", "99999999999999999999"}) {
+    EXPECT_FALSE(x509::decode_der_sim(with_version(bad)).has_value()) << bad;
+    EXPECT_FALSE(x509::decode_der_sim(with_pathlen(bad)).has_value()) << bad;
+  }
+
+  const auto max_version = x509::decode_der_sim(with_version("2147483647"));
+  ASSERT_TRUE(max_version.has_value());
+  EXPECT_EQ(max_version->version, 2147483647);
+  const auto max_pathlen = x509::decode_der_sim(with_pathlen("2147483647"));
+  ASSERT_TRUE(max_pathlen.has_value());
+  EXPECT_EQ(max_pathlen->basic_constraints.path_len_constraint, 2147483647);
 }
 
 }  // namespace

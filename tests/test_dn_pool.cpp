@@ -107,26 +107,6 @@ TEST(DnPool, ViewsSurviveGrowthAndMove) {
   EXPECT_EQ(moved.intern_raw("cn=first ca,o=org").name, variant.name);
 }
 
-TEST(DnPool, DnHandleEquality) {
-  DnPool pool;
-  DnPool other;
-  const core::Dn a(pool.intern("CN=Shared"), &pool);
-  const core::Dn b(pool.intern("cn=shared"), &pool);
-  const core::Dn c(pool.intern("CN=Different"), &pool);
-  EXPECT_EQ(a, b);  // same pool: integer compare
-  EXPECT_NE(a, c);
-
-  // Cross-pool handles fall back to canonical-view comparison.
-  const core::Dn foreign(other.intern("CN=SHARED"), &other);
-  EXPECT_EQ(a, foreign);
-
-  const core::Dn invalid;
-  EXPECT_FALSE(invalid.valid());
-  EXPECT_EQ(invalid.view(), "");
-  EXPECT_NE(a, invalid);
-  EXPECT_EQ(invalid, core::Dn());
-}
-
 TEST(DnPool, CollisionHeavyCorpusSharesIds) {
   // Re-spell every issuer/subject a datagen scenario produces (case flips,
   // padded whitespace): the pool must keep one id per canonical form no

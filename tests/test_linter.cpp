@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include "../tests/helpers.hpp"
-#include "obs/run_context.hpp"
 
 namespace certchain::chain {
 namespace {
@@ -137,37 +136,6 @@ TEST(Linter, CrossSignRegistrySuppressesFalseMismatch) {
 TEST(Linter, NamesAreDefined) {
   EXPECT_EQ(lint_severity_name(LintSeverity::kError), "error");
   EXPECT_EQ(lint_code_name(LintCode::kStagingCertificate), "staging-certificate");
-}
-
-
-TEST(Linter, UniformEntryMatchesSerialAndPublishesTelemetry) {
-  TestPki pki;
-  auto clean = pki.chain_for("uniform-a.example", true);
-  auto noisy = pki.chain_for("uniform-b.example", true);
-  noisy.push_back(self_signed("stray"));
-  const std::vector<const CertificateChain*> chains = {&clean, &noisy};
-
-  const std::vector<LintReport> serial = lint_chains(chains, {kNow});
-  obs::RunContext context;
-  par::ExecOptions exec;
-  exec.threads = 4;
-  const std::vector<LintReport> uniform =
-      lint_chains(chains, {kNow}, exec, &context);
-
-  ASSERT_EQ(uniform.size(), serial.size());
-  std::size_t findings = 0;
-  for (std::size_t i = 0; i < serial.size(); ++i) {
-    ASSERT_EQ(uniform[i].findings.size(), serial[i].findings.size());
-    for (std::size_t j = 0; j < serial[i].findings.size(); ++j) {
-      EXPECT_EQ(uniform[i].findings[j].code, serial[i].findings[j].code);
-    }
-    findings += serial[i].findings.size();
-  }
-  EXPECT_EQ(context.metrics.counter("lint.chains_in"), 2u);
-  EXPECT_EQ(context.metrics.counter("lint.findings"), findings);
-  ASSERT_EQ(context.trace.node_count(), 1u);
-  EXPECT_EQ(context.trace.root().children[0]->name, "lint");
-  EXPECT_EQ(context.metrics.timings().count("time.lint.ms"), 1u);
 }
 
 }  // namespace

@@ -408,49 +408,6 @@ TEST(Export, TextRendersCountersAndManifest) {
   EXPECT_EQ(text.find("DOES NOT RECONCILE"), std::string::npos);
 }
 
-// --- histogram merging ------------------------------------------------------
-
-TEST(FixedHistogramMerge, SameBoundsAddBucketwiseIncludingBoundaryValues) {
-  FixedHistogram a({1.0, 10.0, 100.0});
-  FixedHistogram b({1.0, 10.0, 100.0});
-  // Values exactly on a bucket's upper bound belong to that bucket
-  // (lower_bound placement) — the merge must keep them there.
-  a.observe(1.0);
-  a.observe(10.0);
-  b.observe(1.0);
-  b.observe(100.0);
-  b.observe(1000.0);  // overflow bucket
-
-  a.merge_from(b);
-  EXPECT_EQ(a.count(), 5u);
-  EXPECT_DOUBLE_EQ(a.sum(), 1112.0);
-  EXPECT_DOUBLE_EQ(a.min(), 1.0);
-  EXPECT_DOUBLE_EQ(a.max(), 1000.0);
-  const std::vector<std::uint64_t> expected{2, 1, 1, 1};
-  EXPECT_EQ(a.bucket_counts(), expected);
-}
-
-TEST(FixedHistogramMerge, DifferentBoundsRefileButKeepTotalsExact) {
-  FixedHistogram coarse({100.0});
-  coarse.observe(50.0);
-
-  FixedHistogram fine({1.0, 10.0});
-  fine.observe(0.5);
-  fine.observe(5.0);
-  fine.observe(20.0);  // fine's overflow bucket, refiled at fine.max()
-
-  coarse.merge_from(fine);
-  // The exact aggregates survive any grid mismatch.
-  EXPECT_EQ(coarse.count(), 4u);
-  EXPECT_DOUBLE_EQ(coarse.sum(), 75.5);
-  EXPECT_DOUBLE_EQ(coarse.min(), 0.5);
-  EXPECT_DOUBLE_EQ(coarse.max(), 50.0);
-  // Each foreign bucket was refiled at its upper bound (1.0 and 10.0), the
-  // foreign overflow at the foreign max (20.0) — all <= 100.
-  const std::vector<std::uint64_t> expected{4, 0};
-  EXPECT_EQ(coarse.bucket_counts(), expected);
-}
-
 TEST(Trace, AttachClosedNestsUnderTheOpenSpan) {
   Trace trace;
   {
