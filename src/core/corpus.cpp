@@ -223,32 +223,27 @@ void CorpusIndex::fold(const zeek::LogJoiner& joiner, const FoldRow& row) {
 
 ChainObservation* CorpusIndex::resolve_and_register(
     const zeek::LogJoiner& joiner, bool& missing) {
-  const std::map<std::string, x509::Certificate>& by_fuid =
-      joiner.certificates();
   fold_.certs.clear();
   const std::string_view key = fold_.key;
   for (std::size_t pos = 0; pos < key.size();) {
     std::size_t size = 0;
     std::memcpy(&size, key.data() + pos, sizeof size);
     pos += sizeof size;
-    fold_.fuid.assign(key.substr(pos, size));
+    const x509::CertificateHandle* cert = joiner.find(key.substr(pos, size));
     pos += size;
-    const auto it = by_fuid.find(fold_.fuid);
-    if (it == by_fuid.end()) {
+    if (cert == nullptr) {
       missing = true;
     } else {
-      fold_.certs.push_back(&it->second);
+      fold_.certs.push_back(cert);
     }
   }
   if (fold_.certs.empty()) return nullptr;
 
   fold_.id_bytes.clear();
-  for (const x509::Certificate* cert : fold_.certs) {
-    // Joiner-built certificates are fingerprint-sealed, so this is a memo
-    // read; the fallback recomputes for certificates that never were.
-    const std::string& fingerprint =
-        cert->fingerprint_memo.empty() ? (fold_.fingerprint = cert->fingerprint())
-                                       : cert->fingerprint_memo;
+  for (const x509::CertificateHandle* cert : fold_.certs) {
+    // LogJoiner::add seals every certificate, so the fingerprint is a memo
+    // read, not a digest.
+    const std::string& fingerprint = (*cert)->fingerprint_memo;
     if (certificate_fingerprints_.insert(fingerprint).second) {
       ++totals_.distinct_certificates;
     }
@@ -261,12 +256,11 @@ ChainObservation* CorpusIndex::resolve_and_register(
   ChainObservation& observation =
       observation_slot(util::digest256_hex(fold_.id_bytes));
   if (observation.connections == 0) {
-    // First observation of this chain id: the one place the certificates are
-    // copied (once per unique chain, not once per connection); their issuer
-    // and subject share the joiner's DN bodies.
-    std::vector<x509::Certificate> certs;
+    // First observation of this chain id: the chain shares the joiner's
+    // certificates, one handle each.
+    std::vector<x509::CertificateHandle> certs;
     certs.reserve(fold_.certs.size());
-    for (const x509::Certificate* cert : fold_.certs) certs.push_back(*cert);
+    for (const x509::CertificateHandle* cert : fold_.certs) certs.push_back(*cert);
     observation.chain = chain::CertificateChain(std::move(certs));
   }
   return &observation;
@@ -287,12 +281,10 @@ void CorpusIndex::write_snapshot(obs::json::Writer& writer) const {
   writer.value_uint(totals_.incomplete_joins);
   writer.end_object();
 
-  writer.key("certificates");
-  writer.begin_array();
-  for (const std::string& fingerprint : certificate_fingerprints_) {
-    writer.value_string(fingerprint);
-  }
-  writer.end_array();
+  std::vector<std::string_view> fingerprints(certificate_fingerprints_.begin(),
+                                             certificate_fingerprints_.end());
+  std::sort(fingerprints.begin(), fingerprints.end());
+  write_strings(writer, "certificates", fingerprints);
 
   writer.key("chains");
   writer.begin_array();
@@ -343,10 +335,9 @@ void CorpusIndex::write_snapshot(obs::json::Writer& writer) const {
   writer.end_object();
 }
 
-bool CorpusIndex::restore_snapshot(
-    const obs::json::Value& value,
-    const std::map<std::string, x509::Certificate>& by_fingerprint,
-    std::string* error) {
+bool CorpusIndex::restore_snapshot(const obs::json::Value& value,
+                                   const zeek::CertificateIndex& by_fingerprint,
+                                   std::string* error) {
   const auto fail = [this, error](const std::string& message) {
     clear();
     if (error != nullptr) *error = message;
@@ -395,7 +386,7 @@ bool CorpusIndex::restore_snapshot(
     }
 
     ChainObservation& observation = observation_slot(id->string);
-    std::vector<x509::Certificate> certs;
+    std::vector<x509::CertificateHandle> certs;
     certs.reserve(fingerprints->array.size());
     for (const obs::json::Value& fingerprint : fingerprints->array) {
       if (!fingerprint.is_string()) return fail("corpus snapshot chain malformed");

@@ -24,10 +24,12 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "chain/chain.hpp"
 #include "obs/json.hpp"
+#include "util/hash.hpp"
 #include "util/stats.hpp"
 #include "util/time.hpp"
 #include "zeek/joiner.hpp"
@@ -80,12 +82,12 @@ class CorpusIndex {
   /// resumed) contribute to totals only.
   void add(const zeek::JoinedConnection& connection);
 
-  /// Fused join+fold (DESIGN.md §16). Resolves the row's fuids against the
-  /// joiner and folds the connection in place: no JoinedConnection is
-  /// materialized, so the SSL record and the certificates are never copied
-  /// per row; a chain's certificates are copied exactly once, when its id is
-  /// first observed, their names as shared DN bodies. Byte-identical in
-  /// effect to add(joiner.join(ssl)).
+  /// Fused join+fold (DESIGN.md §16). Resolves the row's fuids through the
+  /// joiner's hashed index and folds the connection in place: no
+  /// JoinedConnection is materialized, so the SSL record is never copied
+  /// per row, and no certificate is copied at all — a chain first observed
+  /// here holds handles to the joiner's sealed certificates. Byte-identical
+  /// in effect to add(joiner.join(ssl)).
   void add(const zeek::LogJoiner& joiner, const zeek::SslLogRecord& ssl);
 
   /// The same fold over a row parsed in place — the engine's hot path. No
@@ -118,14 +120,14 @@ class CorpusIndex {
   void write_snapshot(obs::json::Writer& writer) const;
 
   /// Restores a write_snapshot() state into an empty index, interning the
-  /// client addresses afresh. Fingerprints are resolved through
-  /// `by_fingerprint` (built from the re-ingested X509 records); an
+  /// client addresses afresh. Fingerprints are resolved to the handles in
+  /// `by_fingerprint` (LogJoiner::by_fingerprint() over the re-ingested X509
+  /// records), so restored chains share the joiner's certificates; an
   /// unresolvable fingerprint or a malformed snapshot fails with `error`
   /// set and leaves the index cleared.
-  bool restore_snapshot(
-      const obs::json::Value& value,
-      const std::map<std::string, x509::Certificate>& by_fingerprint,
-      std::string* error);
+  bool restore_snapshot(const obs::json::Value& value,
+                        const zeek::CertificateIndex& by_fingerprint,
+                        std::string* error);
 
  private:
   /// What one SSL row contributes to the fold, whichever form it came in.
@@ -163,13 +165,6 @@ class CorpusIndex {
 
   ClientId intern_client(std::string_view address);
   void clear();
-
-  struct TransparentHash {
-    using is_transparent = void;
-    std::size_t operator()(std::string_view text) const {
-      return std::hash<std::string_view>{}(text);
-    }
-  };
   /// What one fuid list folds to under the current joiner: the chain's
   /// observation slot (nullptr when no fuid resolved) and whether any fuid
   /// was missing. ChainObservation pointers are std::map nodes — stable.
@@ -218,26 +213,25 @@ class CorpusIndex {
       joiner_size = 0;
     }
 
-    std::vector<const x509::Certificate*> certs;
+    std::vector<const x509::CertificateHandle*> certs;
     std::string key;  // the row's fuids, each prefixed by its length
-    std::string fuid;
     std::string unescaped;
     std::string server_name;
     std::string server_key;
     std::string id_bytes;
-    std::string fingerprint;
     const zeek::LogJoiner* joiner = nullptr;
     std::size_t joiner_size = 0;
-    std::unordered_map<std::string, FoldMemoEntry, TransparentHash,
+    std::unordered_map<std::string, FoldMemoEntry, util::StringHash,
                        std::equal_to<>>
         memo;
   };
 
   std::map<std::string, ChainObservation> chains_;  // by chain id
-  std::set<std::string> certificate_fingerprints_;
+  /// Hashed; write_snapshot() sorts it.
+  std::unordered_set<std::string> certificate_fingerprints_;
   CorpusTotals totals_;
   std::vector<std::string> client_addresses_;  // by ClientId
-  std::unordered_map<std::string, ClientId, TransparentHash, std::equal_to<>>
+  std::unordered_map<std::string, ClientId, util::StringHash, std::equal_to<>>
       client_ids_;
   ClientPairSet chain_clients_;
   FoldState fold_;

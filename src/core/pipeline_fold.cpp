@@ -21,7 +21,6 @@
 // chunk size and thread count (tests/test_streaming.cpp).
 #include <algorithm>
 #include <cstdio>
-#include <map>
 #include <optional>
 #include <string>
 
@@ -168,13 +167,9 @@ IngestReport fold_sources(LogSource& ssl_source, LogSource& x509_source,
   if (checkpointing) {
     if (const std::optional<std::string> text =
             read_file_text(options.checkpoint_path)) {
-      std::map<std::string, x509::Certificate> by_fingerprint;
-      for (const auto& [fuid, cert] : joiner.certificates()) {
-        by_fingerprint.emplace(cert.fingerprint(), cert);
-      }
       std::string error;
-      const std::optional<StreamCheckpoint> checkpoint =
-          decode_stream_checkpoint(*text, by_fingerprint, corpus, &error);
+      const std::optional<StreamCheckpoint> checkpoint = decode_stream_checkpoint(
+          *text, joiner.by_fingerprint(), corpus, &error);
       if (checkpoint && checkpoint->mode == options.ingest.mode &&
           checkpoint->x509_digest == x509_digest &&
           verify_ssl_prefix(ssl_source, checkpoint->ssl_offset,

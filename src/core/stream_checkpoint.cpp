@@ -151,8 +151,7 @@ std::string encode_stream_checkpoint(const StreamCheckpoint& checkpoint,
 }
 
 std::optional<StreamCheckpoint> decode_stream_checkpoint(
-    std::string_view text,
-    const std::map<std::string, x509::Certificate>& by_fingerprint,
+    std::string_view text, const zeek::CertificateIndex& by_fingerprint,
     CorpusIndex& corpus, std::string* error) {
   const auto fail = [error](const std::string& message)
       -> std::optional<StreamCheckpoint> {

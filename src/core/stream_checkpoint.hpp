@@ -52,8 +52,7 @@ std::string encode_stream_checkpoint(const StreamCheckpoint& checkpoint,
 /// `by_fingerprint` (see CorpusIndex::restore_snapshot). Returns nullopt
 /// with `error` set on schema/version mismatch or malformed content.
 std::optional<StreamCheckpoint> decode_stream_checkpoint(
-    std::string_view text,
-    const std::map<std::string, x509::Certificate>& by_fingerprint,
+    std::string_view text, const zeek::CertificateIndex& by_fingerprint,
     CorpusIndex& corpus, std::string* error);
 
 /// File helpers. Writes are atomic-enough for the single-writer case (write

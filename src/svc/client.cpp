@@ -2,6 +2,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <sys/time.h>
 #include <unistd.h>
@@ -32,6 +33,9 @@ bool Client::connect(const std::string& host, std::uint16_t port,
     return false;
   }
   apply_timeout();
+  // Each request is one frame written at once; Nagle would delay its tail.
+  const int no_delay = 1;
+  ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &no_delay, sizeof no_delay);
   sockaddr_in address{};
   address.sin_family = AF_INET;
   address.sin_port = htons(port);

@@ -3,6 +3,7 @@
 #include <arpa/inet.h>
 #include <fcntl.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -405,6 +406,10 @@ void Server::accept_ready() {
       ::close(client);
       continue;
     }
+    // A response is one frame written at once; Nagle would hold its tail
+    // back until the client's delayed ACK.
+    const int no_delay = 1;
+    ::setsockopt(client, IPPROTO_TCP, TCP_NODELAY, &no_delay, sizeof no_delay);
     if (connections_.size() >= options_.max_connections) {
       telemetry_->count("svc.connections.rejected");
       ::close(client);

@@ -419,7 +419,7 @@ AppendResult ServiceState::fold_batch_locked(
     // first-observation-wins, so a re-observed fuid contributes nothing a
     // snapshot replay could miss — and retried or overlapping batches stop
     // growing the snapshot.
-    if (durable_ && joiner_.certificates().count(x509[i].fuid) == 0) {
+    if (durable_ && joiner_.find(x509[i].fuid) == nullptr) {
       appended_x509_rows_.push_back(*x509_raw[i]);
     }
     joiner_.add(x509[i]);

@@ -441,15 +441,11 @@ std::optional<SvcSnapshot> decode_svc_snapshot(std::string_view text,
     }
     joiner.add(*record);
   }
-  std::map<std::string, x509::Certificate> by_fingerprint;
-  for (const auto& [fuid, cert] : joiner.certificates()) {
-    by_fingerprint.emplace(cert.fingerprint(), cert);
-  }
-
   const obs::json::Value* corpus_block = root->find("corpus");
   std::string corpus_error;
   if (corpus_block == nullptr ||
-      !corpus.restore_snapshot(*corpus_block, by_fingerprint, &corpus_error)) {
+      !corpus.restore_snapshot(*corpus_block, joiner.by_fingerprint(),
+                               &corpus_error)) {
     return fail("snapshot corpus malformed: " + corpus_error);
   }
   return snapshot;

@@ -2,6 +2,8 @@
 
 #include <cstddef>
 
+#include "util/strings.hpp"
+
 namespace certchain::util {
 
 namespace {
@@ -13,13 +15,6 @@ std::uint64_t mix64(std::uint64_t z) {
 }
 
 constexpr char kHexDigits[] = "0123456789abcdef";
-
-int hex_value(char c) {
-  if (c >= '0' && c <= '9') return c - '0';
-  if (c >= 'a' && c <= 'f') return c - 'a' + 10;
-  if (c >= 'A' && c <= 'F') return c - 'A' + 10;
-  return -1;
-}
 
 }  // namespace
 

@@ -11,6 +11,7 @@
 
 #include <array>
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <string_view>
 
@@ -45,6 +46,15 @@ Digest256 digest256(std::string_view data);
 
 /// Convenience: digest rendered as hex.
 std::string digest256_hex(std::string_view data);
+
+/// Transparent string hash for unordered containers keyed by std::string:
+/// lookups take a string_view without building a key string.
+struct StringHash {
+  using is_transparent = void;
+  std::size_t operator()(std::string_view text) const {
+    return std::hash<std::string_view>{}(text);
+  }
+};
 
 /// Zeek-style file id ("F" + 17 base-36-ish chars) derived from content.
 std::string zeek_style_fuid(std::string_view content);

@@ -67,6 +67,13 @@ std::string join(const std::vector<std::string>& parts, std::string_view delimit
   return out;
 }
 
+int hex_value(char c) {
+  if (c >= '0' && c <= '9') return c - '0';
+  if (c >= 'a' && c <= 'f') return c - 'a' + 10;
+  if (c >= 'A' && c <= 'F') return c - 'A' + 10;
+  return -1;
+}
+
 std::string_view trim(std::string_view text) {
   std::size_t begin = 0;
   std::size_t end = text.size();

@@ -28,6 +28,9 @@ bool split_exact(std::string_view text, char delimiter, std::string_view* out,
 /// Joins with a delimiter string.
 std::string join(const std::vector<std::string>& parts, std::string_view delimiter);
 
+/// The value of one hex digit of either case, or -1 for any other byte.
+int hex_value(char c);
+
 /// Trims ASCII whitespace from both ends.
 std::string_view trim(std::string_view text);
 

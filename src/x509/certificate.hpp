@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -156,6 +157,12 @@ struct Certificate {
            malformed_encoding == other.malformed_encoding;
   }
 };
+
+/// A shared, immutable certificate. The joiner builds each X509.log
+/// certificate once and every chain that delivered it holds a handle, so
+/// copying a chain bumps reference counts instead of copying certificates
+/// (DESIGN.md §16.2).
+using CertificateHandle = std::shared_ptr<const Certificate>;
 
 /// True if `pattern` (exact name or "*.x.y") matches `domain` per RFC 6125
 /// single-left-label wildcard rules.

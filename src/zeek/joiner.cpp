@@ -1,5 +1,7 @@
 #include "zeek/joiner.hpp"
 
+#include <memory>
+
 #include "core/dn_pool.hpp"
 #include "util/strings.hpp"
 
@@ -105,22 +107,31 @@ void LogJoiner::add(const X509LogRecord& certificate) {
   // entirely on the duplicate path.
   const auto [it, inserted] = by_fuid_.try_emplace(certificate.fuid);
   if (!inserted) return;
-  it->second = certificate_from_record(certificate, dn_pool_);
+  x509::Certificate cert = certificate_from_record(certificate, dn_pool_);
   // The joined certificate is immutable from here on; sealing makes every
   // later fingerprint() — one per cert per connection in the corpus fold —
   // a memo read instead of a digest.
-  it->second.seal_fingerprint();
+  cert.seal_fingerprint();
+  it->second = std::make_shared<const x509::Certificate>(std::move(cert));
+}
+
+CertificateIndex LogJoiner::by_fingerprint() const {
+  CertificateIndex index;
+  index.reserve(by_fuid_.size());
+  for (const auto& [fuid, cert] : by_fuid_) {
+    index.emplace(cert->fingerprint(), cert);
+  }
+  return index;
 }
 
 JoinedConnection LogJoiner::join(const SslLogRecord& ssl) const {
   JoinedConnection joined;
   joined.ssl = ssl;
   for (const std::string& fuid : ssl.cert_chain_fuids) {
-    const auto it = by_fuid_.find(fuid);
-    if (it == by_fuid_.end()) {
-      joined.missing_fuids.push_back(fuid);
+    if (const x509::CertificateHandle* cert = find(fuid)) {
+      joined.chain.push_back(*cert);
     } else {
-      joined.chain.push_back(it->second);
+      joined.missing_fuids.push_back(fuid);
     }
   }
   return joined;

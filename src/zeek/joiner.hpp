@@ -8,11 +8,13 @@
 // than silently dropped.
 #pragma once
 
-#include <map>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "chain/chain.hpp"
+#include "util/hash.hpp"
 #include "zeek/records.hpp"
 
 namespace certchain::zeek {
@@ -39,6 +41,12 @@ X509LogRecord record_from_certificate(const x509::Certificate& cert,
                                       util::SimTime observed_at,
                                       const std::string& fuid);
 
+/// Sealed certificates keyed by a string (a fuid or a fingerprint), hashed;
+/// lookups take a string_view.
+using CertificateIndex =
+    std::unordered_map<std::string, x509::CertificateHandle, util::StringHash,
+                       std::equal_to<>>;
+
 class LogJoiner {
  public:
   /// An empty joiner that learns certificates incrementally via add() — the
@@ -60,17 +68,24 @@ class LogJoiner {
 
   std::size_t certificate_count() const { return by_fuid_.size(); }
 
-  /// The joined certificate index (fuid -> certificate). The streaming
-  /// engine's checkpoint restore resolves chain fingerprints against this
-  /// view instead of serializing certificates into the snapshot.
-  const std::map<std::string, x509::Certificate>& certificates() const {
-    return by_fuid_;
+  /// The sealed, shared certificate joined under `fuid` (one per fuid);
+  /// nullptr when no row carried it.
+  const x509::CertificateHandle* find(std::string_view fuid) const {
+    const auto it = by_fuid_.find(fuid);
+    return it == by_fuid_.end() ? nullptr : &it->second;
   }
 
+  /// The same certificates keyed by fingerprint. A checkpoint or snapshot
+  /// restore resolves chain fingerprints against it instead of serializing
+  /// certificates, so restored chains share this joiner's objects.
+  CertificateIndex by_fingerprint() const;
+
+  /// Reconstructs the row's chain from shared handles; no certificate is
+  /// copied.
   JoinedConnection join(const SslLogRecord& ssl) const;
 
  private:
-  std::map<std::string, x509::Certificate> by_fuid_;
+  CertificateIndex by_fuid_;
   core::DnPool* dn_pool_ = nullptr;
 };
 

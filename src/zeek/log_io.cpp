@@ -85,29 +85,27 @@ std::string escape_field(std::string_view value) {
 }
 
 void unescape_into(std::string_view value, std::string& out) {
-  if (value.find('\\') == std::string_view::npos) {
-    out.assign(value);
-  } else {
-    out = unescape_field(value);
+  // Only `\x` plus exactly two hex digits decodes; any other backslash is
+  // kept literally. Unescaped runs are appended whole.
+  out.clear();
+  std::size_t copied = 0;  // value[0, copied) is in `out`
+  for (std::size_t at = value.find('\\'); at != std::string_view::npos;
+       at = value.find('\\', at + 1)) {
+    if (at + 3 >= value.size() || value[at + 1] != 'x') continue;
+    const int high = util::hex_value(value[at + 2]);
+    const int low = util::hex_value(value[at + 3]);
+    if (high < 0 || low < 0) continue;
+    out.append(value.substr(copied, at - copied));
+    out.push_back(static_cast<char>(high << 4 | low));
+    at += 3;
+    copied = at + 1;
   }
+  out.append(value.substr(copied));
 }
 
 std::string unescape_field(std::string_view value) {
   std::string out;
-  out.reserve(value.size());
-  for (std::size_t i = 0; i < value.size(); ++i) {
-    if (value[i] == '\\' && i + 3 < value.size() && value[i + 1] == 'x') {
-      const char hex[3] = {value[i + 2], value[i + 3], 0};
-      char* end = nullptr;
-      const long code = std::strtol(hex, &end, 16);
-      if (end == hex + 2) {
-        out.push_back(static_cast<char>(code));
-        i += 3;
-        continue;
-      }
-    }
-    out.push_back(value[i]);
-  }
+  unescape_into(value, out);
   return out;
 }
 

@@ -30,6 +30,8 @@ std::string render_vector(const std::vector<std::string>& items);
 std::vector<std::string> parse_vector(std::string_view text);
 /// Escapes the separator characters inside a field value.
 std::string escape_field(std::string_view value);
+/// Decodes each `\xHH` (a backslash, `x`, exactly two hex digits) to its
+/// byte; every other backslash stays literal.
 std::string unescape_field(std::string_view value);
 /// unescape_field into `out`, replacing its contents; a value with no
 /// backslash (virtually every field) is one copy into out's capacity.

@@ -2,6 +2,8 @@
 // non-public analysis, and the PKI relationship graph.
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "../tests/helpers.hpp"
 #include "core/corpus.hpp"
 #include "core/hybrid_analysis.hpp"
@@ -114,11 +116,12 @@ TEST(CorpusIndex, SnapshotWritesClientAddressesInLexicographicOrder) {
 TEST(CorpusIndex, SnapshotLiteralRestoresAndWritesBackByteIdentically) {
   TestPki pki;
   const auto chain = pki.chain_for("literal.example");
-  std::map<std::string, x509::Certificate> by_fingerprint;
+  zeek::CertificateIndex by_fingerprint;
   std::set<std::string> sorted_fingerprints;
   std::string chain_fingerprints;
   for (const x509::Certificate& cert : chain) {
-    by_fingerprint.emplace(cert.fingerprint(), cert);
+    by_fingerprint.emplace(cert.fingerprint(),
+                           std::make_shared<const x509::Certificate>(cert));
     sorted_fingerprints.insert(cert.fingerprint());
     if (!chain_fingerprints.empty()) chain_fingerprints += ",";
     chain_fingerprints += "\"" + cert.fingerprint() + "\"";

@@ -655,7 +655,7 @@ TEST(StreamingCheckpointCodec, RoundTripsAndRejectsDamage) {
   const core::CorpusIndex corpus;  // chains are covered by the resume tests
   const std::string encoded = core::encode_stream_checkpoint(checkpoint, corpus);
 
-  std::map<std::string, x509::Certificate> by_fingerprint;
+  const zeek::CertificateIndex by_fingerprint;
   core::CorpusIndex restored_corpus;
   std::string error;
   const auto decoded = core::decode_stream_checkpoint(encoded, by_fingerprint,
@@ -696,7 +696,7 @@ TEST(StreamingCheckpointCodec, RejectsMalformedNumbers) {
   checkpoint.ssl_reader.line_offset = 42;
   const core::CorpusIndex corpus;
   const std::string encoded = core::encode_stream_checkpoint(checkpoint, corpus);
-  std::map<std::string, x509::Certificate> by_fingerprint;
+  const zeek::CertificateIndex by_fingerprint;
   core::CorpusIndex scratch;
   std::string error;
   ASSERT_TRUE(core::decode_stream_checkpoint(encoded, by_fingerprint, scratch,
@@ -731,7 +731,7 @@ TEST(StreamingCheckpointCodec, WriteIsAtomicAndReadableBack) {
   const auto text = core::read_file_text(path);
   ASSERT_TRUE(text.has_value());
 
-  std::map<std::string, x509::Certificate> by_fingerprint;
+  const zeek::CertificateIndex by_fingerprint;
   core::CorpusIndex restored;
   std::string error;
   const auto decoded =

@@ -13,6 +13,10 @@
 //  * drain — kShutdown answers, then the server drains and refuses new work.
 #include <gtest/gtest.h>
 
+#include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <sys/socket.h>
+
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -181,6 +185,44 @@ TEST_F(SvcServerTest, ReportSectionsMatchBatchPipelineByteForByte) {
   ASSERT_TRUE(categories->ok);
   EXPECT_EQ(categories->payload.find("text")->string,
             core::render_report_text(*batch_report_, categories_only));
+}
+
+TEST_F(SvcServerTest, AcceptedAndClientSocketsSetTcpNoDelay) {
+  start_server(0, {});
+  svc::Client client = connect();
+  const auto pong = client.ping();  // the server has accepted by now
+  ASSERT_TRUE(pong.has_value());
+  ASSERT_TRUE(pong->ok);
+
+  // Both ends of the one loopback connection live in this process: the
+  // client's socket has the server's port as its peer, the accepted one as
+  // its own (the listener has no peer).
+  const auto port_of = [](const sockaddr_in& address) {
+    return ntohs(address.sin_port);
+  };
+  int client_fd = -1;
+  int accepted_fd = -1;
+  for (int fd = 0; fd < 1024; ++fd) {
+    sockaddr_in local{};
+    sockaddr_in peer{};
+    socklen_t local_size = sizeof local;
+    socklen_t peer_size = sizeof peer;
+    if (::getsockname(fd, reinterpret_cast<sockaddr*>(&local), &local_size) != 0 ||
+        local.sin_family != AF_INET ||
+        ::getpeername(fd, reinterpret_cast<sockaddr*>(&peer), &peer_size) != 0) {
+      continue;
+    }
+    if (port_of(peer) == server_->port()) client_fd = fd;
+    if (port_of(local) == server_->port()) accepted_fd = fd;
+  }
+  ASSERT_GE(client_fd, 0);
+  ASSERT_GE(accepted_fd, 0);
+  for (const int fd : {client_fd, accepted_fd}) {
+    int no_delay = 0;
+    socklen_t size = sizeof no_delay;
+    ASSERT_EQ(::getsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &no_delay, &size), 0);
+    EXPECT_NE(no_delay, 0) << (fd == client_fd ? "client" : "accepted");
+  }
 }
 
 TEST_F(SvcServerTest, ClassifyIssuerMatchesTrustStoreClassification) {

@@ -75,6 +75,34 @@ TEST(ZeekTsv, EscapingRoundTripsSeparatorBytes) {
   EXPECT_EQ(escaped.find(','), std::string::npos);
 }
 
+TEST(ZeekTsv, UnescapeDecodesOnlyTwoHexDigits) {
+  EXPECT_EQ(tsv::unescape_field("a\\x5bz"), "a[z");
+  EXPECT_EQ(tsv::unescape_field("\\x2C\\x2c"), ",,");
+  // A sign or whitespace is not a hex digit: the text stays literal.
+  for (const std::string text :
+       {"a\\x 5b", "a\\x+5b", "a\\x\t5b", "a\\x-1b", "a\\x0z", "a\\x5", "a\\x",
+        "a\\y41", "trailing\\"}) {
+    EXPECT_EQ(tsv::unescape_field(text), text) << text;
+    std::string out = "stale";
+    tsv::unescape_into(text, out);
+    EXPECT_EQ(out, text) << text;
+  }
+  // A literal backslash before a decodable escape, and a decoded backslash
+  // that is not re-read as the start of another escape.
+  EXPECT_EQ(tsv::unescape_field("\\\\x41"), "\\A");
+  EXPECT_EQ(tsv::unescape_field("\\x5cx41"), "\\x41");
+}
+
+TEST(ZeekTsv, EscapeUnescapeRoundTripsEveryByte) {
+  std::string all;
+  for (int byte = 0; byte < 256; ++byte) {
+    const std::string one(1, static_cast<char>(byte));
+    EXPECT_EQ(tsv::unescape_field(tsv::escape_field(one)), one) << byte;
+    all += one;
+  }
+  EXPECT_EQ(tsv::unescape_field(tsv::escape_field(all)), all);
+}
+
 TEST(ZeekLogs, SslRoundTrip) {
   SslLogWriter writer;
   SslLogRecord with_sni = sample_ssl();
