@@ -11,8 +11,13 @@
 //   CERTCHAIN_SCALE        chain-population scale (default 1/200 of paper)
 //   CERTCHAIN_CONNECTIONS  simulated TLS connections (default 120000)
 //   CERTCHAIN_SEED         corpus seed (default 20200901)
+// A set knob must be a whole number > 0 (the scale: any finite number > 0);
+// anything else exits with status 2 before a corpus is built.
 #pragma once
 
+#include <cerrno>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -38,17 +43,38 @@ struct StudyContext {
   std::shared_ptr<obs::RunContext> telemetry = std::make_shared<obs::RunContext>();
 };
 
+[[noreturn]] inline void reject_knob(const char* name, const char* text,
+                                     const char* expected) {
+  std::fprintf(stderr, "%s must be %s, got '%s'\n", name, expected, text);
+  std::exit(2);
+}
+
+/// The knob's value as a whole number > 0, or `fallback` when it is unset.
+inline std::uint64_t whole_knob(const char* name, std::uint64_t fallback) {
+  const char* text = std::getenv(name);
+  if (text == nullptr) return fallback;
+  errno = 0;
+  char* end = nullptr;
+  const unsigned long long value = std::strtoull(text, &end, 10);
+  if (*text < '0' || *text > '9' || errno != 0 || *end != '\0' || value == 0) {
+    reject_knob(name, text, "a whole number > 0");
+  }
+  return value;
+}
+
 inline datagen::ScenarioConfig config_from_env() {
   datagen::ScenarioConfig config;
-  if (const char* scale = std::getenv("CERTCHAIN_SCALE")) {
-    config.chain_scale = std::atof(scale);
+  if (const char* text = std::getenv("CERTCHAIN_SCALE")) {
+    char* end = nullptr;
+    config.chain_scale = std::strtod(text, &end);
+    if (end == text || *end != '\0' || !std::isfinite(config.chain_scale) ||
+        config.chain_scale <= 0.0) {
+      reject_knob("CERTCHAIN_SCALE", text, "a finite number > 0");
+    }
   }
-  if (const char* connections = std::getenv("CERTCHAIN_CONNECTIONS")) {
-    config.total_connections = std::strtoull(connections, nullptr, 10);
-  }
-  if (const char* seed = std::getenv("CERTCHAIN_SEED")) {
-    config.seed = std::strtoull(seed, nullptr, 10);
-  }
+  config.total_connections =
+      whole_knob("CERTCHAIN_CONNECTIONS", config.total_connections);
+  config.seed = whole_knob("CERTCHAIN_SEED", config.seed);
   return config;
 }
 

@@ -7,7 +7,11 @@
 //   -> print a condensed study report.
 //
 // Run:   ./build/examples/campus_study [output_dir]
-// Knobs: CERTCHAIN_SCALE / CERTCHAIN_CONNECTIONS / CERTCHAIN_SEED
+// Knobs: CERTCHAIN_SCALE (a finite number > 0) / CERTCHAIN_CONNECTIONS /
+//        CERTCHAIN_SEED (whole numbers > 0); any other value exits with 2.
+#include <cerrno>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -18,6 +22,29 @@
 #include "util/strings.hpp"
 #include "zeek/log_io.hpp"
 
+namespace {
+
+[[noreturn]] void reject_knob(const char* name, const char* text,
+                              const char* expected) {
+  std::fprintf(stderr, "%s must be %s, got '%s'\n", name, expected, text);
+  std::exit(2);
+}
+
+/// The knob's value as a whole number > 0, or `fallback` when it is unset.
+std::uint64_t whole_knob(const char* name, std::uint64_t fallback) {
+  const char* text = std::getenv(name);
+  if (text == nullptr) return fallback;
+  errno = 0;
+  char* end = nullptr;
+  const unsigned long long value = std::strtoull(text, &end, 10);
+  if (*text < '0' || *text > '9' || errno != 0 || *end != '\0' || value == 0) {
+    reject_knob(name, text, "a whole number > 0");
+  }
+  return value;
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
   using namespace certchain;
   using chain::ChainCategory;
@@ -25,13 +52,17 @@ int main(int argc, char** argv) {
   datagen::ScenarioConfig config;
   config.chain_scale = 1.0 / 500.0;
   config.total_connections = 60000;
-  if (const char* scale = std::getenv("CERTCHAIN_SCALE")) config.chain_scale = std::atof(scale);
-  if (const char* connections = std::getenv("CERTCHAIN_CONNECTIONS")) {
-    config.total_connections = std::strtoull(connections, nullptr, 10);
+  if (const char* text = std::getenv("CERTCHAIN_SCALE")) {
+    char* end = nullptr;
+    config.chain_scale = std::strtod(text, &end);
+    if (end == text || *end != '\0' || !std::isfinite(config.chain_scale) ||
+        config.chain_scale <= 0.0) {
+      reject_knob("CERTCHAIN_SCALE", text, "a finite number > 0");
+    }
   }
-  if (const char* seed = std::getenv("CERTCHAIN_SEED")) {
-    config.seed = std::strtoull(seed, nullptr, 10);
-  }
+  config.total_connections =
+      whole_knob("CERTCHAIN_CONNECTIONS", config.total_connections);
+  config.seed = whole_knob("CERTCHAIN_SEED", config.seed);
   const std::string out_dir = argc > 1 ? argv[1] : ".";
 
   std::printf("[1/4] building the simulated campus (scale %.4f)...\n",

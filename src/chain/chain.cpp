@@ -13,10 +13,6 @@ CertificateChain::CertificateChain(std::vector<x509::Certificate> certs) {
 
 CertificateChain::CertificateChain(Handles certs) : certs_(std::move(certs)) {}
 
-std::vector<x509::Certificate> CertificateChain::certs() const {
-  return std::vector<x509::Certificate>(begin(), end());
-}
-
 void CertificateChain::push_back(x509::Certificate cert) {
   push_back(std::make_shared<const x509::Certificate>(std::move(cert)));
 }

@@ -63,10 +63,6 @@ class CertificateChain {
 
   const x509::Certificate& at(std::size_t index) const { return *certs_.at(index); }
 
-  /// A copy of the certificates, for callers that edit a chain and rebuild
-  /// it (tests, tools); the analysis iterates instead.
-  std::vector<x509::Certificate> certs() const;
-
   /// First certificate as delivered (the nominal leaf).
   const x509::Certificate& first() const { return *certs_.front(); }
 

@@ -1,6 +1,6 @@
 #include "ct/merkle.hpp"
 
-#include <stdexcept>
+#include <string>
 
 namespace certchain::ct {
 
@@ -16,13 +16,6 @@ std::string digest_bytes(const Digest256& digest) {
     }
   }
   return out;
-}
-
-/// Largest power of two strictly less than n (n >= 2).
-std::size_t split_point(std::size_t n) {
-  std::size_t k = 1;
-  while (k * 2 < n) k *= 2;
-  return k;
 }
 
 }  // namespace
@@ -42,78 +35,6 @@ Digest256 node_hash(const Digest256& left, const Digest256& right) {
   buffer.append(digest_bytes(left));
   buffer.append(digest_bytes(right));
   return util::digest256(buffer);
-}
-
-std::size_t MerkleTree::append(std::string_view leaf_data) {
-  leaves_.emplace_back(leaf_data);
-  leaf_hashes_.push_back(leaf_hash(leaf_data));
-  return leaves_.size() - 1;
-}
-
-Digest256 MerkleTree::subtree_hash(std::size_t begin, std::size_t end) const {
-  const std::size_t n = end - begin;
-  if (n == 0) return util::digest256("");
-  if (n == 1) return leaf_hashes_[begin];
-  const std::size_t k = split_point(n);
-  return node_hash(subtree_hash(begin, begin + k), subtree_hash(begin + k, end));
-}
-
-Digest256 MerkleTree::root_hash(std::size_t n) const {
-  if (n > size()) throw std::out_of_range("MerkleTree::root_hash: n > size");
-  return subtree_hash(0, n);
-}
-
-std::vector<Digest256> MerkleTree::subtree_inclusion(std::size_t index,
-                                                     std::size_t begin,
-                                                     std::size_t end) const {
-  const std::size_t n = end - begin;
-  if (n <= 1) return {};
-  const std::size_t k = split_point(n);
-  std::vector<Digest256> path;
-  if (index < k) {
-    path = subtree_inclusion(index, begin, begin + k);
-    path.push_back(subtree_hash(begin + k, end));
-  } else {
-    path = subtree_inclusion(index - k, begin + k, end);
-    path.push_back(subtree_hash(begin, begin + k));
-  }
-  return path;
-}
-
-std::vector<Digest256> MerkleTree::inclusion_proof(std::size_t index,
-                                                   std::size_t n) const {
-  if (n > size() || index >= n) {
-    throw std::out_of_range("MerkleTree::inclusion_proof: bad index/size");
-  }
-  return subtree_inclusion(index, 0, n);
-}
-
-std::vector<Digest256> MerkleTree::subproof(std::size_t m, std::size_t begin,
-                                            std::size_t end, bool whole) const {
-  const std::size_t n = end - begin;
-  if (m == n) {
-    if (whole) return {};
-    return {subtree_hash(begin, end)};
-  }
-  const std::size_t k = split_point(n);
-  std::vector<Digest256> proof;
-  if (m <= k) {
-    proof = subproof(m, begin, begin + k, whole);
-    proof.push_back(subtree_hash(begin + k, end));
-  } else {
-    proof = subproof(m - k, begin + k, end, false);
-    proof.push_back(subtree_hash(begin, begin + k));
-  }
-  return proof;
-}
-
-std::vector<Digest256> MerkleTree::consistency_proof(std::size_t m,
-                                                     std::size_t n) const {
-  if (m > n || n > size()) {
-    throw std::out_of_range("MerkleTree::consistency_proof: bad sizes");
-  }
-  if (m == 0 || m == n) return {};
-  return subproof(m, 0, n, true);
 }
 
 bool verify_inclusion(std::string_view leaf_data, std::size_t index, std::size_t n,

@@ -1,14 +1,14 @@
-// RFC 6962 Merkle hash tree.
+// RFC 6962 Merkle tree hashing and proof verification.
 //
 // CT logs are append-only Merkle trees; inclusion proofs let a client check a
 // certificate is logged, and consistency proofs let monitors check the log
-// never rewrote history. This is a faithful implementation of the RFC 6962
-// tree algorithms (leaf/node domain separation, MTH splitting at the largest
-// power of two) over the simulated digest from src/util.
+// never rewrote history. These are the RFC 6962 leaf/node hashes (with their
+// domain separation) over the simulated digest from src/util, and the
+// verifiers a client or monitor runs against a tree head. The tree itself is
+// ct::IncrementalMerkleTree (ct/merkle_inc.hpp).
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <string_view>
 #include <vector>
 
@@ -23,40 +23,6 @@ Digest256 leaf_hash(std::string_view data);
 
 /// Interior node hash: H(0x01 || left || right).
 Digest256 node_hash(const Digest256& left, const Digest256& right);
-
-/// An append-only Merkle tree over opaque leaf byte strings.
-class MerkleTree {
- public:
-  /// Appends a leaf; returns its index.
-  std::size_t append(std::string_view leaf_data);
-
-  std::size_t size() const { return leaves_.size(); }
-
-  /// MTH over the first `n` leaves (n <= size). n == 0 yields H(empty).
-  Digest256 root_hash(std::size_t n) const;
-  Digest256 root_hash() const { return root_hash(size()); }
-
-  /// RFC 6962 audit path for leaf `index` in the tree of the first `n`
-  /// leaves. Empty for a single-leaf tree.
-  std::vector<Digest256> inclusion_proof(std::size_t index, std::size_t n) const;
-  std::vector<Digest256> inclusion_proof(std::size_t index) const {
-    return inclusion_proof(index, size());
-  }
-
-  /// RFC 6962 consistency proof between the trees of the first `m` and first
-  /// `n` leaves (m <= n).
-  std::vector<Digest256> consistency_proof(std::size_t m, std::size_t n) const;
-
- private:
-  Digest256 subtree_hash(std::size_t begin, std::size_t end) const;
-  std::vector<Digest256> subtree_inclusion(std::size_t index, std::size_t begin,
-                                           std::size_t end) const;
-  std::vector<Digest256> subproof(std::size_t m, std::size_t begin, std::size_t end,
-                                  bool whole) const;
-
-  std::vector<Digest256> leaf_hashes_;
-  std::vector<std::string> leaves_;
-};
 
 /// Verifies an inclusion proof: does `leaf_data` at `index` belong to the
 /// tree of size `n` with root `root`?

@@ -1,11 +1,11 @@
 // Incremental RFC 6962 Merkle hash tree (DESIGN.md §14.1).
 //
-// The recursive MerkleTree in ct/merkle recomputes every subtree hash on
-// every root_hash()/proof call — O(n) per signed tree head — and retains the
-// full leaf byte strings forever. That is fine for a study-scale corpus and
-// it stays in the tree as the differential reference, but a log front-end
-// that signs a tree head per batch over millions of entries needs both
-// appends and proofs in O(log n).
+// RFC 6962 defines the tree head as a recursion over the leaves. A tree that
+// follows it literally (the test oracle, tests/merkle_oracle.hpp) recomputes
+// every subtree hash on every root_hash()/proof call — O(n) per signed tree
+// head — and retains the full leaf byte strings. A log front-end that signs a
+// tree head per batch over millions of entries needs both appends and proofs
+// in O(log n).
 //
 // IncrementalMerkleTree stores one vector of digests per tree level:
 // levels_[0] holds the leaf hashes, and levels_[j+1][i] is the node hash of
@@ -35,7 +35,7 @@
 namespace certchain::ct {
 
 /// Append-only Merkle tree over leaf *hashes* with cached subtree digests.
-/// Drop-in digest-compatible with MerkleTree; throws the same
+/// Digest-identical to the recursive RFC 6962 definition; throws
 /// std::out_of_range on out-of-bounds arguments.
 class IncrementalMerkleTree {
  public:

@@ -8,7 +8,7 @@
 // §4.2 issuer categories, svcN.campusM.example domains with a wildcard share,
 // serials and validity windows derived from one seeded Rng) and precomputed
 // leaf hashes, skipping certificate construction entirely. One seed, one
-// population — bench_ext_ct and the CI smoke lane replay identical logs.
+// population — certchain_ctmon runs with the same seed audit identical logs.
 #pragma once
 
 #include <cstdint>

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdio>
 #include <optional>
+#include <stdexcept>
 
 #include "obs/run_context.hpp"
 #include "util/hash.hpp"
@@ -611,6 +612,12 @@ void add_interception_endpoints(Scenario& scenario, const ScenarioConfig& config
 
 std::unique_ptr<Scenario> build_study_scenario(const ScenarioConfig& config,
                                                obs::RunContext* obs) {
+  // scaled() rounds value * chain_scale into a size_t: a negative, infinite
+  // or NaN product would wrap to ~2^63 endpoints.
+  if (!std::isfinite(config.chain_scale) || config.chain_scale <= 0.0) {
+    throw std::invalid_argument(
+        "build_study_scenario: chain_scale must be finite and > 0");
+  }
   auto scenario = std::make_unique<Scenario>(config.seed);
   util::Rng rng(config.seed ^ 0xD47A6E5ULL);
 

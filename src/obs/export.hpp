@@ -1,11 +1,12 @@
 // Exporters: one telemetry state, two renderings.
 //
 // render_metrics_text produces the human section appended to study reports
-// and printed by the profiling tools. export_metrics_json produces the
-// schema-versioned machine document (counters / gauges / histograms /
-// timings / trace / manifest) meant to be written next to BENCH_*.json
-// results and diffed across PRs. Counters and gauges are exact; histograms
-// and timings carry count/sum/min/max/p50/p90/p99 plus raw buckets.
+// (certchain_analyze --trace prints it with the span tree).
+// export_metrics_json produces the schema-versioned machine document
+// (counters / gauges / histograms / timings / trace / manifest) that
+// certchain_analyze --metrics writes and the daemon's metrics endpoint
+// serves. Counters and gauges are exact; histograms and timings carry
+// count/sum/min/max/p50/p90/p99 plus raw buckets.
 #pragma once
 
 #include <string>

@@ -73,14 +73,6 @@ class SyncTelemetry {
     return obs::export_metrics_json(context_);
   }
 
-  /// Runs `fn(const obs::RunContext&)` under the lock — for exporters that
-  /// need more than one value coherently (bench tables, manifest checks).
-  template <typename Fn>
-  auto with_context(Fn&& fn) const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return fn(static_cast<const obs::RunContext&>(context_));
-  }
-
  private:
   mutable std::mutex mutex_;
   obs::RunContext context_;

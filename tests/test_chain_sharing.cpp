@@ -150,13 +150,14 @@ TEST_F(ChainSharing, CopySharesHandlesComparesEqualAndIterates) {
   EXPECT_EQ(&copy.first(), &original.first());
 
   // Rebuilt from value copies: equal and the same id, but its own objects.
-  const chain::CertificateChain rebuilt(original.certs());
+  const chain::CertificateChain rebuilt(
+      std::vector<x509::Certificate>(original.begin(), original.end()));
   EXPECT_EQ(rebuilt, original);
   EXPECT_EQ(rebuilt.id(), original.id());
   EXPECT_NE(&rebuilt.first(), &original.first());
 
   // A certificate that differs in one field makes the chains unequal.
-  std::vector<x509::Certificate> certs = original.certs();
+  std::vector<x509::Certificate> certs(original.begin(), original.end());
   certs.back().serial += "00";
   EXPECT_FALSE(chain::CertificateChain(certs) == original);
   EXPECT_NE(chain::CertificateChain(certs).id(), original.id());

@@ -1,18 +1,30 @@
 // Differential suite: the incremental Merkle tree (cached subtree hashes,
 // O(log n) appends/proofs) must be digest-identical to the legacy recursive
 // MerkleTree at every size, for every historical root, and for every
-// inclusion/consistency proof — the legacy tree is the executable RFC 6962
-// reference. Schedules are seeded and property-style: random append counts,
-// random proof queries, verifier round-trips.
+// inclusion/consistency proof — the legacy tree (tests/merkle_oracle.hpp) is
+// the executable RFC 6962 reference. Schedules are seeded and property-style:
+// random append counts, random proof queries, verifier round-trips. One
+// scale case grows both trees with a signed tree head per batch while a
+// ct::Monitor audits the incremental one from another thread.
 #include "ct/merkle_inc.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <memory>
+#include <mutex>
+#include <optional>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "ct/merkle.hpp"
+#include "ct/monitor.hpp"
+#include "merkle_oracle.hpp"
+#include "obs/stopwatch.hpp"
 #include "util/rng.hpp"
 
 namespace certchain::ct {
@@ -158,6 +170,120 @@ TEST(CtIncremental, OutOfRangeArgumentsThrowLikeLegacy) {
   EXPECT_THROW(incremental.inclusion_proof(0, 3), std::out_of_range);
   EXPECT_THROW(incremental.consistency_proof(3, 2), std::out_of_range);
   EXPECT_THROW(incremental.consistency_proof(1, 3), std::out_of_range);
+}
+
+/// An incremental tree behind a mutex, the way a log front-end serializes
+/// its write path, and the monitor's view of it from another thread.
+struct LockedTree {
+  mutable std::mutex mutex;
+  IncrementalMerkleTree tree;
+};
+
+class LockedTreeClient : public LogClient {
+ public:
+  explicit LockedTreeClient(const LockedTree& locked) : locked_(&locked) {}
+
+  std::string log_id() const override { return "locked-incremental-log"; }
+
+  TreeHead tree_head() const override {
+    std::lock_guard<std::mutex> lock(locked_->mutex);
+    return {locked_->tree.size(), locked_->tree.root_hash()};
+  }
+
+  std::optional<std::vector<Digest256>> consistency(
+      std::size_t m, std::size_t n) const override {
+    std::lock_guard<std::mutex> lock(locked_->mutex);
+    if (m > n || n > locked_->tree.size()) return std::nullopt;
+    return locked_->tree.consistency_proof(m, n);
+  }
+
+  std::optional<InclusionAnswer> inclusion(std::size_t index,
+                                           std::size_t n) const override {
+    std::lock_guard<std::mutex> lock(locked_->mutex);
+    if (n > locked_->tree.size() || index >= n) return std::nullopt;
+    return InclusionAnswer{locked_->tree.leaf_hash_at(index),
+                           locked_->tree.inclusion_proof(index, n)};
+  }
+
+ private:
+  const LockedTree* locked_;
+};
+
+TEST(CtIncremental, ConcurrentMonitorAuditsTheGrowingTreeCleanly) {
+  // Both trees take the same seeded leaves and publish a tree head every
+  // kBatch appends, as a log front-end does. The legacy head costs O(n), the
+  // incremental one O(log n). Legacy proofs are O(n) each too, so only a few
+  // are sampled.
+  constexpr std::size_t kEntries = 20000;
+  constexpr std::size_t kBatch = 2000;
+  constexpr std::size_t kProofSamples = 256;
+  constexpr std::size_t kLegacyProofSamples = 4;
+  constexpr std::uint64_t kSeed = 20200901;
+  std::vector<std::string> leaves;
+  leaves.reserve(kEntries);
+  util::Rng leaf_rng(kSeed);
+  for (std::size_t i = 0; i < kEntries; ++i) {
+    leaves.push_back(leaf(i, leaf_rng.next_u64()));
+  }
+
+  MerkleTree legacy;
+  Digest256 legacy_root;
+  const obs::Stopwatch legacy_watch;
+  for (std::size_t i = 0; i < kEntries; ++i) {
+    legacy.append(leaves[i]);
+    if ((i + 1) % kBatch == 0 || i + 1 == kEntries) {
+      legacy_root = legacy.root_hash();
+    }
+  }
+  const double legacy_ms = legacy_watch.elapsed_ms();
+
+  LockedTree locked;
+  MonitorConfig config;
+  config.inclusion_samples = 4;
+  config.seed = kSeed;
+  Monitor monitor(config);
+  monitor.watch(std::make_shared<LockedTreeClient>(locked));
+  std::atomic<bool> appending{true};
+  std::thread poller([&monitor, &appending] {
+    while (appending.load(std::memory_order_relaxed)) {
+      monitor.poll_once();
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+  });
+  Digest256 incremental_root;
+  const obs::Stopwatch incremental_watch;
+  for (std::size_t appended = 0; appended < kEntries;) {
+    const std::size_t stop = std::min(kEntries, appended + kBatch);
+    std::lock_guard<std::mutex> lock(locked.mutex);
+    for (; appended < stop; ++appended) locked.tree.append(leaves[appended]);
+    incremental_root = locked.tree.root_hash();
+  }
+  const double incremental_ms = incremental_watch.elapsed_ms();
+  appending.store(false, std::memory_order_relaxed);
+  poller.join();
+  monitor.poll_once();  // one audit of the finished tree
+
+  EXPECT_EQ(incremental_root, legacy_root);
+  util::Rng sample_rng(kSeed ^ 0xabcdef);
+  for (std::size_t sample = 0; sample < kProofSamples; ++sample) {
+    const std::size_t index = sample_rng.next_below(kEntries);
+    EXPECT_TRUE(verify_inclusion_hash(
+        locked.tree.leaf_hash_at(index), index, kEntries,
+        locked.tree.inclusion_proof(index, kEntries), incremental_root))
+        << "index=" << index;
+    if (sample < kLegacyProofSamples) {
+      EXPECT_TRUE(verify_inclusion(leaves[index], index, kEntries,
+                                   legacy.inclusion_proof(index), legacy_root))
+          << "index=" << index;
+    }
+  }
+  const MonitorStatus status = monitor.status();
+  EXPECT_GT(status.sth_verified, 0u);
+  EXPECT_EQ(status.inclusion_failures, 0u);
+  EXPECT_EQ(status.violation_count, 0u);
+  // Per-batch heads are what the cached subtrees buy: the incremental tree
+  // must grow faster than the recursive one, monitor contention included.
+  EXPECT_LT(incremental_ms, legacy_ms);
 }
 
 }  // namespace

@@ -4,6 +4,9 @@
 // Table 3/7 splits, 80 interception vendors) are scale-independent.
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
+
 #include "core/pipeline.hpp"
 #include "core/revisit.hpp"
 #include "datagen/scenario.hpp"
@@ -293,6 +296,22 @@ TEST_F(IntegrationTest, DatagenLabelsAreRecoveredByClassifier) {
       EXPECT_TRUE(with.all_matched());
     }
   }
+}
+
+TEST(ScenarioConfig, ChainScaleMustBeFiniteAndPositive) {
+  // A scale that is not finite and > 0 once wrapped every scaled population
+  // to ~2^63 endpoints and allocated without bound.
+  datagen::ScenarioConfig config;
+  config.include_length_outliers = false;
+  for (const double scale : {-1.0, 0.0, std::numeric_limits<double>::infinity(),
+                             std::numeric_limits<double>::quiet_NaN()}) {
+    config.chain_scale = scale;
+    EXPECT_THROW(datagen::build_study_scenario(config), std::invalid_argument)
+        << "chain_scale=" << scale;
+  }
+  config.chain_scale = 1.0 / 200.0;
+  const auto scenario = datagen::build_study_scenario(config);
+  EXPECT_FALSE(scenario->endpoints.empty());
 }
 
 }  // namespace

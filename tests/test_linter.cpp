@@ -69,7 +69,8 @@ TEST(Linter, LeafNotFirstIsAnError) {
   TestPki pki;
   x509::Certificate stray = self_signed("old-leaf");
   stray.issuer = dn("CN=Old Issuer");
-  auto certs = pki.chain_for("order.example", true).certs();
+  const CertificateChain delivered = pki.chain_for("order.example", true);
+  std::vector<x509::Certificate> certs(delivered.begin(), delivered.end());
   certs.insert(certs.begin(), stray);
   const LintReport report = lint_chain(make_chain(std::move(certs)), {kNow});
   EXPECT_EQ(report.count(LintCode::kLeafNotFirst), 1u);
@@ -109,7 +110,8 @@ TEST(Linter, ExpiryAndClockFindings) {
 
 TEST(Linter, DuplicateCertificates) {
   TestPki pki;
-  auto certs = pki.chain_for("dup.example").certs();
+  const CertificateChain delivered = pki.chain_for("dup.example");
+  std::vector<x509::Certificate> certs(delivered.begin(), delivered.end());
   certs.push_back(certs[1]);  // intermediate twice
   const LintReport report = lint_chain(make_chain(std::move(certs)), {kNow});
   EXPECT_EQ(report.count(LintCode::kDuplicateCertificate), 1u);

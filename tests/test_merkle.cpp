@@ -1,9 +1,12 @@
-// RFC 6962 Merkle tree: root computation, inclusion and consistency proofs.
+// RFC 6962 Merkle tree: root computation, inclusion and consistency proofs,
+// checked with the library's verifiers against the recursive oracle tree.
 #include "ct/merkle.hpp"
 
 #include <gtest/gtest.h>
 
 #include <string>
+
+#include "merkle_oracle.hpp"
 
 namespace certchain::ct {
 namespace {

@@ -393,6 +393,93 @@ TEST_F(SvcServerTest, ConcurrentQueriesAndIngestConvergeToTheBatchReport) {
             std::string::npos);
 }
 
+TEST_F(SvcServerTest, TwoHundredFiftySixConnectionsAnswerEveryRequest) {
+  // Hundreds of loop-owned sockets at once race the RCU publish/acquire
+  // edges, the worker completion queue and the wake pipe — the code TSan can
+  // falsify (DESIGN.md §15.5). The load is driven wrk-style: each driver
+  // thread owns every kDrivers-th connection and pumps its slice in
+  // send-all-then-read-all waves, so every connection stays closed-loop (one
+  // request in flight) while the server juggles all of them.
+  constexpr int kConnections = 256;
+  constexpr int kDrivers = 8;
+  constexpr int kRequestsPerConnection = 4;
+  svc::ServerOptions options;
+  // One request in flight per connection: a queue as deep as the connection
+  // count never answers OVERLOADED, so every error is real.
+  options.queue_capacity = 256;
+  options.max_connections = 264;
+  start_server(logs_->ssl.size(), options);
+
+  // Pre-encoded frames for the ping/classify/report/metrics mix (the
+  // payloads the typed svc::Client helpers send).
+  std::vector<std::string> classify_wires;
+  for (const zeek::X509LogRecord& record : logs_->x509) {
+    obs::json::Writer writer;
+    writer.begin_object();
+    writer.key("issuer");
+    writer.value_string(
+        zeek::certificate_from_record(record).issuer.to_string());
+    writer.end_object();
+    classify_wires.push_back(svc::encode_frame(
+        svc::MessageType::kClassifyIssuer, std::move(writer).str()));
+    if (classify_wires.size() == 8) break;
+  }
+  ASSERT_FALSE(classify_wires.empty());
+  const std::string ping_wire = svc::encode_frame(svc::MessageType::kPing, "");
+  const std::string report_wire = svc::encode_frame(
+      svc::MessageType::kReportSection, "{\"section\":\"totals\"}");
+  const std::string metrics_wire =
+      svc::encode_frame(svc::MessageType::kMetrics, "");
+  const auto request_wire = [&](int connection,
+                                int request) -> const std::string& {
+    switch ((connection + request) % 4) {
+      case 0: return ping_wire;
+      case 1:
+        return classify_wires[static_cast<std::size_t>(connection) %
+                              classify_wires.size()];
+      case 2: return report_wire;
+      default: return metrics_wire;
+    }
+  };
+
+  std::atomic<int> errors{0};
+  std::vector<std::thread> drivers;
+  for (int d = 0; d < kDrivers; ++d) {
+    drivers.emplace_back([&, d] {
+      std::vector<std::unique_ptr<svc::Client>> connections;
+      std::vector<int> ids;
+      for (int c = d; c < kConnections; c += kDrivers) {
+        auto client = std::make_unique<svc::Client>();
+        if (!client->connect("127.0.0.1", server_->port())) {
+          errors.fetch_add(kRequestsPerConnection);
+          continue;
+        }
+        connections.push_back(std::move(client));
+        ids.push_back(c);
+      }
+      for (int i = 0; i < kRequestsPerConnection; ++i) {
+        for (std::size_t k = 0; k < connections.size(); ++k) {
+          if (!connections[k]->send_raw(request_wire(ids[k], i))) {
+            errors.fetch_add(1);
+          }
+        }
+        for (std::size_t k = 0; k < connections.size(); ++k) {
+          const auto frame = connections[k]->read_frame();
+          if (!frame.has_value() || frame->type == svc::MessageType::kError) {
+            errors.fetch_add(1);
+          }
+        }
+      }
+    });
+  }
+  for (std::thread& driver : drivers) driver.join();
+
+  EXPECT_EQ(errors.load(), 0);
+  EXPECT_EQ(telemetry_->counter("stage.svc.requests.in"),
+            static_cast<std::uint64_t>(kConnections) * kRequestsPerConnection);
+  expect_triple_reconciles();
+}
+
 TEST_F(SvcServerTest, ZeroCapacityQueueRejectsEverythingWithOverloaded) {
   svc::ServerOptions options;
   options.queue_capacity = 0;

@@ -72,7 +72,8 @@ TEST(PairwiseValidators, DisagreeOnMalformedEncoding) {
   // The other Table 5 corner: an ASN.1-damaged certificate. Names still
   // compare fine; the strict parser aborts.
   TestPki pki;
-  auto certs = pki.chain_for("asn1.example", true).certs();
+  const chain::CertificateChain delivered = pki.chain_for("asn1.example", true);
+  std::vector<x509::Certificate> certs(delivered.begin(), delivered.end());
   certs[1].malformed_encoding = true;
   const auto chain = make_chain(std::move(certs));
   EXPECT_TRUE(IssuerSubjectValidator().validate(chain).valid());
@@ -140,7 +141,8 @@ TEST_F(ClientValidatorTest, OpenSslSurvivesTrailingExtrasViaStoreLookup) {
 TEST_F(ClientValidatorTest, DisagreementOnBrokenOrder) {
   // §5: a foreign certificate spliced between leaf and intermediate. Chrome
   // path-builds around it; OpenSSL's ordered walk fails.
-  auto certs = pki_.chain_for("order.example", true).certs();
+  const chain::CertificateChain delivered = pki_.chain_for("order.example", true);
+  const std::vector<x509::Certificate> certs(delivered.begin(), delivered.end());
   std::vector<x509::Certificate> shuffled{certs[0], self_signed("splice"), certs[1],
                                           certs[2]};
   const auto chain = make_chain(std::move(shuffled));

@@ -24,7 +24,7 @@
 //   --workers <n>       concurrent scan workers (default 4)
 //   --seed <n>          fleet + drift + fault seed (default 20241101)
 //   --connections <n>   scenario size knob (default 4000, as certchain-serve
-//                       --demo; scales the drifting population)
+//                       --demo; scales the drifting population; > 0)
 //   --fault-rate <r>    uniform fault-plan rate (default 0.02)
 //   --serve-addr <ip:port>  feed epochs to a live daemon and query it back
 //
@@ -54,10 +54,11 @@ void print_usage(const char* argv0) {
                argv0);
 }
 
+/// Digits only: strtoull would read "-1" as 2^64 - 1.
 bool parse_u64(const char* value, unsigned long long& out) {
   char* end = nullptr;
   out = std::strtoull(value, &end, 10);
-  return end != nullptr && *end == '\0' && *value != '\0';
+  return end != nullptr && *end == '\0' && *value >= '0' && *value <= '9';
 }
 
 bool parse_double(const char* value, double& out) {
@@ -115,7 +116,7 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  if (epochs == 0) {
+  if (epochs == 0 || connections == 0) {
     print_usage(argv[0]);
     return 2;
   }

@@ -38,11 +38,13 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -95,6 +97,18 @@ void print_usage(const char* argv0) {
       argv0, argv0);
 }
 
+/// Parses a whole decimal number no larger than `max`: digits only, so a
+/// sign, trailing junk or an out-of-range value is refused instead of
+/// wrapping when narrowed to its field.
+bool parse_bounded(const char* text, unsigned long long max,
+                   unsigned long long& out) {
+  if (*text < '0' || *text > '9') return false;
+  errno = 0;
+  char* end = nullptr;
+  out = std::strtoull(text, &end, 10);
+  return errno == 0 && *end == '\0' && out <= max;
+}
+
 bool slurp(const char* path, std::string& out) {
   std::ifstream in(path);
   if (!in) return false;
@@ -143,9 +157,15 @@ int main(int argc, char** argv) {
         durability.wal_path = value;
         continue;
       }
-      char* end = nullptr;
-      const unsigned long number = std::strtoul(value, &end, 10);
-      if (end == nullptr || *end != '\0') {
+      unsigned long long max = std::numeric_limits<std::size_t>::max();
+      if (flag == "--port") {
+        max = 65535;
+      } else if (flag.ends_with("-ms")) {
+        max = std::numeric_limits<std::uint32_t>::max();
+      }
+      unsigned long long number = 0;
+      if (!parse_bounded(value, max, number) ||
+          (flag == "--demo-connections" && number == 0)) {
         print_usage(argv[0]);
         return 2;
       }
