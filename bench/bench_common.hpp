@@ -15,11 +15,11 @@
 // anything else exits with status 2 before a corpus is built.
 #pragma once
 
-#include <cerrno>
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
+#include <optional>
 #include <memory>
 #include <string>
 
@@ -53,22 +53,19 @@ struct StudyContext {
 inline std::uint64_t whole_knob(const char* name, std::uint64_t fallback) {
   const char* text = std::getenv(name);
   if (text == nullptr) return fallback;
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long value = std::strtoull(text, &end, 10);
-  if (*text < '0' || *text > '9' || errno != 0 || *end != '\0' || value == 0) {
-    reject_knob(name, text, "a whole number > 0");
-  }
-  return value;
+  const std::optional<std::uint64_t> value =
+      util::parse_count<std::uint64_t>(text);
+  if (!value || *value == 0) reject_knob(name, text, "a whole number > 0");
+  return *value;
 }
 
 inline datagen::ScenarioConfig config_from_env() {
   datagen::ScenarioConfig config;
   if (const char* text = std::getenv("CERTCHAIN_SCALE")) {
-    char* end = nullptr;
-    config.chain_scale = std::strtod(text, &end);
-    if (end == text || *end != '\0' || !std::isfinite(config.chain_scale) ||
-        config.chain_scale <= 0.0) {
+    if (!util::store(util::parse_real(text,
+                                      std::numeric_limits<double>::denorm_min(),
+                                      std::numeric_limits<double>::max()),
+                     config.chain_scale)) {
       reject_knob("CERTCHAIN_SCALE", text, "a finite number > 0");
     }
   }

@@ -9,11 +9,11 @@
 // Run:   ./build/examples/campus_study [output_dir]
 // Knobs: CERTCHAIN_SCALE (a finite number > 0) / CERTCHAIN_CONNECTIONS /
 //        CERTCHAIN_SEED (whole numbers > 0); any other value exits with 2.
-#include <cerrno>
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
+#include <optional>
 #include <fstream>
 #include <sstream>
 
@@ -34,13 +34,10 @@ namespace {
 std::uint64_t whole_knob(const char* name, std::uint64_t fallback) {
   const char* text = std::getenv(name);
   if (text == nullptr) return fallback;
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long value = std::strtoull(text, &end, 10);
-  if (*text < '0' || *text > '9' || errno != 0 || *end != '\0' || value == 0) {
-    reject_knob(name, text, "a whole number > 0");
-  }
-  return value;
+  const std::optional<std::uint64_t> value =
+      certchain::util::parse_count<std::uint64_t>(text);
+  if (!value || *value == 0) reject_knob(name, text, "a whole number > 0");
+  return *value;
 }
 
 }  // namespace
@@ -53,10 +50,10 @@ int main(int argc, char** argv) {
   config.chain_scale = 1.0 / 500.0;
   config.total_connections = 60000;
   if (const char* text = std::getenv("CERTCHAIN_SCALE")) {
-    char* end = nullptr;
-    config.chain_scale = std::strtod(text, &end);
-    if (end == text || *end != '\0' || !std::isfinite(config.chain_scale) ||
-        config.chain_scale <= 0.0) {
+    if (!util::store(util::parse_real(text,
+                                      std::numeric_limits<double>::denorm_min(),
+                                      std::numeric_limits<double>::max()),
+                     config.chain_scale)) {
       reject_knob("CERTCHAIN_SCALE", text, "a finite number > 0");
     }
   }

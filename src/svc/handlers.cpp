@@ -208,7 +208,7 @@ std::string RequestHandlers::dispatch(const Frame& request,
       writer.key("generation");
       writer.value_uint(snapshot->generation);
       writer.key("unique_chains");
-      writer.value_uint(snapshot->unique_chains);
+      writer.value_uint(snapshot->report->unique_chains);
       writer.end_object();
       return encode_frame(MessageType::kPingOk, writer.str());
     }
@@ -283,14 +283,14 @@ std::string RequestHandlers::dispatch(const Frame& request,
       if (name == "fleet") {
         // The fleet section lives beside the StudyReport: it renders the
         // snapshot's epoch registry, not the corpus analyzers.
-        text = core::render_fleet_section(snapshot->fleet_epochs);
+        text = core::render_fleet_section(*snapshot->fleet_epochs);
       } else {
         const auto options = section_options(name);
         if (!options.has_value()) {
           return encode_error(ErrorCode::kBadPayload,
                               "unknown report section \"" + name + "\"");
         }
-        text = core::render_report_text(snapshot->report, *options);
+        text = core::render_report_text(*snapshot->report, *options);
       }
       writer.begin_object();
       writer.key("section");
@@ -333,14 +333,13 @@ std::string RequestHandlers::dispatch(const Frame& request,
                               "\"fleet_epoch\" is not a valid epoch summary");
         }
       }
-      const AppendResult result =
-          state_->ingest_append(*ssl_rows, *x509_rows, idempotency_key);
-      if (epoch.has_value()) {
-        // Runs on duplicates too: record_fleet_epoch is idempotent by epoch
-        // index, so a retried or post-recovery re-fed epoch lands once.
-        state_->record_fleet_epoch(*std::move(epoch));
-        telemetry_->count("svc.ingest.fleet_epochs");
-      }
+      // The epoch rides the append, duplicates included: it is recorded
+      // idempotently by index, so a retried or post-recovery re-fed epoch
+      // lands once.
+      const bool carries_epoch = epoch.has_value();
+      const AppendResult result = state_->ingest_append(
+          *ssl_rows, *x509_rows, idempotency_key, std::move(epoch));
+      if (carries_epoch) telemetry_->count("svc.ingest.fleet_epochs");
       if (result.duplicate) {
         // A client retry of a batch already folded: answer with the original
         // result, count nothing into the ingest totals again.
@@ -477,7 +476,7 @@ std::string RequestHandlers::dispatch(const Frame& request,
 
     case MessageType::kFleetStatus: {
       const ServiceState::SnapshotPtr snapshot = state_->acquire_snapshot();
-      const std::vector<core::EpochSummary>& epochs = snapshot->fleet_epochs;
+      const std::vector<core::EpochSummary>& epochs = *snapshot->fleet_epochs;
       writer.begin_object();
       writer.key("generation");
       writer.value_uint(snapshot->generation);
@@ -513,7 +512,7 @@ std::string RequestHandlers::dispatch(const Frame& request,
     case MessageType::kEpochDelta: {
       const Value* epoch_field = payload->find("epoch");
       const ServiceState::SnapshotPtr snapshot = state_->acquire_snapshot();
-      const std::vector<core::EpochSummary>& epochs = snapshot->fleet_epochs;
+      const std::vector<core::EpochSummary>& epochs = *snapshot->fleet_epochs;
       // "epoch" selects the delta's destination index; absent = latest.
       std::uint64_t to_index = 0;
       if (epoch_field == nullptr) {

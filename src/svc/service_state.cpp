@@ -11,46 +11,37 @@ namespace certchain::svc {
 
 namespace {
 
-AppliedAppend to_applied(const std::string& key, const AppendResult& result) {
-  AppliedAppend applied;
-  applied.key = key;
-  applied.wal_seq = result.wal_seq;
-  applied.generation = result.generation;
-  applied.ssl_added = result.ssl_added;
-  applied.x509_added = result.x509_added;
-  applied.ssl_malformed = result.ssl_malformed;
-  applied.x509_malformed = result.x509_malformed;
-  applied.unique_chains = result.unique_chains;
-  applied.connections = result.connections;
-  return applied;
-}
+using EpochList = std::vector<core::EpochSummary>;
 
-AppendResult to_duplicate_result(const AppliedAppend& applied) {
-  AppendResult result;
-  result.duplicate = true;
-  result.wal_seq = applied.wal_seq;
-  result.generation = applied.generation;
-  result.ssl_added = static_cast<std::size_t>(applied.ssl_added);
-  result.x509_added = static_cast<std::size_t>(applied.x509_added);
-  result.ssl_malformed = static_cast<std::size_t>(applied.ssl_malformed);
-  result.x509_malformed = static_cast<std::size_t>(applied.x509_malformed);
-  result.unique_chains = static_cast<std::size_t>(applied.unique_chains);
-  result.connections = applied.connections;
-  return result;
+/// `epochs` with `summary` recorded: it replaces the entry with the same
+/// index, else it is inserted in index order.
+std::shared_ptr<const EpochList> with_epoch(const EpochList& epochs,
+                                            core::EpochSummary summary) {
+  auto next = std::make_shared<EpochList>(epochs);
+  const auto at = std::lower_bound(
+      next->begin(), next->end(), summary.index,
+      [](const core::EpochSummary& epoch, std::size_t index) {
+        return epoch.index < index;
+      });
+  if (at != next->end() && at->index == summary.index) {
+    *at = std::move(summary);
+  } else {
+    next->insert(at, std::move(summary));
+  }
+  return next;
 }
 
 }  // namespace
 
 void ServiceState::SnapshotTracker::on_publish() {
-  const std::int64_t now = live.fetch_add(1, std::memory_order_acq_rel) + 1;
-  const std::uint64_t total =
-      published.fetch_add(1, std::memory_order_acq_rel) + 1;
+  published.fetch_add(1, std::memory_order_acq_rel);
   std::lock_guard<std::mutex> lock(mutex);
   if (telemetry != nullptr) {
     telemetry->count("svc.snapshot.published");
-    telemetry->set_gauge("svc.snapshot.live", static_cast<double>(now));
+    telemetry->set_gauge(
+        "svc.snapshot.live",
+        static_cast<double>(live.load(std::memory_order_acquire)));
   }
-  (void)total;
 }
 
 void ServiceState::SnapshotTracker::on_release() {
@@ -72,16 +63,11 @@ ServiceState::ServiceState(const truststore::TrustStoreSet& stores,
       tracker_(std::make_shared<SnapshotTracker>()) {
   joiner_.set_dn_pool(&dn_pool_);
   // Never serve a null snapshot: before load() the state answers as an
-  // empty, unanalyzed corpus (load() replaces this with generation 0).
-  auto* tracker = tracker_.get();
-  auto bootstrap = SnapshotPtr(
-      new AnalysisSnapshot(),
-      [control = tracker_](const AnalysisSnapshot* snapshot) {
-        delete snapshot;
-        control->on_release();
-      });
-  tracker->live.fetch_add(1, std::memory_order_acq_rel);
-  snapshot_.store(std::move(bootstrap), std::memory_order_release);
+  // empty, unanalyzed corpus. It is live but not a publication; load()
+  // publishes generation 0.
+  snapshot_.store(make_snapshot(std::make_shared<const core::StudyReport>(),
+                                std::make_shared<const EpochList>()),
+                  std::memory_order_release);
 }
 
 ServiceState::~ServiceState() {
@@ -122,8 +108,7 @@ void ServiceState::load(const std::vector<zeek::SslLogRecord>& ssl,
   appended_x509_rows_.clear();
   applied_.clear();
   applied_order_.clear();
-  fleet_epochs_.clear();
-  publish_analysis_locked();
+  publish_locked(analyze_locked(), std::make_shared<const EpochList>());
 }
 
 bool ServiceState::recover_and_arm(const DurabilityOptions& options,
@@ -158,12 +143,11 @@ bool ServiceState::recover_and_arm(const DurabilityOptions& options,
     applied_order_.clear();
     // Feed the ledger back in commit order (wal_seq) so FIFO eviction after
     // recovery drops the same entries it would have dropped live.
-    std::vector<AppliedAppend> entries = snapshot.applied;
-    std::stable_sort(entries.begin(), entries.end(),
+    std::stable_sort(snapshot.applied.begin(), snapshot.applied.end(),
                      [](const AppliedAppend& a, const AppliedAppend& b) {
-                       return a.wal_seq < b.wal_seq;
+                       return a.result.wal_seq < b.result.wal_seq;
                      });
-    for (AppliedAppend& entry : entries) {
+    for (AppliedAppend& entry : snapshot.applied) {
       remember_applied_locked(std::move(entry));
     }
   }
@@ -196,18 +180,19 @@ bool ServiceState::recover_and_arm(const DurabilityOptions& options,
     }
     // Batch boundaries are preserved: join completeness depends on which
     // X509 records the joiner held when each batch folded.
-    AppendResult result =
-        fold_batch_locked(record.ssl_rows, record.x509_rows, /*publish=*/false);
+    AppendResult result = fold_batch_locked(record.ssl_rows, record.x509_rows);
     result.wal_seq = record.seq;
     folded = true;
     ++out.wal_records_applied;
     if (!record.idempotency_key.empty()) {
-      remember_applied_locked(to_applied(record.idempotency_key, result));
+      remember_applied_locked({record.idempotency_key, result});
     }
   }
   // One analysis + publication at the end covers every replayed fold; the
   // snapshot alone also needs it (load() analyzed only the base corpus).
-  if (out.snapshot_loaded || folded) publish_analysis_locked();
+  if (out.snapshot_loaded || folded) {
+    publish_locked(analyze_locked(), acquire_snapshot()->fleet_epochs);
+  }
 
   std::string open_error;
   if (!wal_.open(options.wal_path, replayed->good_bytes, last_seq + 1,
@@ -247,18 +232,35 @@ ChainVerdict ServiceState::categorize_chain(
 std::string ServiceState::report_section(
     const core::ReportTextOptions& options) const {
   const SnapshotPtr snapshot = acquire_snapshot();
-  return core::render_report_text(snapshot->report, options);
+  return core::render_report_text(*snapshot->report, options);
 }
 
 AppendResult ServiceState::ingest_append(
     const std::vector<std::string>& ssl_rows,
     const std::vector<std::string>& x509_rows,
-    const std::string& idempotency_key) {
+    const std::string& idempotency_key,
+    std::optional<core::EpochSummary> epoch) {
   std::lock_guard<std::mutex> lock(writer_mutex_);
+  // Only writers store snapshots, so under the writer mutex the current one
+  // is the state this write starts from; its epoch list is the registry.
+  const SnapshotPtr current = acquire_snapshot();
+  EpochListPtr fleet_epochs = current->fleet_epochs;
+  if (epoch.has_value()) {
+    fleet_epochs = with_epoch(*fleet_epochs, *std::move(epoch));
+  }
 
   if (!idempotency_key.empty()) {
     const auto it = applied_.find(idempotency_key);
-    if (it != applied_.end()) return to_duplicate_result(it->second);
+    if (it != applied_.end()) {
+      // The corpus is unchanged: a re-fed epoch republishes the current
+      // report by pointer with the updated list, and nothing re-analyzes.
+      if (fleet_epochs != current->fleet_epochs) {
+        publish_locked(current->report, std::move(fleet_epochs));
+      }
+      AppendResult result = it->second.result;
+      result.duplicate = true;
+      return result;
+    }
   }
 
   // Durable order is WAL first, fold second: a crash after the commit
@@ -277,48 +279,17 @@ AppendResult ServiceState::ingest_append(
     seq = record.seq;
   }
 
-  AppendResult result = fold_batch_locked(ssl_rows, x509_rows, /*publish=*/true);
+  AppendResult result = fold_batch_locked(ssl_rows, x509_rows);
   result.wal_seq = seq;
+  publish_locked(analyze_locked(), std::move(fleet_epochs));
   if (!idempotency_key.empty()) {
-    remember_applied_locked(to_applied(idempotency_key, result));
+    remember_applied_locked({idempotency_key, result});
   }
   if (durable_) {
     ++appends_since_snapshot_;
     maybe_compact_locked();
   }
   return result;
-}
-
-void ServiceState::record_fleet_epoch(core::EpochSummary summary) {
-  std::lock_guard<std::mutex> lock(writer_mutex_);
-  bool replaced = false;
-  for (core::EpochSummary& existing : fleet_epochs_) {
-    if (existing.index == summary.index) {
-      existing = std::move(summary);
-      replaced = true;
-      break;
-    }
-  }
-  if (!replaced) {
-    fleet_epochs_.push_back(std::move(summary));
-    std::stable_sort(fleet_epochs_.begin(), fleet_epochs_.end(),
-                     [](const core::EpochSummary& a, const core::EpochSummary& b) {
-                       return a.index < b.index;
-                     });
-  }
-
-  // The corpus did not change (the epoch's rows were already folded via
-  // ingest_append), so the next snapshot is a copy of the current one with
-  // the updated epoch registry — no re-analysis.
-  auto next = std::make_unique<AnalysisSnapshot>(*acquire_snapshot());
-  next->fleet_epochs = fleet_epochs_;
-  SnapshotPtr published(
-      next.release(), [control = tracker_](const AnalysisSnapshot* snapshot) {
-        delete snapshot;
-        control->on_release();
-      });
-  tracker_->on_publish();
-  snapshot_.store(std::move(published), std::memory_order_release);
 }
 
 std::vector<std::pair<std::string, ct::TreeHead>> ServiceState::ct_sths() const {
@@ -361,74 +332,69 @@ ct::Monitor& ServiceState::arm_ct_monitor(const ct::MonitorConfig& config,
   return *ct_monitor_;
 }
 
-void ServiceState::publish_analysis_locked() {
-  // Build the whole next generation off to the side...
+ServiceState::SnapshotPtr ServiceState::make_snapshot(
+    ReportPtr report, EpochListPtr fleet_epochs) const {
   auto next = std::make_unique<AnalysisSnapshot>();
-  next->report = pipeline_.analyze(corpus_, nullptr, &dn_pool_);
-  next->interception_issuers = next->report.interception.issuer_set();
+  next->interception_issuers = report->interception.issuer_set();
+  next->report = std::move(report);
+  next->fleet_epochs = std::move(fleet_epochs);
   next->generation = generation_;
-  next->unique_chains = corpus_.unique_chain_count();
-  next->totals = corpus_.totals();
-  next->fleet_epochs = fleet_epochs_;
+  // The deleter routes the eventual release (possibly on a reader thread,
+  // possibly after this state died) through the shared tracker, which is
+  // what keeps the `svc.snapshot.live` gauge honest.
+  tracker_->live.fetch_add(1, std::memory_order_acq_rel);
+  return SnapshotPtr(next.release(),
+                     [control = tracker_](const AnalysisSnapshot* snapshot) {
+                       delete snapshot;
+                       control->on_release();
+                     });
+}
 
-  // ...then publish it with a single atomic store. The deleter routes the
-  // eventual release (possibly on a reader thread, possibly after this
-  // state died) through the shared tracker, which is what keeps the
-  // `svc.snapshot.live` gauge honest.
-  SnapshotPtr published(
-      next.release(), [control = tracker_](const AnalysisSnapshot* snapshot) {
-        delete snapshot;
-        control->on_release();
-      });
+void ServiceState::publish_locked(ReportPtr report, EpochListPtr fleet_epochs) {
+  // Build the whole next generation off to the side, then publish it with a
+  // single atomic store.
+  SnapshotPtr next = make_snapshot(std::move(report), std::move(fleet_epochs));
   tracker_->on_publish();
-  snapshot_.store(std::move(published), std::memory_order_release);
+  snapshot_.store(std::move(next), std::memory_order_release);
+}
+
+ServiceState::ReportPtr ServiceState::analyze_locked() const {
+  return std::make_shared<const core::StudyReport>(
+      pipeline_.analyze(corpus_, nullptr, &dn_pool_));
 }
 
 AppendResult ServiceState::fold_batch_locked(
     const std::vector<std::string>& ssl_rows,
-    const std::vector<std::string>& x509_rows, bool publish) {
+    const std::vector<std::string>& x509_rows) {
   AppendResult result;
-  std::vector<zeek::X509LogRecord> x509;
-  std::vector<const std::string*> x509_raw;  // raw row per parsed record
-  x509.reserve(x509_rows.size());
-  x509_raw.reserve(x509_rows.size());
-  for (const std::string& row : x509_rows) {
-    if (auto record = zeek::parse_x509_row(row)) {
-      x509.push_back(*std::move(record));
-      x509_raw.push_back(&row);
-    } else {
-      ++result.x509_malformed;
-    }
-  }
-  std::vector<zeek::SslLogRecord> ssl;
-  ssl.reserve(ssl_rows.size());
-  for (const std::string& row : ssl_rows) {
-    if (auto record = zeek::parse_ssl_row(row)) {
-      ssl.push_back(*std::move(record));
-    } else {
-      ++result.ssl_malformed;
-    }
-  }
-  result.ssl_added = ssl.size();
-  result.x509_added = x509.size();
-
   // X509 rows index before the SSL rows join, so an append can introduce a
   // chain and its connections together (same contract as the batch fold).
-  for (std::size_t i = 0; i < x509.size(); ++i) {
+  for (const std::string& row : x509_rows) {
+    const std::optional<zeek::X509LogRecord> record = zeek::parse_x509_row(row);
+    if (!record) {
+      ++result.x509_malformed;
+      continue;
+    }
+    ++result.x509_added;
     // Snapshot only rows whose fuid actually inserts: add() is
     // first-observation-wins, so a re-observed fuid contributes nothing a
     // snapshot replay could miss — and retried or overlapping batches stop
     // growing the snapshot.
-    if (durable_ && joiner_.find(x509[i].fuid) == nullptr) {
-      appended_x509_rows_.push_back(*x509_raw[i]);
+    if (durable_ && joiner_.find(record->fuid) == nullptr) {
+      appended_x509_rows_.push_back(row);
     }
-    joiner_.add(x509[i]);
+    joiner_.add(*record);
   }
-  for (const zeek::SslLogRecord& record : ssl) {
-    corpus_.add(joiner_, record);
+  // SSL rows fold as views, the engine's path: nothing is materialized.
+  for (const std::string& row : ssl_rows) {
+    if (const auto view = zeek::parse_ssl_row_view(row)) {
+      ++result.ssl_added;
+      corpus_.add(joiner_, *view);
+    } else {
+      ++result.ssl_malformed;
+    }
   }
   ++generation_;
-  if (publish) publish_analysis_locked();
   result.generation = generation_;
   result.unique_chains = corpus_.unique_chain_count();
   result.connections = corpus_.totals().connections;

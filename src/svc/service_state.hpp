@@ -3,15 +3,16 @@
 //
 // ServiceState keeps everything a query needs warm between requests and
 // serves it RCU-style: the entire read-side world — the analyzed StudyReport,
-// the interception issuer set the chain categorizer consumes, the corpus
-// totals and the generation stamp — lives in one immutable AnalysisSnapshot
-// published through an atomic shared_ptr. Readers grab the current snapshot
-// with a single atomic load and answer from it with **zero locks**; a reader
-// that is mid-request keeps its snapshot alive (and byte-stable) no matter
-// how many newer generations the writer publishes, and the snapshot is freed
-// the instant its last reader drops it. `svc.snapshot.published` counts
-// publications and the `svc.snapshot.live` gauge tracks how many generations
-// are currently pinned (1 = only the current one).
+// the interception issuer set the chain categorizer consumes, the fleet
+// epoch list and the generation stamp — lives in one immutable
+// AnalysisSnapshot published through an atomic shared_ptr. Readers grab the
+// current snapshot with a single atomic load and answer from it with **zero
+// locks**; a reader that is mid-request keeps its snapshot alive (and
+// byte-stable) no matter how many newer generations the writer publishes,
+// and the snapshot is freed the instant its last reader drops it.
+// `svc.snapshot.published` counts publications and the `svc.snapshot.live`
+// gauge tracks how many generations are currently pinned (1 = only the
+// current one).
 //
 // Writes stay serialized: ingest_append takes the writer mutex, folds the
 // new rows through the same LogJoiner/CorpusIndex machinery the batch
@@ -19,6 +20,8 @@
 // the next snapshot off to the side and publishes it with one atomic store —
 // so every answer reflects a complete, consistent analysis generation, never
 // a half-updated one. Readers never wait for the (expensive) re-analysis.
+// Each write publishes exactly once, and a snapshot shares its report and
+// epoch list with its neighbours instead of copying them.
 //
 // Durability (opt-in via recover_and_arm): every append is committed to a
 // write-ahead log before the fold, a snapshot compacts the log every N
@@ -65,19 +68,6 @@ struct ChainVerdict {
   std::uint64_t generation = 0;  // corpus generation that answered
 };
 
-/// Accounting for one ingest_append call.
-struct AppendResult {
-  std::size_t ssl_added = 0;
-  std::size_t x509_added = 0;
-  std::size_t ssl_malformed = 0;
-  std::size_t x509_malformed = 0;
-  std::uint64_t generation = 0;     // generation after the fold
-  std::size_t unique_chains = 0;    // corpus state after the fold
-  std::uint64_t connections = 0;
-  bool duplicate = false;           // idempotency key seen before; not re-folded
-  std::uint64_t wal_seq = 0;        // 0 when the state is not durable
-};
-
 /// Durability configuration for recover_and_arm.
 struct DurabilityOptions {
   std::string wal_path;
@@ -104,21 +94,22 @@ struct RecoveryStats {
 
 /// One immutable, fully analyzed view of the corpus. Everything a read-only
 /// request needs lives here, so a single atomic shared_ptr load yields a
-/// self-consistent answer set: the report text, the interception issuer set,
-/// the generation stamp, and the corpus counters all belong to the same
-/// analysis pass. Snapshots are never mutated after publication — a reader
-/// holding one can render from it for as long as it likes while newer
-/// generations come and go.
+/// self-consistent answer set: the report (corpus totals and unique chains
+/// included), the interception issuer set, the fleet epochs and the
+/// generation stamp all belong to the same publication. Snapshots are never
+/// mutated after publication — a reader holding one can render from it for
+/// as long as it likes while newer generations come and go. The report and
+/// the epoch list are shared, immutable parts: a publication that changes
+/// only one of them carries the other over by pointer.
 struct AnalysisSnapshot {
-  core::StudyReport report;
-  chain::InterceptionIssuerSet interception_issuers;
-  std::uint64_t generation = 0;
-  std::size_t unique_chains = 0;
-  core::CorpusTotals totals;
+  std::shared_ptr<const core::StudyReport> report;
   /// Completed fleet epochs (index order). The fleet_status / epoch_delta
   /// endpoints and the "fleet" report section answer from this list, so a
-  /// reader sees epochs and corpus state from the same publication.
-  std::vector<core::EpochSummary> fleet_epochs;
+  /// reader sees epochs and corpus state from the same publication. The
+  /// current snapshot's list is the service's epoch registry.
+  std::shared_ptr<const std::vector<core::EpochSummary>> fleet_epochs;
+  chain::InterceptionIssuerSet interception_issuers;
+  std::uint64_t generation = 0;
 };
 
 class ServiceState {
@@ -187,24 +178,26 @@ class ServiceState {
   /// (the client sees a typed error and may retry). A non-empty
   /// idempotency_key that was applied before returns the original result
   /// with duplicate=true and folds nothing.
+  ///
+  /// `epoch` records one completed fleet epoch in the same publication:
+  /// it replaces the summary with the same index, else it is inserted in
+  /// index order, so a retried or re-fed epoch lands once. On a duplicate
+  /// key the corpus is unchanged, and the epoch republishes the current
+  /// report with the updated list (no re-analysis). The epoch list is
+  /// in-memory only; after a crash the fleet re-feeds it alongside its
+  /// idempotent row appends (DESIGN.md §17.3).
   AppendResult ingest_append(const std::vector<std::string>& ssl_rows,
                              const std::vector<std::string>& x509_rows,
-                             const std::string& idempotency_key = "");
-
-  /// Registers one completed fleet epoch and republishes the snapshot (no
-  /// re-analysis: the corpus is unchanged — typically the epoch's rows were
-  /// just folded via ingest_append). Idempotent by epoch index: re-feeding
-  /// an epoch (client retry, post-recovery re-run) replaces its summary.
-  /// The epoch registry is in-memory only; after a crash the fleet re-feeds
-  /// it alongside its idempotent row appends (DESIGN.md §17.3).
-  void record_fleet_epoch(core::EpochSummary summary);
+                             const std::string& idempotency_key = "",
+                             std::optional<core::EpochSummary> epoch =
+                                 std::nullopt);
 
   // --- snapshot accessors (each one atomic load, no lock) -----------------
   std::uint64_t generation() const { return acquire_snapshot()->generation; }
   std::size_t unique_chains() const {
-    return acquire_snapshot()->unique_chains;
+    return acquire_snapshot()->report->unique_chains;
   }
-  core::CorpusTotals totals() const { return acquire_snapshot()->totals; }
+  core::CorpusTotals totals() const { return acquire_snapshot()->report->totals; }
   bool durable() const { return durable_; }
 
   // --- snapshot lifecycle observability (DESIGN.md §15.2) -----------------
@@ -220,7 +213,10 @@ class ServiceState {
   /// How many analysis generations are currently alive (the published one
   /// plus any pinned by in-flight readers). Test observability.
   std::int64_t live_snapshots() const;
-  /// How many snapshots have ever been published (load + every append).
+  /// How many snapshots have ever been published: one per write (load, a
+  /// recovery that folded anything, a fresh append, a duplicate append that
+  /// carries an epoch). The empty snapshot a state serves before load() is
+  /// not a publication.
   std::uint64_t snapshots_published() const;
 
   // --- CT subsystem (DESIGN.md §14.5) -------------------------------------
@@ -268,16 +264,24 @@ class ServiceState {
     void on_release();
   };
 
-  /// Builds the analyzed snapshot of the current writer-side corpus and
-  /// publishes it (single atomic store). Caller holds writer_mutex_.
-  void publish_analysis_locked();
+  using ReportPtr = std::shared_ptr<const core::StudyReport>;
+  using EpochListPtr = std::shared_ptr<const std::vector<core::EpochSummary>>;
+
+  /// Builds the snapshot of `report` and `fleet_epochs` at the writer's
+  /// generation. The one place a snapshot's tracker deleter is written:
+  /// every snapshot counts as live from here until its last holder drops it.
+  SnapshotPtr make_snapshot(ReportPtr report, EpochListPtr fleet_epochs) const;
+  /// Publishes one generation built by make_snapshot with a single atomic
+  /// store. Caller holds writer_mutex_.
+  void publish_locked(ReportPtr report, EpochListPtr fleet_epochs);
+  /// Re-analyzes the writer-side corpus. Caller holds writer_mutex_.
+  ReportPtr analyze_locked() const;
   /// Parses + folds one batch under the writer mutex (shared by live
   /// appends and WAL replay, so both produce identical corpus states).
-  /// `publish` defers the re-analysis + publication during replay, where
-  /// one pass at the end suffices.
+  /// Publishes nothing: an append publishes once after its fold, a WAL
+  /// replay once after its last.
   AppendResult fold_batch_locked(const std::vector<std::string>& ssl_rows,
-                                 const std::vector<std::string>& x509_rows,
-                                 bool publish);
+                                 const std::vector<std::string>& x509_rows);
   /// Writes the compaction snapshot and resets the WAL. Best-effort: a
   /// failed compaction leaves the WAL intact, so recovery still works — it
   /// just replays more.
@@ -308,7 +312,6 @@ class ServiceState {
   zeek::LogJoiner joiner_;          // grows across appends
   core::CorpusIndex corpus_;
   std::uint64_t generation_ = 0;    // bumps on every successful append
-  std::vector<core::EpochSummary> fleet_epochs_;  // writer-side epoch registry
 
   // --- durability (guarded by writer_mutex_ once serving starts) -----------
   WriteAheadLog wal_;

@@ -344,25 +344,26 @@ std::string encode_svc_snapshot(const SvcSnapshot& snapshot,
   writer.key("applied");
   writer.begin_array();
   for (const AppliedAppend& entry : snapshot.applied) {
+    const AppendResult& result = entry.result;
     writer.begin_object();
     writer.key("key");
     writer.value_string(entry.key);
     writer.key("wal_seq");
-    writer.value_uint(entry.wal_seq);
+    writer.value_uint(result.wal_seq);
     writer.key("generation");
-    writer.value_uint(entry.generation);
+    writer.value_uint(result.generation);
     writer.key("ssl_added");
-    writer.value_uint(entry.ssl_added);
+    writer.value_uint(result.ssl_added);
     writer.key("x509_added");
-    writer.value_uint(entry.x509_added);
+    writer.value_uint(result.x509_added);
     writer.key("ssl_malformed");
-    writer.value_uint(entry.ssl_malformed);
+    writer.value_uint(result.ssl_malformed);
     writer.key("x509_malformed");
-    writer.value_uint(entry.x509_malformed);
+    writer.value_uint(result.x509_malformed);
     writer.key("unique_chains");
-    writer.value_uint(entry.unique_chains);
+    writer.value_uint(result.unique_chains);
     writer.key("connections");
-    writer.value_uint(entry.connections);
+    writer.value_uint(result.connections);
     writer.end_object();
   }
   writer.end_array();
@@ -414,16 +415,17 @@ std::optional<SvcSnapshot> decode_svc_snapshot(std::string_view text,
   for (const obs::json::Value& entry : applied->array) {
     if (!entry.is_object()) return fail("snapshot applied entry malformed");
     AppliedAppend item;
+    AppendResult& result = item.result;
     const obs::json::Value* key = entry.find("key");
     if (key == nullptr || !key->is_string() ||
-        !obs::json::read_uint(entry.find("wal_seq"), item.wal_seq) ||
-        !obs::json::read_uint(entry.find("generation"), item.generation) ||
-        !obs::json::read_uint(entry.find("ssl_added"), item.ssl_added) ||
-        !obs::json::read_uint(entry.find("x509_added"), item.x509_added) ||
-        !obs::json::read_uint(entry.find("ssl_malformed"), item.ssl_malformed) ||
-        !obs::json::read_uint(entry.find("x509_malformed"), item.x509_malformed) ||
-        !obs::json::read_uint(entry.find("unique_chains"), item.unique_chains) ||
-        !obs::json::read_uint(entry.find("connections"), item.connections)) {
+        !obs::json::read_uint(entry.find("wal_seq"), result.wal_seq) ||
+        !obs::json::read_uint(entry.find("generation"), result.generation) ||
+        !obs::json::read_uint(entry.find("ssl_added"), result.ssl_added) ||
+        !obs::json::read_uint(entry.find("x509_added"), result.x509_added) ||
+        !obs::json::read_uint(entry.find("ssl_malformed"), result.ssl_malformed) ||
+        !obs::json::read_uint(entry.find("x509_malformed"), result.x509_malformed) ||
+        !obs::json::read_uint(entry.find("unique_chains"), result.unique_chains) ||
+        !obs::json::read_uint(entry.find("connections"), result.connections)) {
       return fail("snapshot applied entry malformed");
     }
     item.key = key->string;

@@ -151,17 +151,25 @@ std::string encode_wal_header();
 
 // --- snapshot ---------------------------------------------------------------
 
-/// One applied append remembered for idempotent replay of client retries.
-struct AppliedAppend {
-  std::string key;
-  std::uint64_t wal_seq = 0;
-  std::uint64_t generation = 0;
+/// Accounting for one ingest_append call.
+struct AppendResult {
   std::uint64_t ssl_added = 0;
   std::uint64_t x509_added = 0;
   std::uint64_t ssl_malformed = 0;
   std::uint64_t x509_malformed = 0;
-  std::uint64_t unique_chains = 0;
+  std::uint64_t generation = 0;     // generation after the fold
+  std::uint64_t unique_chains = 0;  // corpus state after the fold
   std::uint64_t connections = 0;
+  bool duplicate = false;           // idempotency key seen before; not re-folded
+  std::uint64_t wal_seq = 0;        // 0 when the state is not durable
+};
+
+/// One applied append remembered for idempotent replay of client retries.
+/// The snapshot stores every result field except `duplicate`, which a
+/// replayed answer sets.
+struct AppliedAppend {
+  std::string key;
+  AppendResult result;
 };
 
 /// The complete durable serving state at one generation.

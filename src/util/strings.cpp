@@ -1,6 +1,7 @@
 #include "util/strings.hpp"
 
 #include <cctype>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 
@@ -117,6 +118,16 @@ std::string replace_all(std::string_view text, std::string_view from, std::strin
     out.append(to);
     start = pos + from.size();
   }
+}
+
+std::optional<double> parse_real(std::string_view text, double min, double max) {
+  double value = 0.0;
+  const auto result = std::from_chars(text.data(), text.data() + text.size(), value);
+  if (result.ec != std::errc{} || result.ptr != text.data() + text.size() ||
+      !std::isfinite(value) || value < min || value > max) {
+    return std::nullopt;
+  }
+  return value;
 }
 
 std::string format_double(double value, int decimals) {

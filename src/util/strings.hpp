@@ -2,6 +2,10 @@
 // the return type is std::string/std::vector.
 #pragma once
 
+#include <charconv>
+#include <cstdint>
+#include <limits>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -45,6 +49,36 @@ bool contains(std::string_view text, std::string_view needle);
 
 /// Replaces every occurrence of `from` (non-empty) with `to`.
 std::string replace_all(std::string_view text, std::string_view from, std::string_view to);
+
+/// A whole decimal number that fits in T: digits only, so a sign, a blank,
+/// an empty string, trailing junk or a value beyond T's range is rejected,
+/// never wrapped or truncated. The one parser for counts that come from
+/// outside the program: Zeek and PEM fields, command-line flags, knobs.
+template <typename T>
+std::optional<T> parse_count(std::string_view text) {
+  std::uint64_t value = 0;
+  const auto result = std::from_chars(text.data(), text.data() + text.size(), value);
+  if (result.ec != std::errc{} || result.ptr != text.data() + text.size() ||
+      value > static_cast<std::uint64_t>(std::numeric_limits<T>::max())) {
+    return std::nullopt;
+  }
+  return static_cast<T>(value);
+}
+
+/// A finite real number in [min, max], in decimal or exponent form: NaN,
+/// infinity, a blank, a '+', trailing junk or an empty string is rejected.
+/// For a range that excludes zero, pass min =
+/// std::numeric_limits<double>::denorm_min(), the smallest positive double.
+std::optional<double> parse_real(std::string_view text, double min, double max);
+
+/// Stores a parsed value into `field` when there is one and returns whether
+/// there was. Both have one type T, so a value must fit the field it lands
+/// in: `valid = util::store(util::parse_count<T>(text), field)`.
+template <typename T>
+bool store(const std::optional<T>& parsed, T& field) {
+  if (parsed) field = *parsed;
+  return parsed.has_value();
+}
 
 /// Formats a double with the given number of decimal places ("%.*f").
 std::string format_double(double value, int decimals);

@@ -1,7 +1,6 @@
 #include "x509/pem.hpp"
 
 #include <charconv>
-#include <limits>
 
 #include "util/base64.hpp"
 #include "util/strings.hpp"
@@ -49,19 +48,6 @@ bool parse_i64(std::string_view text, std::int64_t& out) {
   const auto* end = text.data() + text.size();
   const auto result = std::from_chars(begin, end, out);
   return result.ec == std::errc{} && result.ptr == end;
-}
-
-/// A count field (version, pathlen) in [0, INT_MAX], the range the Zeek x509
-/// row parser enforces for the same fields; anything else is rejected, never
-/// narrowed.
-bool parse_count(std::string_view text, int& out) {
-  std::int64_t value = 0;
-  if (!parse_i64(text, value) || value < 0 ||
-      value > std::numeric_limits<int>::max()) {
-    return false;
-  }
-  out = static_cast<int>(value);
-  return true;
 }
 
 }  // namespace
@@ -131,7 +117,9 @@ std::optional<Certificate> decode_der_sim(std::string_view data) {
       if (value != "certchain-der-sim/1") return std::nullopt;
       saw_format = true;
     } else if (key == "version") {
-      if (!parse_count(value, cert.version)) return std::nullopt;
+      if (!util::store(util::parse_count<int>(value), cert.version)) {
+        return std::nullopt;
+      }
     } else if (key == "serial") {
       cert.serial = value;
     } else if (key == "issuer") {
@@ -195,9 +183,10 @@ std::optional<Certificate> decode_der_sim(std::string_view data) {
       }
       for (std::size_t i = 1; i < parts.size(); ++i) {
         if (util::starts_with(parts[i], "pathlen:")) {
-          int len = 0;
-          if (!parse_count(std::string_view(parts[i]).substr(8), len)) return std::nullopt;
-          cert.basic_constraints.path_len_constraint = len;
+          const std::optional<int> len =
+              util::parse_count<int>(std::string_view(parts[i]).substr(8));
+          if (!len) return std::nullopt;
+          cert.basic_constraints.path_len_constraint = *len;
         }
       }
     } else if (key == "nc-present") {

@@ -4,9 +4,9 @@
 #include <array>
 #include <charconv>
 #include <cstdio>
-#include <limits>
 
 #include "util/strings.hpp"
+#include "zeek/log_stream.hpp"
 
 namespace certchain::zeek {
 
@@ -148,29 +148,6 @@ void append_field(std::string& row, std::string_view value, bool first = false) 
   row.append(value.empty() ? tsv::kUnset : value);
 }
 
-void record_error(ParseDiagnostics* diagnostics, std::size_t line_number,
-                  std::string_view message) {
-  if (diagnostics == nullptr) return;
-  ++diagnostics->skipped_lines;
-  if (diagnostics->errors.size() < 32) {
-    diagnostics->errors.push_back("line " + std::to_string(line_number) + ": " +
-                                  std::string(message));
-  }
-}
-
-/// An unsigned decimal that fits in T: an out-of-range value is malformed,
-/// never truncated.
-template <typename T>
-std::optional<T> parse_count(std::string_view text) {
-  std::uint64_t value = 0;
-  const auto result = std::from_chars(text.data(), text.data() + text.size(), value);
-  if (result.ec != std::errc{} || result.ptr != text.data() + text.size() ||
-      value > static_cast<std::uint64_t>(std::numeric_limits<T>::max())) {
-    return std::nullopt;
-  }
-  return static_cast<T>(value);
-}
-
 }  // namespace
 
 std::string render_ssl_row(const SslLogRecord& record) {
@@ -246,6 +223,27 @@ void set_error(std::string* error, std::string_view message) {
   if (error != nullptr) *error = std::string(message);
 }
 
+/// Materializes a parsed row: unescaped, owned fields.
+SslLogRecord to_ssl_record(const SslRowView& row) {
+  SslLogRecord record;
+  record.ts = row.ts;
+  record.uid = row.uid;
+  record.id_orig_h = row.id_orig_h;
+  record.id_orig_p = row.id_orig_p;
+  record.id_resp_h = row.id_resp_h;
+  record.id_resp_p = row.id_resp_p;
+  record.version = row.version;
+  record.cipher = row.cipher;
+  tsv::unescape_into(row.server_name, record.server_name);
+  record.resumed = row.resumed;
+  record.established = row.established;
+  record.cert_chain_fuids = tsv::parse_vector(row.cert_chain_fuids);
+  tsv::unescape_into(row.subject, record.subject);
+  tsv::unescape_into(row.issuer, record.issuer);
+  tsv::unescape_into(row.validation_status, record.validation_status);
+  return record;
+}
+
 }  // namespace
 
 std::optional<SslRowView> parse_ssl_row_view(std::string_view line,
@@ -256,8 +254,8 @@ std::optional<SslRowView> parse_ssl_row_view(std::string_view line,
     return std::nullopt;
   }
   const auto ts = tsv::parse_time(cells[0]);
-  const auto orig_p = parse_count<std::uint16_t>(cells[3]);
-  const auto resp_p = parse_count<std::uint16_t>(cells[5]);
+  const auto orig_p = util::parse_count<std::uint16_t>(cells[3]);
+  const auto resp_p = util::parse_count<std::uint16_t>(cells[5]);
   const auto resumed = tsv::parse_bool(cells[9]);
   const auto established = tsv::parse_bool(cells[10]);
   if (!ts || !orig_p || !resp_p || !resumed || !established) {
@@ -290,23 +288,7 @@ std::optional<SslLogRecord> parse_ssl_row(std::string_view line,
                                           std::string* error) {
   const std::optional<SslRowView> row = parse_ssl_row_view(line, error);
   if (!row) return std::nullopt;
-  SslLogRecord record;
-  record.ts = row->ts;
-  record.uid = row->uid;
-  record.id_orig_h = row->id_orig_h;
-  record.id_orig_p = row->id_orig_p;
-  record.id_resp_h = row->id_resp_h;
-  record.id_resp_p = row->id_resp_p;
-  record.version = row->version;
-  record.cipher = row->cipher;
-  tsv::unescape_into(row->server_name, record.server_name);
-  record.resumed = row->resumed;
-  record.established = row->established;
-  record.cert_chain_fuids = tsv::parse_vector(row->cert_chain_fuids);
-  tsv::unescape_into(row->subject, record.subject);
-  tsv::unescape_into(row->issuer, record.issuer);
-  tsv::unescape_into(row->validation_status, record.validation_status);
-  return record;
+  return to_ssl_record(*row);
 }
 
 std::optional<X509LogRecord> parse_x509_row(std::string_view line,
@@ -318,10 +300,10 @@ std::optional<X509LogRecord> parse_x509_row(std::string_view line,
   }
   X509LogRecord record;
   const auto ts = tsv::parse_time(cells[0]);
-  const auto version = parse_count<int>(cells[2]);
+  const auto version = util::parse_count<int>(cells[2]);
   const auto not_before = tsv::parse_time(cells[6]);
   const auto not_after = tsv::parse_time(cells[7]);
-  const auto key_length = parse_count<int>(cells[10]);
+  const auto key_length = util::parse_count<int>(cells[10]);
   if (!ts || !version || !not_before || !not_after || !key_length) {
     set_error(error, "malformed scalar field");
     return std::nullopt;
@@ -346,7 +328,7 @@ std::optional<X509LogRecord> parse_x509_row(std::string_view line,
     record.basic_constraints_ca = *ca;
   }
   if (cells[12] != tsv::kUnset) {
-    const auto path_len = parse_count<int>(cells[12]);
+    const auto path_len = util::parse_count<int>(cells[12]);
     if (!path_len) {
       set_error(error, "malformed basic_constraints.path_len");
       return std::nullopt;
@@ -359,56 +341,44 @@ std::optional<X509LogRecord> parse_x509_row(std::string_view line,
 
 namespace {
 
-/// Shared header-aware batch loop over body rows. Lines are views into
-/// `text` — the whole log is scanned without copying a single line.
-template <typename Record, typename RowParser>
-std::vector<Record> parse_log(std::string_view text, std::string_view expected_fields,
-                              ParseDiagnostics* diagnostics, RowParser&& parse_row) {
-  std::vector<Record> records;
-  bool fields_ok = false;
-  std::size_t line_number = 0;
-  std::size_t start = 0;
-  while (start <= text.size()) {
-    const std::size_t newline = text.find('\n', start);
-    const std::string_view line =
-        newline == std::string_view::npos
-            ? text.substr(start)
-            : text.substr(start, newline - start);
-    start = newline == std::string_view::npos ? text.size() + 1 : newline + 1;
-    ++line_number;
-    if (diagnostics != nullptr) ++diagnostics->total_lines;
-    if (line.empty()) continue;
-    if (line.front() == '#') {
-      if (util::starts_with(line, "#fields\t")) {
-        fields_ok = line.substr(8) == expected_fields;
-        if (!fields_ok) record_error(diagnostics, line_number, "unknown #fields layout");
-      }
-      continue;
-    }
-    if (!fields_ok) {
-      record_error(diagnostics, line_number, "data before a recognized #fields header");
-      continue;
-    }
-    std::string error;
-    if (auto record = parse_row(line, &error)) {
-      records.push_back(*std::move(record));
-    } else {
-      record_error(diagnostics, line_number, error);
-    }
+/// Feeds the whole `text` through `reader`, the streaming readers' line loop
+/// (header checks, rotation at #close, damage accounting), and adds its
+/// accounting to `diagnostics`.
+template <typename Reader>
+void read_whole_log(Reader reader, std::string_view text,
+                    ParseDiagnostics* diagnostics) {
+  reader.feed(text);
+  reader.finish();
+  if (diagnostics == nullptr) return;
+  diagnostics->total_lines += reader.lines_seen();
+  diagnostics->skipped_lines += reader.lines_skipped();
+  for (const ReaderLineError& error : reader.errors()) {
+    if (diagnostics->errors.size() >= 32) break;
+    diagnostics->errors.push_back("line " + std::to_string(error.line_number) +
+                                  ": " + error.message);
   }
-  return records;
 }
 
 }  // namespace
 
 std::vector<SslLogRecord> parse_ssl_log(std::string_view text,
                                         ParseDiagnostics* diagnostics) {
-  return parse_log<SslLogRecord>(text, kSslFields, diagnostics, parse_ssl_row);
+  std::vector<SslLogRecord> records;
+  read_whole_log(make_streaming_ssl_view_reader([&records](SslRowView row) {
+                   records.push_back(to_ssl_record(row));
+                 }),
+                 text, diagnostics);
+  return records;
 }
 
 std::vector<X509LogRecord> parse_x509_log(std::string_view text,
                                           ParseDiagnostics* diagnostics) {
-  return parse_log<X509LogRecord>(text, kX509Fields, diagnostics, parse_x509_row);
+  std::vector<X509LogRecord> records;
+  read_whole_log(make_streaming_x509_reader([&records](X509LogRecord record) {
+                   records.push_back(std::move(record));
+                 }),
+                 text, diagnostics);
+  return records;
 }
 
 }  // namespace certchain::zeek

@@ -121,12 +121,14 @@ std::optional<SslLogRecord> parse_ssl_row(std::string_view line,
 std::optional<X509LogRecord> parse_x509_row(std::string_view line,
                                             std::string* error = nullptr);
 
-/// Parses an SSL.log text (header + rows). Unknown header layouts are
-/// rejected; damaged rows are skipped and reported via diagnostics.
+/// Parses an SSL.log text (header + rows) on the streaming readers' line
+/// loop, so it keeps exactly the rows the engine keeps: unknown header
+/// layouts are rejected, rows after a #close wait for the next #fields
+/// header, and damaged rows are skipped and reported via diagnostics.
 std::vector<SslLogRecord> parse_ssl_log(std::string_view text,
                                         ParseDiagnostics* diagnostics = nullptr);
 
-/// Parses an X509.log text.
+/// Parses an X509.log text, with the same line loop.
 std::vector<X509LogRecord> parse_x509_log(std::string_view text,
                                           ParseDiagnostics* diagnostics = nullptr);
 

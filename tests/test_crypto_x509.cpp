@@ -274,8 +274,9 @@ TEST(Pem, DerSimRejectsUnknownFields) {
 }
 
 TEST(Pem, DerSimRejectsOutOfRangeIntegers) {
-  // version and pathlen are ints: a value outside [0, INT_MAX] is rejected,
-  // never narrowed (4294967299 would otherwise decode as 3).
+  // version and pathlen are ints: digits only, and a value outside
+  // [0, INT_MAX] is rejected, never narrowed (4294967299 would otherwise
+  // decode as 3).
   TestPki pki;
   x509::CertificateAuthority constrained(dn("CN=Constrained CA"), "constrained");
   const std::string der = x509::encode_der_sim(
@@ -291,7 +292,7 @@ TEST(Pem, DerSimRejectsOutOfRangeIntegers) {
     return der.substr(0, begin) + pathlen + der.substr(end);
   };
   for (const std::string bad : {"4294967299", "4294967297", "2147483648", "-7",
-                                "-5", "99999999999999999999"}) {
+                                "-5", "-0", "+3", "", "99999999999999999999"}) {
     EXPECT_FALSE(x509::decode_der_sim(with_version(bad)).has_value()) << bad;
     EXPECT_FALSE(x509::decode_der_sim(with_pathlen(bad)).has_value()) << bad;
   }

@@ -353,14 +353,13 @@ class FleetServiceTest : public ::testing::Test {
     return "fleet-epoch-" + std::to_string(epoch);
   }
 
-  /// Feeds epochs [0, count) into the state: rows via ingest_append, then
-  /// the summary via record_fleet_epoch — the same order the handlers use.
+  /// Feeds epochs [0, count) into the state: one ingest_append per epoch
+  /// carrying its rows and its summary, as the handlers do.
   static void feed_epochs(svc::ServiceState& state, std::size_t count) {
     for (std::size_t epoch = 0; epoch < count; ++epoch) {
       const fleet::EpochOutcome& outcome = (*outcomes_)[epoch];
       state.ingest_append(outcome.ssl_rows, outcome.x509_rows,
-                          epoch_key(epoch));
-      state.record_fleet_epoch(outcome.summary);
+                          epoch_key(epoch), outcome.summary);
     }
   }
 
@@ -518,22 +517,74 @@ TEST_F(FleetServiceTest, FleetStatusBeforeAnyEpochIsEmptyAndDeltaNotFound) {
   server.wait();
 }
 
-TEST_F(FleetServiceTest, RecordFleetEpochIsIdempotentByIndex) {
+TEST_F(FleetServiceTest, RefedEpochIsIdempotentByIndex) {
   auto state = make_state();
   feed_epochs(*state, 2);
   const std::uint64_t generation = state->generation();
+  const auto pinned = state->acquire_snapshot();
+  const std::string pinned_section =
+      core::render_fleet_section(*pinned->fleet_epochs);
 
-  // Re-recording epoch 1 (a retry / post-recovery re-feed) replaces in
-  // place: no growth, no reorder, and the corpus generation is untouched.
-  state->record_fleet_epoch((*outcomes_)[1].summary);
+  // Re-feeding epoch 1 on its key (a retry / post-recovery re-feed) folds
+  // nothing and replaces the summary in place: no growth, no reorder, and
+  // the corpus generation is untouched.
+  EXPECT_TRUE(state
+                  ->ingest_append((*outcomes_)[1].ssl_rows,
+                                  (*outcomes_)[1].x509_rows, epoch_key(1),
+                                  (*outcomes_)[1].summary)
+                  .duplicate);
   const auto snapshot = state->acquire_snapshot();
-  ASSERT_EQ(snapshot->fleet_epochs.size(), 2u);
-  EXPECT_EQ(snapshot->fleet_epochs[0].index, 0u);
-  EXPECT_EQ(snapshot->fleet_epochs[1].index, 1u);
+  ASSERT_EQ(snapshot->fleet_epochs->size(), 2u);
+  EXPECT_EQ((*snapshot->fleet_epochs)[0].index, 0u);
+  EXPECT_EQ((*snapshot->fleet_epochs)[1].index, 1u);
   EXPECT_EQ(state->generation(), generation);
-  EXPECT_EQ(core::render_fleet_section(snapshot->fleet_epochs),
+  EXPECT_EQ(core::render_fleet_section(*snapshot->fleet_epochs),
             core::render_fleet_section(
                 {(*outcomes_)[0].summary, (*outcomes_)[1].summary}));
+
+  // The re-feed publishes a new snapshot around the same report object; the
+  // reader pinning the previous one still renders that snapshot's bytes.
+  EXPECT_NE(snapshot, pinned);
+  EXPECT_EQ(snapshot->report, pinned->report);
+  EXPECT_NE(snapshot->fleet_epochs, pinned->fleet_epochs);
+  EXPECT_EQ(core::render_fleet_section(*pinned->fleet_epochs), pinned_section);
+}
+
+TEST_F(FleetServiceTest, EveryEpochCarryingAppendPublishesOnce) {
+  auto state = make_state();
+  svc::SyncTelemetry telemetry;
+  svc::Server server(*state, telemetry, svc::ServerOptions{});
+  std::string error;
+  ASSERT_TRUE(server.start(&error)) << error;
+  svc::Client client;
+  ASSERT_TRUE(client.connect("127.0.0.1", server.port(), &error)) << error;
+
+  // Fresh epochs fold and publish once each; the same requests re-fed fold
+  // nothing and publish the updated epoch list once each.
+  for (const bool refeed : {false, true}) {
+    for (std::size_t epoch = 0; epoch < kEpochs; ++epoch) {
+      const fleet::EpochOutcome& outcome = (*outcomes_)[epoch];
+      obs::json::Writer summary;
+      core::write_epoch_summary_json(summary, outcome.summary);
+      const std::uint64_t before = telemetry.counter("svc.snapshot.published");
+      const auto response = client.ingest_append_epoch(
+          outcome.ssl_rows, outcome.x509_rows, epoch_key(epoch),
+          std::move(summary).str());
+      ASSERT_TRUE(response.has_value());
+      ASSERT_TRUE(response->ok) << response->error_message;
+      const obs::json::Value* duplicate = response->payload.find("duplicate");
+      ASSERT_NE(duplicate, nullptr);
+      EXPECT_EQ(duplicate->boolean, refeed) << "epoch " << epoch;
+      EXPECT_EQ(telemetry.counter("svc.snapshot.published"), before + 1)
+          << "epoch " << epoch << (refeed ? " re-fed" : " fresh");
+    }
+  }
+  EXPECT_EQ(telemetry.counter("svc.ingest.fleet_epochs"), 2 * kEpochs);
+  EXPECT_EQ(core::render_fleet_section(*state->acquire_snapshot()->fleet_epochs),
+            *fleet_section_);
+
+  client.shutdown();
+  server.wait();
 }
 
 TEST_F(FleetServiceTest, KillNineMidEpochRecoversToTheNeverCrashedBytes) {
@@ -591,23 +642,23 @@ TEST_F(FleetServiceTest, KillNineMidEpochRecoversToTheNeverCrashedBytes) {
     EXPECT_TRUE(recovered
                     ->ingest_append((*outcomes_)[epoch].ssl_rows,
                                     (*outcomes_)[epoch].x509_rows,
-                                    epoch_key(epoch))
+                                    epoch_key(epoch),
+                                    (*outcomes_)[epoch].summary)
                     .duplicate);
-    recovered->record_fleet_epoch((*outcomes_)[epoch].summary);
   }
   EXPECT_EQ(recovered->generation(), recovered_generation);
   EXPECT_FALSE(recovered
                    ->ingest_append((*outcomes_)[2].ssl_rows,
-                                   (*outcomes_)[2].x509_rows, epoch_key(2))
+                                   (*outcomes_)[2].x509_rows, epoch_key(2),
+                                   (*outcomes_)[2].summary)
                    .duplicate);
-  recovered->record_fleet_epoch((*outcomes_)[2].summary);
 
   auto reference = make_state();
   feed_epochs(*reference, kEpochs);
   EXPECT_EQ(recovered->generation(), reference->generation());
   EXPECT_EQ(full_report(*recovered), full_report(*reference));
   EXPECT_EQ(core::render_fleet_section(
-                recovered->acquire_snapshot()->fleet_epochs),
+                *recovered->acquire_snapshot()->fleet_epochs),
             *fleet_section_);
   ::unlink(wal.c_str());
 }

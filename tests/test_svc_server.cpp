@@ -835,7 +835,7 @@ TEST_F(SvcServerTest, SlowReaderPinsItsGenerationUntilReleased) {
   svc::ServiceState::SnapshotPtr pinned = state.acquire_snapshot();
   EXPECT_EQ(pinned->generation, 0u);
   const std::string pinned_bytes =
-      core::render_report_text(pinned->report, totals_only_options());
+      core::render_report_text(*pinned->report, totals_only_options());
   EXPECT_EQ(state.live_snapshots(), 1) << "pinning the current snapshot "
                                           "creates no extra generation";
 
@@ -858,7 +858,7 @@ TEST_F(SvcServerTest, SlowReaderPinsItsGenerationUntilReleased) {
   // The pinned snapshot is untouched — same generation, same bytes — while
   // fresh acquisitions already see the new world.
   EXPECT_EQ(pinned->generation, 0u);
-  EXPECT_EQ(core::render_report_text(pinned->report, totals_only_options()),
+  EXPECT_EQ(core::render_report_text(*pinned->report, totals_only_options()),
             pinned_bytes);
   EXPECT_NE(state.report_section(totals_only_options()), pinned_bytes);
 

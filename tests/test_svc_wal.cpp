@@ -240,9 +240,9 @@ TEST(SvcSnapshotCodec, RejectsMalformedNumbers) {
   snapshot.wal_seq = 5;
   svc::AppliedAppend applied;
   applied.key = "k1";
-  applied.wal_seq = 4;
-  applied.generation = 7;
-  applied.ssl_added = 11;
+  applied.result.wal_seq = 4;
+  applied.result.generation = 7;
+  applied.result.ssl_added = 11;
   snapshot.applied.push_back(applied);
   const std::string encoded = svc::encode_svc_snapshot(snapshot, core::CorpusIndex{});
   {

@@ -1,6 +1,7 @@
 // Tests for hashing, strings, time, stats, base64 and table rendering.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
 
 #include "util/base64.hpp"
@@ -124,6 +125,53 @@ TEST(Strings, Formatting) {
   EXPECT_EQ(percent(97, 100), "97.00");
   EXPECT_EQ(percent(1, 3, 1), "33.3");
   EXPECT_EQ(percent(5, 0), "0.00");  // divide-by-zero guard
+}
+
+TEST(Strings, ParseCountTakesDigitsThatFitTheTarget) {
+  EXPECT_EQ(parse_count<std::uint64_t>("0"), 0u);
+  EXPECT_EQ(parse_count<std::uint16_t>("65535"), 65535u);
+  EXPECT_EQ(parse_count<int>("2147483647"), 2147483647);
+  EXPECT_EQ(parse_count<std::uint64_t>("18446744073709551615"),
+            std::numeric_limits<std::uint64_t>::max());
+  // A sign, a blank, an empty string or anything but digits is no count:
+  // "-1" must never read as 2^64 - 1, nor "" as 0.
+  for (const char* bad : {"", "-1", "-0", "+1", " 1", "1 ", "1x", "0x10",
+                          "1.0", "1e3"}) {
+    EXPECT_FALSE(parse_count<std::uint64_t>(bad).has_value()) << bad;
+  }
+  // One past each target's maximum is rejected, never wrapped.
+  EXPECT_FALSE(parse_count<std::uint16_t>("65536").has_value());
+  EXPECT_FALSE(parse_count<std::uint32_t>("4294967296").has_value());
+  EXPECT_FALSE(parse_count<int>("2147483648").has_value());
+  EXPECT_FALSE(parse_count<std::size_t>("18446744073709551616").has_value());
+  EXPECT_FALSE(parse_count<std::uint64_t>("99999999999999999999").has_value());
+
+  // store() writes only a parsed value.
+  std::uint16_t port = 7;
+  EXPECT_FALSE(store(parse_count<std::uint16_t>("70000"), port));
+  EXPECT_EQ(port, 7u);
+  EXPECT_TRUE(store(parse_count<std::uint16_t>("443"), port));
+  EXPECT_EQ(port, 443u);
+}
+
+TEST(Strings, ParseRealTakesFiniteValuesInRange) {
+  constexpr double kPositive = std::numeric_limits<double>::denorm_min();
+  constexpr double kMax = std::numeric_limits<double>::max();
+  EXPECT_EQ(parse_real("0.02", 0.0, 1.0), 0.02);
+  EXPECT_EQ(parse_real("1", 0.0, 1.0), 1.0);
+  EXPECT_EQ(parse_real("2.5e1", 1.0, kMax), 25.0);
+  EXPECT_EQ(parse_real("1e-300", kPositive, kMax), 1e-300);
+  for (const char* bad : {"", "nan", "NaN", "-nan", "inf", "-inf", "infinity",
+                          "1e999", "+1", " 1", "1 ", "1x", "0x1p3"}) {
+    EXPECT_FALSE(parse_real(bad, -kMax, kMax).has_value()) << bad;
+  }
+  // Out of range: a rate outside [0, 1], and zero or a negative where the
+  // range excludes zero.
+  EXPECT_FALSE(parse_real("2", 0.0, 1.0).has_value());
+  EXPECT_FALSE(parse_real("-0.5", 0.0, 1.0).has_value());
+  EXPECT_FALSE(parse_real("0", kPositive, kMax).has_value());
+  EXPECT_FALSE(parse_real("-5", kPositive, kMax).has_value());
+  EXPECT_FALSE(parse_real("0.5", 1.0, kMax).has_value());
 }
 
 // --- time -------------------------------------------------------------------

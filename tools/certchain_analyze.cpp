@@ -30,8 +30,8 @@
 // study universe (they parameterize the pipeline; swap in your own by using
 // the library API). Prints the condensed study report.
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -70,21 +70,22 @@ void print_usage(const char* argv0) {
       argv0, argv0);
 }
 
-/// Parses "4194304", "64K", "4M", "1G" (case-insensitive suffixes).
-bool parse_byte_size(const char* text, std::size_t& out) {
-  char* end = nullptr;
-  const unsigned long long value = std::strtoull(text, &end, 10);
-  if (end == text) return false;
-  unsigned long long multiplier = 1;
-  switch (*end) {
-    case 'K': case 'k': multiplier = 1024ULL; ++end; break;
-    case 'M': case 'm': multiplier = 1024ULL * 1024; ++end; break;
-    case 'G': case 'g': multiplier = 1024ULL * 1024 * 1024; ++end; break;
+/// Parses "4194304", "64K", "4M", "1G" (case-insensitive suffixes); a size
+/// that does not fit size_t is rejected, never wrapped.
+std::optional<std::size_t> parse_byte_size(std::string_view text) {
+  std::size_t multiplier = 1;
+  switch (text.empty() ? '\0' : text.back()) {
+    case 'K': case 'k': multiplier = std::size_t{1} << 10; break;
+    case 'M': case 'm': multiplier = std::size_t{1} << 20; break;
+    case 'G': case 'g': multiplier = std::size_t{1} << 30; break;
     default: break;
   }
-  if (*end != '\0') return false;
-  out = static_cast<std::size_t>(value * multiplier);
-  return true;
+  if (multiplier != 1) text.remove_suffix(1);
+  const auto value = certchain::util::parse_count<std::size_t>(text);
+  if (!value || *value > std::numeric_limits<std::size_t>::max() / multiplier) {
+    return std::nullopt;
+  }
+  return *value * multiplier;
 }
 
 /// Serializes a deterministic scenario into Zeek log text.
@@ -153,26 +154,22 @@ int main(int argc, char** argv) {
         run_options.checkpoint_path = value;
       } else if (flag == "--write-logs") {
         write_logs_prefix = value;
-      } else if (flag == "--chunk-bytes") {
-        if (!parse_byte_size(value, run_options.chunk_bytes) ||
-            run_options.chunk_bytes == 0) {
-          print_usage(argv[0]);
-          return 2;
-        }
       } else {
-        char* end = nullptr;
-        const unsigned long number = std::strtoul(value, &end, 10);
-        if (end == nullptr || *end != '\0') {
-          print_usage(argv[0]);
-          return 2;
-        }
-        if (flag == "--threads") {
-          run_options.threads = static_cast<std::size_t>(number);
-        } else if (number == 0) {
-          print_usage(argv[0]);
-          return 2;
+        bool valid = false;
+        if (flag == "--chunk-bytes") {
+          valid = util::store(parse_byte_size(value), run_options.chunk_bytes) &&
+                  run_options.chunk_bytes != 0;
+        } else if (flag == "--threads") {
+          valid = util::store(util::parse_count<std::size_t>(value),
+                              run_options.threads);
         } else {
-          demo_connections = static_cast<std::size_t>(number);
+          valid = util::store(util::parse_count<std::size_t>(value),
+                              demo_connections) &&
+                  demo_connections != 0;
+        }
+        if (!valid) {
+          print_usage(argv[0]);
+          return 2;
         }
       }
     } else {

@@ -17,9 +17,8 @@
 // default output is a human-readable summary per poll plus the final
 // ct.monitor.* counters.
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -30,6 +29,7 @@
 #include "obs/json.hpp"
 #include "obs/run_context.hpp"
 #include "obs/stopwatch.hpp"
+#include "util/strings.hpp"
 
 namespace {
 
@@ -108,24 +108,24 @@ int main(int argc, char** argv) {
         print_usage(argv[0]);
         return 2;
       }
-      char* end = nullptr;
-      const unsigned long long number = std::strtoull(argv[++arg], &end, 10);
-      if (end == nullptr || *end != '\0') {
+      const std::optional<std::size_t> number =
+          util::parse_count<std::size_t>(argv[++arg]);
+      if (!number) {
         print_usage(argv[0]);
         return 2;
       }
       if (flag == "--entries") {
-        entries = static_cast<std::size_t>(number);
+        entries = *number;
       } else if (flag == "--logs") {
-        log_count = static_cast<std::size_t>(number);
+        log_count = *number;
       } else if (flag == "--seed") {
-        seed = static_cast<std::uint64_t>(number);
+        seed = *number;
       } else if (flag == "--polls") {
-        polls = static_cast<std::size_t>(number);
+        polls = *number;
       } else if (flag == "--samples") {
-        samples = static_cast<std::size_t>(number);
+        samples = *number;
       } else {
-        grow = static_cast<std::size_t>(number);
+        grow = *number;
       }
     } else {
       print_usage(argv[0]);

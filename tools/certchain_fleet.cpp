@@ -17,21 +17,24 @@
 // to the offline render, as the Fleet differential suite proves.
 //
 // options:
-//   --epochs <n>        revisit epochs to run (default 3)
-//   --interval-ms <n>   virtual spacing between epochs (default 60000)
-//   --rate <t/s>        per-target token refill rate (default 20)
-//   --burst <n>         per-target bucket burst (default 2)
+//   --epochs <n>        revisit epochs to run (default 3; > 0)
+//   --interval-ms <n>   virtual spacing between epochs (default 60000;
+//                       <= 4294967295)
+//   --rate <t/s>        per-target token refill rate (default 20; finite,
+//                       > 0)
+//   --burst <n>         per-target bucket burst (default 2; finite, >= 1)
 //   --workers <n>       concurrent scan workers (default 4)
 //   --seed <n>          fleet + drift + fault seed (default 20241101)
 //   --connections <n>   scenario size knob (default 4000, as certchain-serve
 //                       --demo; scales the drifting population; > 0)
-//   --fault-rate <r>    uniform fault-plan rate (default 0.02)
+//   --fault-rate <r>    uniform fault-plan rate (default 0.02; in [0, 1])
 //   --serve-addr <ip:port>  feed epochs to a live daemon and query it back
+//                       (port 1-65535)
 //
+// Whole numbers take digits only. A value outside its range prints usage.
 // Exit codes: 0 success, 1 runtime/server failure, 2 usage.
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -42,6 +45,7 @@
 #include "netsim/faults.hpp"
 #include "obs/metrics.hpp"
 #include "svc/client.hpp"
+#include "util/strings.hpp"
 
 namespace {
 
@@ -54,19 +58,6 @@ void print_usage(const char* argv0) {
                argv0);
 }
 
-/// Digits only: strtoull would read "-1" as 2^64 - 1.
-bool parse_u64(const char* value, unsigned long long& out) {
-  char* end = nullptr;
-  out = std::strtoull(value, &end, 10);
-  return end != nullptr && *end == '\0' && *value >= '0' && *value <= '9';
-}
-
-bool parse_double(const char* value, double& out) {
-  char* end = nullptr;
-  out = std::strtod(value, &end);
-  return end != nullptr && *end == '\0' && *value != '\0';
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -77,41 +68,46 @@ int main(int argc, char** argv) {
   double fault_rate = 0.02;
   std::uint64_t connections = 4000;
   std::string serve_host;
-  unsigned long serve_port = 0;
+  std::uint16_t serve_port = 0;
 
+  constexpr double kPositive = std::numeric_limits<double>::denorm_min();
+  constexpr double kMaxReal = std::numeric_limits<double>::max();
   for (int arg = 1; arg < argc; ++arg) {
     const std::string_view flag = argv[arg];
     if (arg + 1 >= argc) {
       print_usage(argv[0]);
       return 2;
     }
-    const char* value = argv[++arg];
-    unsigned long long number = 0;
-    if (flag == "--epochs" && parse_u64(value, number)) {
-      epochs = static_cast<std::size_t>(number);
-    } else if (flag == "--interval-ms" && parse_u64(value, number)) {
-      config.interval_ms = static_cast<std::uint32_t>(number);
-    } else if (flag == "--rate" && parse_double(value, config.rate.tokens_per_second)) {
-    } else if (flag == "--burst" && parse_double(value, config.rate.burst)) {
-    } else if (flag == "--workers" && parse_u64(value, number)) {
-      config.workers = static_cast<std::size_t>(number);
-    } else if (flag == "--seed" && parse_u64(value, number)) {
-      config.seed = number;
-    } else if (flag == "--connections" && parse_u64(value, number)) {
-      connections = number;
-    } else if (flag == "--fault-rate" && parse_double(value, fault_rate)) {
+    const std::string_view value = argv[++arg];
+    bool valid = false;
+    if (flag == "--epochs") {
+      valid = util::store(util::parse_count<std::size_t>(value), epochs);
+    } else if (flag == "--interval-ms") {
+      valid = util::store(util::parse_count<std::uint32_t>(value),
+                          config.interval_ms);
+    } else if (flag == "--rate") {
+      valid = util::store(util::parse_real(value, kPositive, kMaxReal),
+                          config.rate.tokens_per_second);
+    } else if (flag == "--burst") {
+      valid = util::store(util::parse_real(value, 1.0, kMaxReal),
+                          config.rate.burst);
+    } else if (flag == "--workers") {
+      valid = util::store(util::parse_count<std::size_t>(value), config.workers);
+    } else if (flag == "--seed") {
+      valid = util::store(util::parse_count<std::uint64_t>(value), config.seed);
+    } else if (flag == "--connections") {
+      valid = util::store(util::parse_count<std::uint64_t>(value), connections);
+    } else if (flag == "--fault-rate") {
+      valid = util::store(util::parse_real(value, 0.0, 1.0), fault_rate);
     } else if (flag == "--serve-addr") {
-      const std::string addr = value;
-      const std::size_t colon = addr.rfind(':');
-      if (colon == std::string::npos ||
-          !parse_u64(addr.c_str() + colon + 1, number) || number == 0 ||
-          number > 65535) {
-        print_usage(argv[0]);
-        return 2;
-      }
-      serve_host = addr.substr(0, colon);
-      serve_port = static_cast<unsigned long>(number);
-    } else {
+      const std::size_t colon = value.rfind(':');
+      valid = colon != std::string_view::npos &&
+              util::store(util::parse_count<std::uint16_t>(value.substr(colon + 1)),
+                          serve_port) &&
+              serve_port != 0;
+      if (valid) serve_host = value.substr(0, colon);
+    }
+    if (!valid) {
       print_usage(argv[0]);
       return 2;
     }
@@ -147,8 +143,7 @@ int main(int argc, char** argv) {
     svc::RetryOptions retry;
     retry.max_attempts = 4;
     client.set_retry(retry);
-    if (!client.connect(serve_host, static_cast<std::uint16_t>(serve_port),
-                        &error)) {
+    if (!client.connect(serve_host, serve_port, &error)) {
       std::fprintf(stderr, "certchain-fleet: %s\n", error.c_str());
       return 1;
     }

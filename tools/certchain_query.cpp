@@ -3,11 +3,12 @@
 //   certchain-query --port <n> [--host <ip>] [--timeout <ms>]
 //                   [--retries <n>] [--idempotency-key <key>] <command> [args]
 //
-// --timeout bounds every socket operation; --retries arms bounded
-// exponential backoff (OVERLOADED always retried; transport failures only
-// for idempotent requests). --idempotency-key makes `ingest` safe to retry:
-// the server folds the batch exactly once no matter how many times the
-// request arrives (DESIGN.md §13.4).
+// --timeout bounds every socket operation (ms, <= 4294967295; 0 = none);
+// --retries arms bounded exponential backoff (<= 4294967295; OVERLOADED
+// always retried; transport failures only for idempotent requests).
+// --idempotency-key makes `ingest` safe to retry: the server folds the
+// batch exactly once no matter how many times the request arrives
+// (DESIGN.md §13.4). Numbers take digits only; --port is 1-65535.
 //
 // commands:
 //   ping
@@ -29,7 +30,6 @@
 // stdout. Exit codes: 0 success, 1 typed server error, 2 usage, 3 transport
 // failure.
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -37,6 +37,7 @@
 #include <vector>
 
 #include "svc/client.hpp"
+#include "util/strings.hpp"
 
 namespace {
 
@@ -114,9 +115,9 @@ int main(int argc, char** argv) {
 
   std::string host = "127.0.0.1";
   std::string idempotency_key;
-  unsigned long port = 0;
-  unsigned long timeout_ms = 0;
-  unsigned long retries = 0;
+  std::uint16_t port = 0;
+  std::uint32_t timeout_ms = 0;
+  std::uint32_t retries = 0;
   int arg = 1;
   for (; arg < argc; ++arg) {
     const std::string_view flag = argv[arg];
@@ -135,22 +136,18 @@ int main(int argc, char** argv) {
         idempotency_key = value;
         continue;
       }
-      char* end = nullptr;
-      const unsigned long number = std::strtoul(value, &end, 10);
-      if (end == nullptr || *end != '\0') {
+      bool valid = false;
+      if (flag == "--port") {
+        valid = util::store(util::parse_count<std::uint16_t>(value), port) &&
+                port != 0;
+      } else if (flag == "--timeout") {
+        valid = util::store(util::parse_count<std::uint32_t>(value), timeout_ms);
+      } else {
+        valid = util::store(util::parse_count<std::uint32_t>(value), retries);
+      }
+      if (!valid) {
         print_usage(argv[0]);
         return 2;
-      }
-      if (flag == "--port") {
-        port = number;
-        if (port == 0 || port > 65535) {
-          print_usage(argv[0]);
-          return 2;
-        }
-      } else if (flag == "--timeout") {
-        timeout_ms = number;
-      } else {
-        retries = number;
       }
     } else {
       break;
@@ -164,14 +161,14 @@ int main(int argc, char** argv) {
   const int extra = argc - arg - 1;
 
   svc::Client client;
-  client.set_timeout_ms(static_cast<std::uint32_t>(timeout_ms));
+  client.set_timeout_ms(timeout_ms);
   if (retries > 0) {
     svc::RetryOptions retry;
-    retry.max_attempts = static_cast<std::size_t>(retries) + 1;
+    retry.max_attempts = std::size_t{retries} + 1;
     client.set_retry(retry);
   }
   std::string error;
-  if (!client.connect(host, static_cast<std::uint16_t>(port), &error)) {
+  if (!client.connect(host, port, &error)) {
     std::fprintf(stderr, "certchain-query: %s\n", error.c_str());
     return 3;
   }
@@ -226,13 +223,11 @@ int main(int argc, char** argv) {
   if (command == "epoch-delta" && extra <= 1) {
     std::optional<std::size_t> epoch;
     if (extra == 1) {
-      char* end = nullptr;
-      const unsigned long number = std::strtoul(argv[arg + 1], &end, 10);
-      if (end == nullptr || *end != '\0' || *argv[arg + 1] == '\0') {
+      epoch = util::parse_count<std::size_t>(argv[arg + 1]);
+      if (!epoch) {
         print_usage(argv[0]);
         return 2;
       }
-      epoch = static_cast<std::size_t>(number);
     }
     return render_response(client.epoch_delta(epoch), false);
   }

@@ -41,10 +41,8 @@
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <limits>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -54,6 +52,7 @@
 #include "obs/run_context.hpp"
 #include "obs/stopwatch.hpp"
 #include "svc/server.hpp"
+#include "util/strings.hpp"
 #include "zeek/log_io.hpp"
 
 namespace {
@@ -95,18 +94,6 @@ void print_usage(const char* argv0) {
       "  --demo                serve a synthesized demo corpus\n"
       "  --demo-connections <n> demo corpus size (default 4000)\n",
       argv0, argv0);
-}
-
-/// Parses a whole decimal number no larger than `max`: digits only, so a
-/// sign, trailing junk or an out-of-range value is refused instead of
-/// wrapping when narrowed to its field.
-bool parse_bounded(const char* text, unsigned long long max,
-                   unsigned long long& out) {
-  if (*text < '0' || *text > '9') return false;
-  errno = 0;
-  char* end = nullptr;
-  out = std::strtoull(text, &end, 10);
-  return errno == 0 && *end == '\0' && out <= max;
 }
 
 bool slurp(const char* path, std::string& out) {
@@ -157,38 +144,35 @@ int main(int argc, char** argv) {
         durability.wal_path = value;
         continue;
       }
-      unsigned long long max = std::numeric_limits<std::size_t>::max();
+      // Digits only, and each value must fit the field it lands in.
+      const auto count = [value] { return util::parse_count<std::size_t>(value); };
+      const auto ms = [value] { return util::parse_count<std::uint32_t>(value); };
+      bool valid = false;
       if (flag == "--port") {
-        max = 65535;
-      } else if (flag.ends_with("-ms")) {
-        max = std::numeric_limits<std::uint32_t>::max();
+        valid = util::store(util::parse_count<std::uint16_t>(value),
+                            server_options.port);
+      } else if (flag == "--threads") {
+        valid = util::store(count(), server_options.workers);
+      } else if (flag == "--queue") {
+        valid = util::store(count(), server_options.queue_capacity);
+      } else if (flag == "--max-connections") {
+        valid = util::store(count(), server_options.max_connections);
+      } else if (flag == "--snapshot-every") {
+        valid = util::store(count(), durability.snapshot_every);
+      } else if (flag == "--applied-ledger-max") {
+        valid = util::store(count(), durability.applied_ledger_max);
+      } else if (flag == "--request-deadline-ms") {
+        valid = util::store(ms(), server_options.request_deadline_ms);
+      } else if (flag == "--idle-timeout-ms") {
+        valid = util::store(ms(), server_options.idle_timeout_ms);
+      } else if (flag == "--ct-poll-ms") {
+        valid = util::store(ms(), ct_poll_ms);
+      } else {
+        valid = util::store(count(), demo_connections) && demo_connections != 0;
       }
-      unsigned long long number = 0;
-      if (!parse_bounded(value, max, number) ||
-          (flag == "--demo-connections" && number == 0)) {
+      if (!valid) {
         print_usage(argv[0]);
         return 2;
-      }
-      if (flag == "--port") {
-        server_options.port = static_cast<std::uint16_t>(number);
-      } else if (flag == "--threads") {
-        server_options.workers = static_cast<std::size_t>(number);
-      } else if (flag == "--queue") {
-        server_options.queue_capacity = static_cast<std::size_t>(number);
-      } else if (flag == "--max-connections") {
-        server_options.max_connections = static_cast<std::size_t>(number);
-      } else if (flag == "--snapshot-every") {
-        durability.snapshot_every = static_cast<std::size_t>(number);
-      } else if (flag == "--applied-ledger-max") {
-        durability.applied_ledger_max = static_cast<std::size_t>(number);
-      } else if (flag == "--request-deadline-ms") {
-        server_options.request_deadline_ms = static_cast<std::uint32_t>(number);
-      } else if (flag == "--idle-timeout-ms") {
-        server_options.idle_timeout_ms = static_cast<std::uint32_t>(number);
-      } else if (flag == "--ct-poll-ms") {
-        ct_poll_ms = static_cast<std::uint32_t>(number);
-      } else {
-        demo_connections = static_cast<std::size_t>(number);
       }
     } else {
       break;
