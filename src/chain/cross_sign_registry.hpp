@@ -40,15 +40,6 @@ class CrossSignRegistry {
   std::size_t pair_count() const { return pairs_.size(); }
   std::size_t equivalence_count() const;
 
-  /// Learns pairs from an external validator's verdicts: when a chain is
-  /// externally reported valid but position i has a textual mismatch, the
-  /// pair at i is recorded (the paper's "compare with Zeek's validation
-  /// results" step).
-  void learn_pair(const x509::DistinguishedName& issuer,
-                  const x509::DistinguishedName& subject) {
-    add_pair(issuer, subject);
-  }
-
  private:
   const std::string* find_root(std::string_view canonical) const;
 

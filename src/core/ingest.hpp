@@ -66,9 +66,6 @@ struct IngestReport {
   std::vector<std::string> sample_errors;
   static constexpr std::size_t kMaxSampleErrors = 16;
 
-  std::size_t malformed_total() const {
-    return ssl.malformed_rows + x509.malformed_rows;
-  }
   std::size_t skipped_total() const {
     return ssl.skipped_lines + x509.skipped_lines;
   }

@@ -10,11 +10,8 @@ namespace {
 
 class TextLogSource final : public LogSource {
  public:
-  TextLogSource(std::string_view view, std::string owned, bool owns,
-                std::string name)
-      : owned_(std::move(owned)), name_(std::move(name)) {
-    view_ = owns ? std::string_view(owned_) : view;
-  }
+  TextLogSource(std::string_view view, std::string name)
+      : view_(view), name_(std::move(name)) {}
 
   std::string_view name() const override { return name_; }
   std::uint64_t size_hint() const override { return view_.size(); }
@@ -33,7 +30,6 @@ class TextLogSource final : public LogSource {
   }
 
  private:
-  std::string owned_;
   std::string_view view_;
   std::string name_;
   std::size_t pos_ = 0;
@@ -97,14 +93,7 @@ class FunctionLogSource final : public LogSource {
 
 std::unique_ptr<LogSource> make_text_source(std::string_view text,
                                             std::string name) {
-  return std::make_unique<TextLogSource>(text, std::string(), false,
-                                         std::move(name));
-}
-
-std::unique_ptr<LogSource> make_owned_text_source(std::string text,
-                                                  std::string name) {
-  return std::make_unique<TextLogSource>(std::string_view(), std::move(text),
-                                         true, std::move(name));
+  return std::make_unique<TextLogSource>(text, std::move(name));
 }
 
 std::unique_ptr<LogSource> open_file_source(const std::string& path) {

@@ -44,10 +44,6 @@ class LogSource {
 std::unique_ptr<LogSource> make_text_source(std::string_view text,
                                             std::string name = "<memory>");
 
-/// In-memory source that owns its buffer.
-std::unique_ptr<LogSource> make_owned_text_source(std::string text,
-                                                  std::string name = "<memory>");
-
 /// File-backed source reading in chunks. Returns nullptr when the file
 /// cannot be opened.
 std::unique_ptr<LogSource> open_file_source(const std::string& path);

@@ -49,7 +49,7 @@ StudyReport StudyPipeline::run(const StudyInput& input, const RunOptions& option
   IngestReport ingest;
   {
     obs::StageTimer timer(ctx, "ingest");
-    ingest = detail::fold_input(input, options, joiner, corpus, ctx);
+    ingest = fold_input(input, options, joiner, corpus, ctx);
   }
   if (ingest.populated) {
     // The stage triple counts rows that carried (or should have carried)

@@ -98,6 +98,18 @@ struct StudyReport {
   IngestReport ingest;
 };
 
+/// The one fold (pipeline_fold.cpp), sequential on the calling thread: the
+/// X509 rows of `input` go into `joiner` first — the only place DNs are
+/// interned, on the pool the caller attached to the joiner — then its SSL
+/// rows fold into the empty `corpus` as they parse. StudyPipeline::run and
+/// svc::ServiceState::load both build their corpus here. Returns the ingest
+/// accounting of raw-text inputs (unpopulated for records), also published
+/// as `ingest.*` counters in `ctx`. Strict mode throws IngestError on the
+/// first damaged line, as does a kFiles path that cannot be opened.
+IngestReport fold_input(const StudyInput& input, const RunOptions& options,
+                        zeek::LogJoiner& joiner, CorpusIndex& corpus,
+                        obs::RunContext& ctx);
+
 class StudyPipeline {
  public:
   StudyPipeline(const truststore::TrustStoreSet& stores, const ct::CtLogSet& ct_logs,

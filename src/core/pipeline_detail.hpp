@@ -1,5 +1,4 @@
-// Internal helpers shared by the fold (pipeline_fold.cpp) and the analysis
-// (pipeline.cpp) behind StudyPipeline.
+// Internal helpers of the analysis (pipeline.cpp) behind StudyPipeline.
 //
 // The differential guarantee — every input kind and thread count produces
 // byte-identical reports and identical deterministic counters — is cheap to
@@ -19,7 +18,6 @@
 
 #include "core/pipeline.hpp"
 #include "obs/run_context.hpp"
-#include "zeek/joiner.hpp"
 
 namespace certchain::par {
 class ThreadPool;
@@ -44,15 +42,6 @@ void run_shards(
     obs::RunContext* obs, const std::string& stage,
     const std::function<void(std::size_t shard, std::size_t begin,
                              std::size_t end)>& body);
-
-/// The fold half of StudyPipeline::run (pipeline_fold.cpp), sequential on
-/// the calling thread: X509 rows into `joiner` (the only place a run interns
-/// DNs), then SSL rows into the empty `corpus` as they parse. Returns the
-/// ingest accounting of raw-text inputs (unpopulated for records); strict
-/// mode throws IngestError.
-IngestReport fold_input(const StudyInput& input, const RunOptions& options,
-                        zeek::LogJoiner& joiner, CorpusIndex& corpus,
-                        obs::RunContext& ctx);
 
 /// The per-category slice view stage 2 hands to the structure/graph stages.
 using CategorySlices =

@@ -1,6 +1,8 @@
-// The one fold behind StudyPipeline::run (DESIGN.md §10-11).
+// The one fold (DESIGN.md §10-11): how a StudyInput becomes a joiner, a
+// corpus and an IngestReport, behind StudyPipeline::run and
+// svc::ServiceState::load alike.
 //
-// Every input kind takes the same two steps on the coordinating thread. X509
+// Every input kind takes the same two steps on the calling thread. X509
 // rows go into the joiner first: parsed (for raw text) and interned on the
 // run's single DnPool — the only place a run interns DNs. SSL rows then fold
 // straight into the run corpus as they parse: raw text as zeek::SslRowView
@@ -25,14 +27,14 @@
 #include <string>
 
 #include "core/log_source.hpp"
-#include "core/pipeline_detail.hpp"
+#include "core/pipeline.hpp"
 #include "core/stream_checkpoint.hpp"
 #include "obs/run_context.hpp"
 #include "obs/stopwatch.hpp"
 #include "util/hash.hpp"
 #include "zeek/log_stream.hpp"
 
-namespace certchain::core::detail {
+namespace certchain::core {
 
 namespace {
 
@@ -267,4 +269,4 @@ IngestReport fold_input(const StudyInput& input, const RunOptions& options,
   throw IngestError("unknown StudyInput kind");
 }
 
-}  // namespace certchain::core::detail
+}  // namespace certchain::core

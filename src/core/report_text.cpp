@@ -164,9 +164,7 @@ std::string render_report_text(const StudyReport& report,
   if (options.data_quality) render_data_quality(out, report);
   if (options.telemetry != nullptr) {
     out += util::render_banner("Telemetry");
-    obs::TextExportOptions telemetry_options;
-    telemetry_options.trace = options.telemetry_trace;
-    out += obs::render_metrics_text(*options.telemetry, telemetry_options);
+    out += obs::render_metrics_text(*options.telemetry, options.telemetry_trace);
     out += "\n";
   }
   return out;

@@ -11,8 +11,10 @@
 //              parse -> join -> analyze path with ingest accounting.
 //   sources  — two LogSource streams consumed chunk by chunk through the
 //              bounded-memory streaming engine (checkpointable).
-//   files    — paths opened as FileLogSources at run time; a path that
-//              cannot be opened raises IngestError from run().
+//   files    — paths opened as FileLogSources when folded; a path that
+//              cannot be opened raises IngestError from run() (and from
+//              svc::ServiceState::load, which folds through the same
+//              core::fold_input).
 //
 // Referenced records/text must outlive the run() call (they are not copied).
 #pragma once
@@ -86,8 +88,8 @@ class StudyInput {
   std::string_view x509_text() const { return x509_text_; }
 
   // kSources / kFiles: materializes the stream (files are opened here).
-  // Returns nullptr when a file path cannot be opened — run() converts that
-  // into an IngestError naming the path.
+  // Returns nullptr when a file path cannot be opened — the fold converts
+  // that into an IngestError naming the path.
   std::shared_ptr<LogSource> open_ssl_source() const {
     return open_source(ssl_source_, ssl_path_);
   }

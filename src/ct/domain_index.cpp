@@ -66,7 +66,6 @@ void DomainIndex::add(std::string_view domain, std::uint32_t entry,
     }
     it->second.push_back(DomainPosting{entry, validity});
   }
-  ++postings_;
 }
 
 template <typename Filter>

@@ -61,7 +61,6 @@ class DomainIndex {
                                         const util::TimeRange& period) const;
 
   std::size_t shard_count() const { return shards_.size(); }
-  std::size_t posting_count() const { return postings_; }
 
  private:
   using Bucket = std::map<std::string, std::vector<DomainPosting>, std::less<>>;
@@ -79,7 +78,6 @@ class DomainIndex {
                                      Filter&& keep) const;
 
   std::vector<Shard> shards_;
-  std::size_t postings_ = 0;
 };
 
 }  // namespace certchain::ct

@@ -12,6 +12,12 @@ namespace certchain::datagen {
 
 namespace {
 
+// Per-epoch drift probabilities (EpochDriftConfig documents them).
+constexpr double kIssuerShiftRate = 0.10;
+constexpr double kRekeyProbability = 0.15;
+constexpr double kChurnRate = 0.05;
+constexpr double kHierarchyUpgradeRate = 0.20;
+
 /// Leaf validity for drift-issued chains (a year from the first fleet epoch).
 util::TimeRange drift_validity() {
   return {util::make_time(2024, 11, 1), util::make_time(2025, 11, 1)};
@@ -83,7 +89,7 @@ EpochDrifter::EpochDrifter(Scenario& scenario, EpochDriftConfig config,
 
       if (!endpoint.revisit_chain.has_value()) {
         // Offline server: may come back, freshly provisioned.
-        if (rng.bernoulli(config.churn_rate)) {
+        if (rng.bernoulli(kChurnRate)) {
           if (!endpoint.domain.empty()) {
             endpoint.revisit_chain = scenario.world.issue_public_chain(
                 "lets-encrypt", endpoint.domain, drift_validity());
@@ -99,7 +105,7 @@ EpochDrifter::EpochDrifter(Scenario& scenario, EpochDriftConfig config,
 
       // Reachable server: churn off, shift issuer, upgrade hierarchy, or
       // re-key — first matching draw wins, in that order.
-      if (rng.bernoulli(config.churn_rate)) {
+      if (rng.bernoulli(kChurnRate)) {
         endpoint.revisit_chain.reset();
         continue;
       }
@@ -109,17 +115,17 @@ EpochDrifter::EpochDrifter(Scenario& scenario, EpochDriftConfig config,
       const bool all_non_public = chain_all_non_public(stores, current);
 
       if (!lets_encrypt && !endpoint.domain.empty() &&
-          rng.bernoulli(config.issuer_shift_rate)) {
+          rng.bernoulli(kIssuerShiftRate)) {
         endpoint.revisit_chain = scenario.world.issue_public_chain(
             "lets-encrypt", endpoint.domain, drift_validity());
         continue;
       }
       if (all_non_public && current.length() == 1 &&
-          rng.bernoulli(config.hierarchy_upgrade_rate)) {
+          rng.bernoulli(kHierarchyUpgradeRate)) {
         endpoint.revisit_chain = enterprise_chain(scenario.world, drift_org, name);
         continue;
       }
-      if (rng.bernoulli(config.rekey_probability)) {
+      if (rng.bernoulli(kRekeyProbability)) {
         if (lets_encrypt && !endpoint.domain.empty()) {
           endpoint.revisit_chain = scenario.world.issue_public_chain(
               "lets-encrypt", endpoint.domain, drift_validity());

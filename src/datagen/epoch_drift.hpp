@@ -30,17 +30,14 @@
 
 namespace certchain::datagen {
 
-/// Per-epoch drift probabilities; all draws are per endpoint per epoch.
+/// The drift's seed. Its per-epoch probabilities are fixed, all drawn per
+/// endpoint per epoch: a reachable non-Let's-Encrypt server migrates to a
+/// Let's Encrypt chain at 0.10, a reachable server re-issues within its
+/// category with a fresh key at 0.15, a reachable server drops offline (or
+/// an offline one comes back) at 0.05, and a single-certificate non-public
+/// server upgrades to a 3-certificate hierarchy at 0.20.
 struct EpochDriftConfig {
   std::uint64_t seed = 0xD21F7;
-  /// Reachable non-Let's-Encrypt server migrates to a Let's Encrypt chain.
-  double issuer_shift_rate = 0.10;
-  /// Reachable server re-issues within its category with a fresh key.
-  double rekey_probability = 0.15;
-  /// Reachable server drops offline / offline server comes back.
-  double churn_rate = 0.05;
-  /// Single-certificate non-public server upgrades to a 3-cert hierarchy.
-  double hierarchy_upgrade_rate = 0.20;
 };
 
 /// Materializes `epoch_count` successive revisit populations. Epoch 0 is the

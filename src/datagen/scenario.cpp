@@ -419,12 +419,8 @@ void add_interception_endpoints(Scenario& scenario, const ScenarioConfig& config
   const util::TimeRange validity = PkiWorld::default_leaf_validity();
 
   // Vendor directory — the analysis-side "manual investigation" lookup.
-  for (netsim::InterceptionDeployment& deployment : world.interception()) {
-    const core::VendorInfo info{
-        deployment.vendor.name,
-        std::string(interception_category_name(deployment.vendor.category))};
-    scenario.vendors[deployment.intermediate_ca.name().canonical()] = info;
-    scenario.vendors[deployment.root_ca.name().canonical()] = info;
+  for (auto& [issuer, info] : interception_vendor_directory(world)) {
+    scenario.vendors.insert_or_assign(issuer, std::move(info));
   }
 
   // Category connection shares (Table 1 %) and client-IP budgets scaled to
@@ -609,6 +605,29 @@ void add_interception_endpoints(Scenario& scenario, const ScenarioConfig& config
 }
 
 }  // namespace detail
+
+ScenarioConfig demo_scenario_config(std::uint64_t connections) {
+  ScenarioConfig config;
+  config.seed = 20200901;
+  config.chain_scale = 1.0 / static_cast<double>(connections);
+  config.total_connections = connections;
+  config.client_count = 300;
+  config.include_length_outliers = false;
+  return config;
+}
+
+core::VendorDirectory interception_vendor_directory(
+    const netsim::PkiWorld& world) {
+  core::VendorDirectory directory;
+  for (const netsim::InterceptionDeployment& deployment : world.interception()) {
+    const core::VendorInfo info{
+        deployment.vendor.name,
+        std::string(netsim::interception_category_name(deployment.vendor.category))};
+    directory[deployment.intermediate_ca.name().canonical()] = info;
+    directory[deployment.root_ca.name().canonical()] = info;
+  }
+  return directory;
+}
 
 std::unique_ptr<Scenario> build_study_scenario(const ScenarioConfig& config,
                                                obs::RunContext* obs) {

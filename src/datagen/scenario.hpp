@@ -80,6 +80,19 @@ struct Scenario {
 std::unique_ptr<Scenario> build_study_scenario(const ScenarioConfig& config = {},
                                                obs::RunContext* obs = nullptr);
 
+/// The demo world certchain-analyze --demo, certchain-serve --demo and
+/// certchain-fleet build: seed 20200901, `connections` connections from 300
+/// clients, chain scale 1/`connections`, no length outliers. One definition,
+/// so a fleet pointed at a --demo daemon extends exactly the corpus it
+/// serves.
+ScenarioConfig demo_scenario_config(std::uint64_t connections);
+
+/// The interception vendor directory of `world`: every deployment's
+/// leaf-signing intermediate and root, by canonical DN, mapped to its vendor
+/// and Table 1 category.
+core::VendorDirectory interception_vendor_directory(
+    const netsim::PkiWorld& world);
+
 /// Internal builders, exposed for targeted tests and benches. Each appends
 /// endpoints labeled with its structural intent.
 namespace detail {

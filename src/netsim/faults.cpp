@@ -48,23 +48,11 @@ FaultRates FaultRates::uniform(double r) {
   return rates;
 }
 
-bool FaultPlan::enabled() const {
-  if (rates_.any()) return true;
-  for (const auto& [target, rates] : overrides_) {
-    if (rates.any()) return true;
-  }
-  return false;
-}
-
-const FaultRates& FaultPlan::rates_for(std::string_view target) const {
-  const auto it = overrides_.find(target);
-  return it == overrides_.end() ? rates_ : it->second;
-}
+bool FaultPlan::enabled() const { return rates_.any(); }
 
 FaultEvent FaultPlan::decide(std::string_view target, std::uint32_t attempt) const {
   FaultEvent event;
-  const FaultRates& rates = rates_for(target);
-  if (!rates.any()) return event;
+  if (!rates_.any()) return event;
 
   const std::uint64_t target_salt = util::stable_salt(target);
   const std::uint64_t epoch_salt =
@@ -74,7 +62,7 @@ FaultEvent FaultPlan::decide(std::string_view target, std::uint32_t attempt) con
   // the attempt: every retry sees the same dead host.
   {
     util::Rng persistent_rng = util::Rng(seed_).fork(target_salt ^ epoch_salt);
-    if (persistent_rng.bernoulli(clamp01(rates.persistent_unreachable))) {
+    if (persistent_rng.bernoulli(clamp01(rates_.persistent_unreachable))) {
       event.kind = FaultKind::kPersistentUnreachable;
       return event;
     }
@@ -82,7 +70,7 @@ FaultEvent FaultPlan::decide(std::string_view target, std::uint32_t attempt) con
 
   util::Rng rng = util::Rng(seed_).fork(target_salt ^ epoch_salt)
                       .fork(0xA77E0000ULL + attempt);
-  const double total = rates.attempt_total();
+  const double total = rates_.attempt_total();
   if (total <= 0.0) return event;
 
   // One uniform draw walks the cumulative rate ladder. If the rates sum past
@@ -94,21 +82,21 @@ FaultEvent FaultPlan::decide(std::string_view target, std::uint32_t attempt) con
     return u < 0.0;
   };
 
-  if (take(rates.connect_timeout)) {
+  if (take(rates_.connect_timeout)) {
     event.kind = FaultKind::kConnectTimeout;
-  } else if (take(rates.connection_reset)) {
+  } else if (take(rates_.connection_reset)) {
     event.kind = FaultKind::kConnectionReset;
-  } else if (take(rates.truncated_handshake)) {
+  } else if (take(rates_.truncated_handshake)) {
     event.kind = FaultKind::kTruncatedHandshake;
     // Keep between 10% and 90% of the bundle: always lose something, always
     // keep enough bytes for a salvage attempt to be interesting.
     event.truncate_fraction = rng.uniform(0.10, 0.90);
-  } else if (take(rates.byte_corruption)) {
+  } else if (take(rates_.byte_corruption)) {
     event.kind = FaultKind::kByteCorruption;
     event.corrupt_bytes = 1 + static_cast<std::uint32_t>(rng.next_below(16));
-  } else if (take(rates.transient_unreachable)) {
+  } else if (take(rates_.transient_unreachable)) {
     event.kind = FaultKind::kTransientUnreachable;
-  } else if (take(rates.slow_response)) {
+  } else if (take(rates_.slow_response)) {
     event.kind = FaultKind::kSlowResponse;
     event.delay_ms = 500 + static_cast<std::uint32_t>(rng.next_below(9500));
   }

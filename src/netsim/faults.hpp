@@ -12,7 +12,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <string_view>
 
@@ -74,7 +73,7 @@ struct FaultEvent {
   std::uint64_t payload_salt = 0;
 };
 
-/// A seeded, composable fault schedule. Stateless per query: decide() is a
+/// A seeded fault schedule. Stateless per query: decide() is a
 /// pure function of (seed, rates, epoch, target, attempt).
 class FaultPlan {
  public:
@@ -82,20 +81,12 @@ class FaultPlan {
   FaultPlan() = default;
   FaultPlan(std::uint64_t seed, FaultRates rates) : seed_(seed), rates_(rates) {}
 
-  /// Per-target override, composable on top of the default rates (e.g. one
-  /// flaky building, one dead subnet). Matches the scan target string
-  /// ("domain:port" or "ip:port").
-  void set_target_rates(const std::string& target, FaultRates rates) {
-    overrides_[target] = rates;
-  }
-
   /// Epoch knob: the §5 revisit can be replayed under different epochs of
   /// the same plan (fault draws are independent across epochs).
   void set_epoch(std::uint32_t epoch) { epoch_ = epoch; }
   std::uint32_t epoch() const { return epoch_; }
 
   std::uint64_t seed() const { return seed_; }
-  const FaultRates& default_rates() const { return rates_; }
 
   /// True if any configured rate can ever fire.
   bool enabled() const;
@@ -110,11 +101,8 @@ class FaultPlan {
   static std::string damage_bundle(const FaultEvent& event, std::string_view bundle);
 
  private:
-  const FaultRates& rates_for(std::string_view target) const;
-
   std::uint64_t seed_ = 0;
   FaultRates rates_;
-  std::map<std::string, FaultRates, std::less<>> overrides_;
   std::uint32_t epoch_ = 0;
 };
 

@@ -133,7 +133,6 @@ class PkiWorld {
                                              bool include_root = false);
 
   // --- non-public CAs ------------------------------------------------------
-  const std::vector<PrivateCaHierarchy>& private_cas() const { return private_cas_; }
   PrivateCaHierarchy& private_ca(std::string_view short_name);
 
   /// Creates (or returns the existing) enterprise private hierarchy for an
@@ -142,7 +141,6 @@ class PkiWorld {
                                          bool with_intermediate);
 
   // --- chained sub-CAs (Table 6) --------------------------------------------
-  const std::vector<ChainedSubCa>& chained_sub_cas() const { return sub_cas_; }
   ChainedSubCa& chained_sub_ca(std::string_view short_name);
 
   /// Issues the full Table 6 chain for `domain` under a chained sub-CA:

@@ -78,8 +78,6 @@ struct TrafficConfig {
 struct GeneratedLogs {
   std::vector<zeek::SslLogRecord> ssl;
   std::vector<zeek::X509LogRecord> x509;  // one row per distinct certificate
-
-  std::size_t connection_count() const { return ssl.size(); }
 };
 
 class CampusSimulator {

@@ -87,58 +87,55 @@ void write_trace_json(json::Writer& writer, const Trace::Node& node) {
 
 }  // namespace
 
-std::string render_metrics_text(const RunContext& context,
-                                const TextExportOptions& options) {
+std::string render_metrics_text(const RunContext& context, bool trace) {
   const MetricsRegistry& metrics = context.metrics;
   std::string out;
 
-  if (options.counters && !metrics.counters().empty()) {
+  if (!metrics.counters().empty()) {
     out += "counters:\n";
     for (const auto& [name, value] : metrics.counters()) {
       out += "  " + name + " = " + std::to_string(value) + "\n";
     }
   }
-  if (options.gauges && !metrics.gauges().empty()) {
+  if (!metrics.gauges().empty()) {
     out += "gauges:\n";
     for (const auto& [name, value] : metrics.gauges()) {
       out += "  " + name + " = " + format_value(value) + "\n";
     }
   }
-  if (options.histograms && !metrics.histograms().empty()) {
+  if (!metrics.histograms().empty()) {
     out += "histograms:\n";
     for (const auto& [name, histogram] : metrics.histograms()) {
       render_distribution_line(out, name, histogram);
     }
   }
-  if (options.timings && !metrics.timings().empty()) {
+  if (!metrics.timings().empty()) {
     out += "timings (ms, machine-dependent):\n";
     for (const auto& [name, histogram] : metrics.timings()) {
       render_distribution_line(out, name, histogram);
     }
   }
-  if (options.manifest) {
-    const RunManifest manifest = build_run_manifest(context);
-    if (!manifest.config.empty()) {
-      out += "run config:\n";
-      for (const auto& [key, value] : manifest.config) {
-        out += "  " + key + " = " + value + "\n";
-      }
-    }
-    if (!manifest.stages.empty()) {
-      out += "stages (in -> admitted + dropped, wall ms):\n";
-      for (const StageManifest& stage : manifest.stages) {
-        out += "  " + stage.name + ": in=" + std::to_string(stage.records_in) +
-               " admitted=" + std::to_string(stage.admitted) +
-               " dropped=" + std::to_string(stage.dropped);
-        if (stage.timed) out += " wall=" + format_ms(stage.wall_ms) + "ms";
-        if (!stage.reconciles()) out += "  [DOES NOT RECONCILE]";
-        out += "\n";
-      }
-      out += "total traced wall time: " + format_ms(manifest.total_wall_ms) +
-             " ms\n";
+  const RunManifest manifest = build_run_manifest(context);
+  if (!manifest.config.empty()) {
+    out += "run config:\n";
+    for (const auto& [key, value] : manifest.config) {
+      out += "  " + key + " = " + value + "\n";
     }
   }
-  if (options.trace && context.trace.node_count() > 0) {
+  if (!manifest.stages.empty()) {
+    out += "stages (in -> admitted + dropped, wall ms):\n";
+    for (const StageManifest& stage : manifest.stages) {
+      out += "  " + stage.name + ": in=" + std::to_string(stage.records_in) +
+             " admitted=" + std::to_string(stage.admitted) +
+             " dropped=" + std::to_string(stage.dropped);
+      if (stage.timed) out += " wall=" + format_ms(stage.wall_ms) + "ms";
+      if (!stage.reconciles()) out += "  [DOES NOT RECONCILE]";
+      out += "\n";
+    }
+    out += "total traced wall time: " + format_ms(manifest.total_wall_ms) +
+           " ms\n";
+  }
+  if (trace && context.trace.node_count() > 0) {
     out += "trace:\n";
     out += context.trace.render();
   }

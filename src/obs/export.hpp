@@ -16,18 +16,11 @@
 
 namespace certchain::obs {
 
-struct TextExportOptions {
-  bool counters = true;
-  bool gauges = true;
-  bool histograms = true;
-  bool timings = true;
-  bool manifest = true;
-  bool trace = false;  // the tree can get long; off by default in reports
-};
-
-/// Pretty text rendering of a run's telemetry.
-std::string render_metrics_text(const RunContext& context,
-                                const TextExportOptions& options = {});
+/// Pretty text rendering of a run's telemetry: counters, gauges,
+/// histograms, timings and the run manifest, plus the span tree when
+/// `trace` is set (the tree can get long, so reports leave it out by
+/// default).
+std::string render_metrics_text(const RunContext& context, bool trace = false);
 
 /// Schema-versioned JSON document (see kMetricsSchemaName / Version).
 std::string export_metrics_json(const RunContext& context);

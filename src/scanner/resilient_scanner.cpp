@@ -12,6 +12,16 @@ using netsim::FaultEvent;
 using netsim::FaultKind;
 using netsim::FaultPlan;
 
+namespace {
+
+// The fixed half of the retry discipline (RetryPolicy documents it).
+constexpr double kBackoffMultiplier = 2.0;
+constexpr double kJitterFraction = 0.1;
+constexpr std::uint32_t kRttMs = 50;
+constexpr std::uint32_t kConnectTimeoutMs = 1000;
+
+}  // namespace
+
 std::string_view scan_error_name(ScanError error) {
   switch (error) {
     case ScanError::kNone: return "ok";
@@ -98,8 +108,6 @@ ResilientScanResult ResilientScanner::run_attempts(ScanResult pristine) {
 
   util::Rng jitter_rng =
       util::Rng(policy_.jitter_seed).fork(util::stable_salt(pristine.target));
-  const double jitter =
-      std::clamp(policy_.jitter_fraction, 0.0, 1.0);
 
   // Best salvage candidate seen across attempts.
   bool have_salvage = false;
@@ -116,10 +124,9 @@ ResilientScanResult ResilientScanner::run_attempts(ScanResult pristine) {
     if (attempt > 0) {
       // Exponential backoff with deterministic jitter before every retry.
       double wait = static_cast<double>(policy_.base_backoff_ms) *
-                    std::pow(std::max(1.0, policy_.backoff_multiplier),
-                             static_cast<double>(attempt - 1));
+                    std::pow(kBackoffMultiplier, static_cast<double>(attempt - 1));
       wait = std::min(wait, static_cast<double>(policy_.max_backoff_ms));
-      if (jitter > 0.0) wait *= jitter_rng.uniform(1.0 - jitter, 1.0 + jitter);
+      wait *= jitter_rng.uniform(1.0 - kJitterFraction, 1.0 + kJitterFraction);
       const auto wait_ms = static_cast<std::uint32_t>(wait);
       elapsed += wait_ms;
       ledger_.backoff_ms_total += wait_ms;
@@ -140,7 +147,7 @@ ResilientScanResult ResilientScanner::run_attempts(ScanResult pristine) {
     // A host that is genuinely gone (no revisit chain / unknown target)
     // looks the same regardless of the injected fault.
     if (!pristine.reachable) {
-      elapsed += policy_.connect_timeout_ms;
+      elapsed += kConnectTimeoutMs;
       last_error = ScanError::kUnreachable;
       ++ledger_.error_counts[last_error];
       bump("scanner.error.unreachable");
@@ -154,57 +161,55 @@ ResilientScanResult ResilientScanner::run_attempts(ScanResult pristine) {
     bool attempt_failed = false;
     switch (event.kind) {
       case FaultKind::kNone:
-        elapsed += policy_.rtt_ms;
+        elapsed += kRttMs;
         break;
       case FaultKind::kSlowResponse:
-        elapsed += policy_.rtt_ms + event.delay_ms;
+        elapsed += kRttMs + event.delay_ms;
         if (elapsed > policy_.target_deadline_ms) {
           last_error = ScanError::kDeadlineExceeded;
           attempt_failed = true;
         }
         break;
       case FaultKind::kConnectTimeout:
-        elapsed += policy_.connect_timeout_ms;
+        elapsed += kConnectTimeoutMs;
         last_error = ScanError::kConnectTimeout;
         attempt_failed = true;
         break;
       case FaultKind::kConnectionReset:
-        elapsed += policy_.rtt_ms;
+        elapsed += kRttMs;
         last_error = ScanError::kConnectionReset;
         attempt_failed = true;
         break;
       case FaultKind::kTransientUnreachable:
       case FaultKind::kPersistentUnreachable:
-        elapsed += policy_.rtt_ms;
+        elapsed += kRttMs;
         last_error = ScanError::kUnreachable;
         attempt_failed = true;
         break;
       case FaultKind::kTruncatedHandshake:
       case FaultKind::kByteCorruption: {
-        elapsed += policy_.rtt_ms;
+        elapsed += kRttMs;
         last_error = event.kind == FaultKind::kTruncatedHandshake
                          ? ScanError::kTruncatedBundle
                          : ScanError::kCorruptBundle;
         attempt_failed = true;
-        if (policy_.salvage_partial) {
-          const std::string damaged =
-              FaultPlan::damage_bundle(event, pristine.pem_bundle);
-          std::size_t malformed = 0;
-          std::vector<x509::Certificate> certs =
-              x509::decode_pem_bundle(damaged, &malformed);
-          if (!certs.empty() && certs.size() > best_salvaged_certs) {
-            have_salvage = true;
-            best_salvaged_certs = certs.size();
-            best_dropped_certs =
-                pristine.chain.length() > certs.size()
-                    ? pristine.chain.length() - certs.size()
-                    : malformed;
-            best_salvage_error = last_error;
-            best_salvage.reachable = true;
-            best_salvage.target = pristine.target;
-            best_salvage.pem_bundle = damaged;
-            best_salvage.chain = chain::CertificateChain(std::move(certs));
-          }
+        const std::string damaged =
+            FaultPlan::damage_bundle(event, pristine.pem_bundle);
+        std::size_t malformed = 0;
+        std::vector<x509::Certificate> certs =
+            x509::decode_pem_bundle(damaged, &malformed);
+        if (!certs.empty() && certs.size() > best_salvaged_certs) {
+          have_salvage = true;
+          best_salvaged_certs = certs.size();
+          best_dropped_certs =
+              pristine.chain.length() > certs.size()
+                  ? pristine.chain.length() - certs.size()
+                  : malformed;
+          best_salvage_error = last_error;
+          best_salvage.reachable = true;
+          best_salvage.target = pristine.target;
+          best_salvage.pem_bundle = damaged;
+          best_salvage.chain = chain::CertificateChain(std::move(certs));
         }
         break;
       }

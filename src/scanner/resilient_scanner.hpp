@@ -46,23 +46,19 @@ enum class ScanError : std::uint8_t {
 std::string_view scan_error_name(ScanError error);
 
 /// Retry/backoff knobs. All time is virtual (milliseconds charged against
-/// the per-target deadline), so runs are instant and reproducible.
+/// the per-target deadline), so runs are instant and reproducible. The rest
+/// of the discipline is fixed: the backoff doubles per retry, each wait is
+/// scaled by a factor drawn uniformly from [0.9, 1.1] (deterministic via
+/// jitter_seed), a round trip costs 50 ms and a connect timeout 1,000 ms,
+/// and the parseable prefix of a damaged bundle is kept as a degraded
+/// result.
 struct RetryPolicy {
   std::uint32_t max_attempts = 4;
   std::uint32_t base_backoff_ms = 100;
-  double backoff_multiplier = 2.0;
   std::uint32_t max_backoff_ms = 5000;
-  /// Backoff jitter: each wait is scaled by a factor drawn uniformly from
-  /// [1-jitter_fraction, 1+jitter_fraction] (deterministic via jitter_seed).
-  double jitter_fraction = 0.1;
   std::uint64_t jitter_seed = 0x5CA27E7ULL;
-  /// Virtual cost of one round-trip / of a connect timeout.
-  std::uint32_t rtt_ms = 50;
-  std::uint32_t connect_timeout_ms = 1000;
   /// Per-target budget; attempts stop once it is exhausted.
   std::uint32_t target_deadline_ms = 30000;
-  /// Keep the parseable prefix of a damaged bundle as a degraded result.
-  bool salvage_partial = true;
 };
 
 /// ScanResult plus resilience metadata.
@@ -129,7 +125,6 @@ class ResilientScanner {
 
   const RetryPolicy& policy() const { return policy_; }
   const ScanLedger& ledger() const { return ledger_; }
-  void reset_ledger() { ledger_ = ScanLedger{}; }
 
  private:
   /// Runs the retry loop against the pristine (fault-free) answer.

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "core/stream_checkpoint.hpp"
+#include "obs/run_context.hpp"
 #include "zeek/log_io.hpp"
 
 namespace certchain::svc {
@@ -94,21 +95,22 @@ std::uint64_t ServiceState::snapshots_published() const {
   return tracker_->published.load(std::memory_order_acquire);
 }
 
-void ServiceState::load(const std::vector<zeek::SslLogRecord>& ssl,
-                        const std::vector<zeek::X509LogRecord>& x509) {
+core::IngestReport ServiceState::load(const core::StudyInput& input) {
   std::lock_guard<std::mutex> lock(writer_mutex_);
-  joiner_ = zeek::LogJoiner();
-  joiner_.set_dn_pool(&dn_pool_);
-  for (const zeek::X509LogRecord& record : x509) joiner_.add(record);
-  corpus_ = core::CorpusIndex();
-  for (const zeek::SslLogRecord& record : ssl) {
-    corpus_.add(joiner_, record);
-  }
+  zeek::LogJoiner joiner;
+  joiner.set_dn_pool(&dn_pool_);
+  core::CorpusIndex corpus;
+  obs::RunContext scratch;
+  core::IngestReport ingest =
+      core::fold_input(input, core::RunOptions{}, joiner, corpus, scratch);
+  joiner_ = std::move(joiner);
+  corpus_ = std::move(corpus);
   generation_ = 0;
   appended_x509_rows_.clear();
   applied_.clear();
   applied_order_.clear();
   publish_locked(analyze_locked(), std::make_shared<const EpochList>());
+  return ingest;
 }
 
 bool ServiceState::recover_and_arm(const DurabilityOptions& options,

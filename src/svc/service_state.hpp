@@ -123,10 +123,20 @@ class ServiceState {
                const chain::CrossSignRegistry* registry = nullptr);
   ~ServiceState();
 
-  /// Loads the initial corpus from parsed records, replacing any previous
-  /// state, runs the first analysis, and publishes generation 0.
+  /// Loads the initial corpus through the engine's fold (core::fold_input,
+  /// lenient), replacing any previous state, runs the first analysis, and
+  /// publishes generation 0. The fold runs off to the side on the service's
+  /// DnPool and is swapped in only on success: a load that throws (a file
+  /// that cannot be opened) leaves the serving generation, the corpus and
+  /// the idempotency ledger as they were. Returns the fold's ingest
+  /// accounting (unpopulated for records); the served report carries none,
+  /// exactly as a load of the same records would.
+  core::IngestReport load(const core::StudyInput& input);
+  /// load() over parsed records.
   void load(const std::vector<zeek::SslLogRecord>& ssl,
-            const std::vector<zeek::X509LogRecord>& x509);
+            const std::vector<zeek::X509LogRecord>& x509) {
+    load(core::StudyInput::records(ssl, x509));
+  }
 
   /// Arms durability: restores any snapshot at snapshot_path_for(wal_path),
   /// replays the WAL tail (preserving original batch boundaries, skipping
@@ -197,7 +207,6 @@ class ServiceState {
   std::size_t unique_chains() const {
     return acquire_snapshot()->report->unique_chains;
   }
-  core::CorpusTotals totals() const { return acquire_snapshot()->report->totals; }
   bool durable() const { return durable_; }
 
   // --- snapshot lifecycle observability (DESIGN.md §15.2) -----------------
@@ -306,8 +315,8 @@ class ServiceState {
   /// The service's DN interning pool (DESIGN.md §16). Declared before
   /// joiner_ so it outlives it; every certificate the joiner builds across
   /// appends carries this pool's ids, and re-analysis classifies issuers by
-  /// id. load() resets the corpus but keeps the pool — ids stay stable for
-  /// the life of the state, stale entries are just idle memory.
+  /// id. load() replaces the corpus but keeps the pool — ids stay stable
+  /// for the life of the state, stale entries are just idle memory.
   core::DnPool dn_pool_;
   zeek::LogJoiner joiner_;          // grows across appends
   core::CorpusIndex corpus_;

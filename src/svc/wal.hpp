@@ -127,7 +127,6 @@ class WriteAheadLog {
 
   void close();
 
-  bool is_open() const { return fd_ >= 0; }
   const std::string& path() const { return path_; }
   std::uint64_t next_seq() const { return next_seq_; }
   std::uint64_t bytes_on_disk() const { return bytes_on_disk_; }

@@ -29,20 +29,6 @@ std::vector<std::string> split_nonempty(std::string_view text, char delimiter) {
   return parts;
 }
 
-std::vector<std::string_view> split_views(std::string_view text, char delimiter) {
-  std::vector<std::string_view> parts;
-  std::size_t start = 0;
-  while (true) {
-    const std::size_t pos = text.find(delimiter, start);
-    if (pos == std::string_view::npos) {
-      parts.push_back(text.substr(start));
-      return parts;
-    }
-    parts.push_back(text.substr(start, pos - start));
-    start = pos + 1;
-  }
-}
-
 bool split_exact(std::string_view text, char delimiter, std::string_view* out,
                  std::size_t count) {
   std::size_t field = 0;

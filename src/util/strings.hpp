@@ -19,10 +19,6 @@ std::vector<std::string> split(std::string_view text, char delimiter);
 /// Splits but drops empty fields.
 std::vector<std::string> split_nonempty(std::string_view text, char delimiter);
 
-/// Splits into views over `text` — zero copies; same field semantics as
-/// split(). The views are only valid while `text`'s backing storage lives.
-std::vector<std::string_view> split_views(std::string_view text, char delimiter);
-
 /// Scans `text` into exactly `count` delimiter-separated fields written to
 /// `out[0..count)`. Returns false (leaving `out` unspecified) when the field
 /// count differs. The allocation-free row scanner for fixed-layout TSV.

@@ -31,8 +31,6 @@ class TextTable {
   /// Adds a horizontal separator row.
   void add_separator();
 
-  std::size_t row_count() const { return rows_.size(); }
-
   /// Renders with a header rule, e.g.
   ///   Port     %
   ///   -----  -----

@@ -6,7 +6,6 @@
 #include <cstdio>
 
 #include "util/strings.hpp"
-#include "zeek/log_stream.hpp"
 
 namespace certchain::zeek {
 
@@ -337,48 +336,6 @@ std::optional<X509LogRecord> parse_x509_row(std::string_view line,
   }
   record.san_dns = tsv::parse_vector(cells[13]);
   return record;
-}
-
-namespace {
-
-/// Feeds the whole `text` through `reader`, the streaming readers' line loop
-/// (header checks, rotation at #close, damage accounting), and adds its
-/// accounting to `diagnostics`.
-template <typename Reader>
-void read_whole_log(Reader reader, std::string_view text,
-                    ParseDiagnostics* diagnostics) {
-  reader.feed(text);
-  reader.finish();
-  if (diagnostics == nullptr) return;
-  diagnostics->total_lines += reader.lines_seen();
-  diagnostics->skipped_lines += reader.lines_skipped();
-  for (const ReaderLineError& error : reader.errors()) {
-    if (diagnostics->errors.size() >= 32) break;
-    diagnostics->errors.push_back("line " + std::to_string(error.line_number) +
-                                  ": " + error.message);
-  }
-}
-
-}  // namespace
-
-std::vector<SslLogRecord> parse_ssl_log(std::string_view text,
-                                        ParseDiagnostics* diagnostics) {
-  std::vector<SslLogRecord> records;
-  read_whole_log(make_streaming_ssl_view_reader([&records](SslRowView row) {
-                   records.push_back(to_ssl_record(row));
-                 }),
-                 text, diagnostics);
-  return records;
-}
-
-std::vector<X509LogRecord> parse_x509_log(std::string_view text,
-                                          ParseDiagnostics* diagnostics) {
-  std::vector<X509LogRecord> records;
-  read_whole_log(make_streaming_x509_reader([&records](X509LogRecord record) {
-                   records.push_back(std::move(record));
-                 }),
-                 text, diagnostics);
-  return records;
 }
 
 }  // namespace certchain::zeek

@@ -97,19 +97,11 @@ class X509LogWriter {
   std::size_t count_ = 0;
 };
 
-/// Parse outcomes carry per-line diagnostics instead of throwing: real log
-/// files contain damage, and the reader's job is to keep going.
-struct ParseDiagnostics {
-  std::size_t total_lines = 0;
-  std::size_t skipped_lines = 0;
-  std::vector<std::string> errors;  // capped at 32 entries
-};
-
 /// Parses one SSL.log body row (no header handling) into views over `line`;
 /// a well-formed row allocates nothing. On failure returns nullopt and,
 /// when `error` is given, a short reason: a wrong column count, or a scalar
 /// that is malformed or out of its type's range. The one SSL row parser;
-/// the batch and streaming readers all sit on top of it.
+/// the streaming readers and the daemon's append path sit on top of it.
 std::optional<SslRowView> parse_ssl_row_view(std::string_view line,
                                              std::string* error = nullptr);
 
@@ -120,16 +112,5 @@ std::optional<SslLogRecord> parse_ssl_row(std::string_view line,
 /// Parses one X509.log body row, with the same rejection rules.
 std::optional<X509LogRecord> parse_x509_row(std::string_view line,
                                             std::string* error = nullptr);
-
-/// Parses an SSL.log text (header + rows) on the streaming readers' line
-/// loop, so it keeps exactly the rows the engine keeps: unknown header
-/// layouts are rejected, rows after a #close wait for the next #fields
-/// header, and damaged rows are skipped and reported via diagnostics.
-std::vector<SslLogRecord> parse_ssl_log(std::string_view text,
-                                        ParseDiagnostics* diagnostics = nullptr);
-
-/// Parses an X509.log text, with the same line loop.
-std::vector<X509LogRecord> parse_x509_log(std::string_view text,
-                                          ParseDiagnostics* diagnostics = nullptr);
 
 }  // namespace certchain::zeek

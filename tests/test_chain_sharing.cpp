@@ -19,7 +19,7 @@
 #include "core/corpus.hpp"
 #include "core/dn_pool.hpp"
 #include "core/log_source.hpp"
-#include "core/pipeline_detail.hpp"
+#include "core/pipeline.hpp"
 #include "core/stream_checkpoint.hpp"
 #include "core/study_input.hpp"
 #include "datagen/scenario.hpp"
@@ -115,8 +115,8 @@ class ChainSharing : public ::testing::Test {
                                       const core::RunOptions& options = {}) {
     auto folded = std::make_unique<Folded>();
     folded->joiner.set_dn_pool(&folded->pool);
-    core::detail::fold_input(input, options, folded->joiner, folded->corpus,
-                             folded->ctx);
+    core::fold_input(input, options, folded->joiner, folded->corpus,
+                     folded->ctx);
     return folded;
   }
 

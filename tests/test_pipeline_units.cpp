@@ -7,7 +7,6 @@
 
 #include "../tests/helpers.hpp"
 #include "core/pipeline.hpp"
-#include "core/pipeline_detail.hpp"
 #include "core/report_text.hpp"
 #include "obs/json.hpp"
 #include "obs/manifest.hpp"
@@ -220,7 +219,7 @@ TEST_F(PipelineUnitTest, EscapedFieldsFoldIdenticallyThroughEveryInput) {
     obs::RunContext ctx;
     RunOptions options;
     options.chunk_bytes = chunk_bytes;
-    detail::fold_input(input, options, joiner, corpus, ctx);
+    fold_input(input, options, joiner, corpus, ctx);
     ReportTextOptions text;
     text.graphs = true;
     obs::json::Writer snapshot;

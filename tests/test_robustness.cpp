@@ -12,6 +12,7 @@
 #include "x509/pem.hpp"
 #include "zeek/joiner.hpp"
 #include "zeek/log_io.hpp"
+#include "zeek/log_stream.hpp"
 
 namespace certchain {
 namespace {
@@ -86,11 +87,16 @@ TEST_P(RobustnessTest, ZeekParsersNeverThrow) {
   const std::string x509_text = x509_writer.finish();
 
   for (int i = 0; i < 100; ++i) {
-    zeek::ParseDiagnostics diagnostics;
-    EXPECT_NO_THROW((void)zeek::parse_ssl_log(
-        mutate(ssl_text, rng, 1 + int(rng.next_below(40))), &diagnostics));
-    EXPECT_NO_THROW((void)zeek::parse_x509_log(
-        mutate(x509_text, rng, 1 + int(rng.next_below(40))), &diagnostics));
+    EXPECT_NO_THROW({
+      auto reader = zeek::make_streaming_ssl_reader([](zeek::SslLogRecord) {});
+      reader.feed(mutate(ssl_text, rng, 1 + int(rng.next_below(40))));
+      reader.finish();
+    });
+    EXPECT_NO_THROW({
+      auto reader = zeek::make_streaming_x509_reader([](zeek::X509LogRecord) {});
+      reader.feed(mutate(x509_text, rng, 1 + int(rng.next_below(40))));
+      reader.finish();
+    });
   }
 }
 

@@ -12,7 +12,10 @@
 //  * idempotency — a retried append with the same key folds exactly once,
 //    in-process and across a crash/recovery boundary;
 //  * compaction — --snapshot-every bounds replay to the WAL tail, and the
-//    crash window between snapshot-write and WAL-reset is harmless.
+//    crash window between snapshot-write and WAL-reset is harmless;
+//  * load — a state loaded from a written file pair answers like one loaded
+//    from the same records, accounts damage exactly as the batch engine
+//    does, and a load that throws leaves the previous generation serving.
 #include <fcntl.h>
 #include <gtest/gtest.h>
 #include <sys/wait.h>
@@ -26,6 +29,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/pipeline.hpp"
 #include "core/report_text.hpp"
 #include "core/stream_checkpoint.hpp"
 #include "datagen/scenario.hpp"
@@ -512,10 +516,14 @@ class SvcWalRecoveryTest : public ::testing::Test {
     scenario_ = nullptr;
   }
 
-  static std::unique_ptr<svc::ServiceState> make_state() {
-    auto state = std::make_unique<svc::ServiceState>(
+  static std::unique_ptr<svc::ServiceState> make_unloaded_state() {
+    return std::make_unique<svc::ServiceState>(
         scenario_->world.stores(), scenario_->world.ct_logs(),
         scenario_->vendors, &scenario_->world.cross_signs());
+  }
+
+  static std::unique_ptr<svc::ServiceState> make_state() {
+    auto state = make_unloaded_state();
     state->load(*base_ssl_, *base_x509_);
     return state;
   }
@@ -864,6 +872,128 @@ TEST_F(SvcWalRecoveryTest, RepeatedRowsAcrossAppendsRecoverIdentically) {
   EXPECT_TRUE(stats.snapshot_loaded);
   EXPECT_EQ(recovered->generation(), reference->generation());
   EXPECT_EQ(full_report(*recovered), full_report(*reference));
+}
+
+// --- loading a file pair ------------------------------------------------------
+
+class SvcLoadTest : public SvcWalRecoveryTest {
+ protected:
+  /// The base corpus written out as a Zeek log pair, with `damage` applied
+  /// to the two texts first; returns the pair's paths.
+  static std::pair<std::string, std::string> write_base_pair(
+      const std::string& leaf,
+      void (*damage)(std::string& ssl, std::string& x509) = nullptr) {
+    zeek::SslLogWriter ssl_writer;
+    for (const zeek::SslLogRecord& record : *base_ssl_) ssl_writer.add(record);
+    zeek::X509LogWriter x509_writer;
+    for (const zeek::X509LogRecord& record : *base_x509_) x509_writer.add(record);
+    std::string ssl_text = ssl_writer.finish();
+    std::string x509_text = x509_writer.finish();
+    if (damage != nullptr) damage(ssl_text, x509_text);
+    const std::string ssl_path = temp_path(leaf + "_ssl.log");
+    const std::string x509_path = temp_path(leaf + "_x509.log");
+    EXPECT_TRUE(write_file(ssl_path, ssl_text));
+    EXPECT_TRUE(write_file(x509_path, x509_text));
+    return {ssl_path, x509_path};
+  }
+
+  /// The full report with every section the server renders.
+  static std::string every_section(const svc::ServiceState& state) {
+    core::ReportTextOptions options;
+    options.graphs = true;
+    return state.report_section(options);
+  }
+};
+
+void expect_same_ingest(const core::IngestReport& a, const core::IngestReport& b) {
+  EXPECT_EQ(a.populated, b.populated);
+  EXPECT_EQ(a.mode, b.mode);
+  for (const auto& [x, y] : {std::pair{&a.ssl, &b.ssl}, std::pair{&a.x509, &b.x509}}) {
+    EXPECT_EQ(x->bytes, y->bytes);
+    EXPECT_EQ(x->lines, y->lines);
+    EXPECT_EQ(x->records, y->records);
+    EXPECT_EQ(x->malformed_rows, y->malformed_rows);
+    EXPECT_EQ(x->skipped_lines, y->skipped_lines);
+    EXPECT_EQ(x->rotations, y->rotations);
+  }
+  EXPECT_EQ(a.sample_errors, b.sample_errors);
+}
+
+TEST_F(SvcLoadTest, FileLoadAnswersEveryReportSectionLikeARecordLoad) {
+  const auto [ssl_path, x509_path] = write_base_pair("clean");
+  const auto from_records = make_state();
+  auto from_files = make_unloaded_state();
+  const core::IngestReport ingest =
+      from_files->load(core::StudyInput::files(ssl_path, x509_path));
+
+  EXPECT_TRUE(ingest.populated);
+  EXPECT_EQ(ingest.ssl.records, base_ssl_->size());
+  EXPECT_EQ(ingest.x509.records, base_x509_->size());
+  EXPECT_TRUE(ingest.clean());
+  EXPECT_EQ(from_files->generation(), 0u);
+  EXPECT_EQ(from_files->snapshots_published(), 1u);
+  EXPECT_EQ(every_section(*from_files), every_section(*from_records));
+  EXPECT_EQ(full_report(*from_files), full_report(*from_records));
+}
+
+TEST_F(SvcLoadTest, DamagedPairLoadsWithTheBatchEnginesAccounting) {
+  const auto [ssl_path, x509_path] =
+      write_base_pair("damaged", [](std::string& ssl, std::string& x509) {
+        // A short row and a bad timestamp before SSL's #close, a row after
+        // it (no header yet), and a wrong-width X509 row.
+        std::string bad_ts = "BAD";
+        for (int i = 0; i < 14; ++i) bad_ts += "\tx";
+        ssl.insert(ssl.find("#close"),
+                   "1598918400.000000\tonly\tthree\n" + bad_ts + "\n");
+        ssl += zeek::render_ssl_row(base_ssl_->front()) + "\n";
+        x509.insert(x509.find("#close"), "not\ta\tvalid\trow\n");
+      });
+  const core::StudyInput input = core::StudyInput::files(ssl_path, x509_path);
+  auto state = make_unloaded_state();
+  const core::IngestReport loaded = state->load(input);
+  const core::StudyPipeline pipeline(
+      scenario_->world.stores(), scenario_->world.ct_logs(), scenario_->vendors,
+      &scenario_->world.cross_signs());
+  const core::StudyReport batch = pipeline.run(input);
+
+  EXPECT_EQ(loaded.ssl.malformed_rows, 2u);
+  EXPECT_EQ(loaded.ssl.skipped_lines, 3u);
+  EXPECT_EQ(loaded.x509.malformed_rows, 1u);
+  expect_same_ingest(loaded, batch.ingest);
+  // The served report carries no ingest section; everything else matches.
+  core::ReportTextOptions without_ingest;
+  without_ingest.graphs = true;
+  without_ingest.data_quality = false;
+  EXPECT_EQ(every_section(*state),
+            core::render_report_text(batch, without_ingest));
+}
+
+TEST_F(SvcLoadTest, FailedLoadLeavesThePreviousGenerationServing) {
+  auto state = make_state();
+  state->ingest_append((*batches_)[0].ssl, (*batches_)[0].x509, "before");
+  const std::string report = full_report(*state);
+  const std::uint64_t generation = state->generation();
+  const std::uint64_t published = state->snapshots_published();
+
+  // The SSL file opens; the X509 path does not.
+  const auto [ssl_path, x509_path] = write_base_pair("half");
+  EXPECT_THROW(state->load(core::StudyInput::files(
+                   ssl_path, temp_path("no_such_x509.log"))),
+               core::IngestError);
+  EXPECT_EQ(state->snapshots_published(), published);
+  EXPECT_EQ(state->generation(), generation);
+  EXPECT_EQ(full_report(*state), report);
+  EXPECT_TRUE(
+      state->ingest_append((*batches_)[0].ssl, (*batches_)[0].x509, "before")
+          .duplicate);
+
+  // The next append folds onto the corpus from before the failed load.
+  auto reference = make_state();
+  reference->ingest_append((*batches_)[0].ssl, (*batches_)[0].x509, "before");
+  reference->ingest_append((*batches_)[1].ssl, (*batches_)[1].x509, "after");
+  state->ingest_append((*batches_)[1].ssl, (*batches_)[1].x509, "after");
+  EXPECT_EQ(state->generation(), reference->generation());
+  EXPECT_EQ(full_report(*state), full_report(*reference));
 }
 
 }  // namespace

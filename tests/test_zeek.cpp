@@ -8,6 +8,7 @@
 #include "zeek/dpd.hpp"
 #include "zeek/joiner.hpp"
 #include "zeek/log_io.hpp"
+#include "zeek/log_stream.hpp"
 
 namespace certchain::zeek {
 namespace {
@@ -50,6 +51,35 @@ X509LogRecord sample_x509() {
   record.basic_constraints_ca = false;
   record.san_dns = {"www.example.org", "example.org"};
   return record;
+}
+
+/// One whole-text pass of a streaming reader: the records it emitted and
+/// its line accounting.
+template <typename Record>
+struct ReadLog {
+  std::vector<Record> records;
+  std::size_t skipped_lines = 0;
+  std::vector<ReaderLineError> errors;
+};
+
+template <typename Record, typename MakeReader>
+ReadLog<Record> read_log(std::string_view text, MakeReader make_reader) {
+  ReadLog<Record> out;
+  auto reader = make_reader(
+      [&out](Record record) { out.records.push_back(std::move(record)); });
+  reader.feed(text);
+  reader.finish();
+  out.skipped_lines = reader.lines_skipped();
+  out.errors = reader.errors();
+  return out;
+}
+
+ReadLog<SslLogRecord> read_ssl_log(std::string_view text) {
+  return read_log<SslLogRecord>(text, make_streaming_ssl_reader);
+}
+
+ReadLog<X509LogRecord> read_x509_log(std::string_view text) {
+  return read_log<X509LogRecord>(text, make_streaming_x509_reader);
 }
 
 TEST(ZeekTsv, FieldHelpers) {
@@ -118,12 +148,11 @@ TEST(ZeekLogs, SslRoundTrip) {
   writer.add(without_chain);
   EXPECT_EQ(writer.count(), 2u);
 
-  ParseDiagnostics diagnostics;
-  const auto parsed = parse_ssl_log(writer.finish(), &diagnostics);
-  ASSERT_EQ(parsed.size(), 2u);
-  EXPECT_EQ(parsed[0], with_sni);
-  EXPECT_EQ(parsed[1], without_chain);
-  EXPECT_EQ(diagnostics.skipped_lines, 0u);
+  const auto parsed = read_ssl_log(writer.finish());
+  ASSERT_EQ(parsed.records.size(), 2u);
+  EXPECT_EQ(parsed.records[0], with_sni);
+  EXPECT_EQ(parsed.records[1], without_chain);
+  EXPECT_EQ(parsed.skipped_lines, 0u);
 }
 
 TEST(ZeekLogs, X509RoundTrip) {
@@ -137,7 +166,7 @@ TEST(ZeekLogs, X509RoundTrip) {
   writer.add(full);
   writer.add(bare);
 
-  const auto parsed = parse_x509_log(writer.finish());
+  const auto parsed = read_x509_log(writer.finish()).records;
   ASSERT_EQ(parsed.size(), 2u);
   EXPECT_EQ(parsed[0], full);
   EXPECT_EQ(parsed[1], bare);
@@ -164,19 +193,18 @@ TEST(ZeekLogs, ParserSkipsDamagedRowsAndReports) {
   for (int i = 0; i < 14; ++i) bad_ts += "\tx";
   text.insert(close, "1598918400.000000\tonly\tthree\n" + bad_ts + "\n");
 
-  ParseDiagnostics diagnostics;
-  const auto parsed = parse_ssl_log(text, &diagnostics);
-  EXPECT_EQ(parsed.size(), 1u);  // only the intact row survives
-  EXPECT_GE(diagnostics.skipped_lines, 2u);
-  EXPECT_FALSE(diagnostics.errors.empty());
+  const auto parsed = read_ssl_log(text);
+  EXPECT_EQ(parsed.records.size(), 1u);  // only the intact row survives
+  EXPECT_GE(parsed.skipped_lines, 2u);
+  EXPECT_FALSE(parsed.errors.empty());
 }
 
 TEST(ZeekLogs, ParserRejectsUnknownFieldLayouts) {
   const std::string text =
       "#fields\tts\tmystery\n1598918400.000000\tx\n";
-  ParseDiagnostics diagnostics;
-  EXPECT_TRUE(parse_ssl_log(text, &diagnostics).empty());
-  EXPECT_GE(diagnostics.skipped_lines, 1u);
+  const auto parsed = read_ssl_log(text);
+  EXPECT_TRUE(parsed.records.empty());
+  EXPECT_GE(parsed.skipped_lines, 1u);
 }
 
 TEST(ZeekLogs, DnWithCommaSurvivesVectorEncoding) {
@@ -185,7 +213,7 @@ TEST(ZeekLogs, DnWithCommaSurvivesVectorEncoding) {
   X509LogRecord record = sample_x509();
   record.subject = "CN=Acme, Inc.,O=Acme";
   writer.add(record);
-  const auto parsed = parse_x509_log(writer.finish());
+  const auto parsed = read_x509_log(writer.finish()).records;
   ASSERT_EQ(parsed.size(), 1u);
   EXPECT_EQ(parsed[0].subject, "CN=Acme, Inc.,O=Acme");
 }

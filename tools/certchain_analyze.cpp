@@ -5,12 +5,11 @@
 //   certchain-analyze [options] <ssl.log> <x509.log>
 //   certchain-analyze --demo [options]
 //
-// By default input files are slurped into memory. --input-file switches to
-// the bounded-memory streaming engine: the logs are consumed through
-// LogSources in --chunk-bytes chunks (peak residency O(chunk) + the
-// deduplicated corpus, not O(log bytes)), with an optional --checkpoint file
-// that lets a killed run resume from the last chunk boundary. The report is
-// byte-identical either way.
+// Input files are streamed through the engine's bounded-memory fold: the
+// logs are consumed through LogSources in --chunk-bytes chunks (peak
+// residency O(chunk) + the deduplicated corpus, not O(log bytes)), with an
+// optional --checkpoint file that lets a killed run resume from the last
+// chunk boundary. The report is byte-identical at every chunk size.
 //
 // Ingestion is lenient by default: damaged lines are counted, reported in
 // the "Data quality" section and skipped. --strict aborts on the first
@@ -33,7 +32,6 @@
 #include <fstream>
 #include <limits>
 #include <optional>
-#include <sstream>
 #include <string>
 
 #include "core/pipeline.hpp"
@@ -56,8 +54,6 @@ void print_usage(const char* argv0) {
       "  --strict              abort on the first damaged input line\n"
       "  --threads <n>         shard the run across n workers (0 = all\n"
       "                        hardware threads); output is byte-identical\n"
-      "  --input-file          stream the input files chunk by chunk instead\n"
-      "                        of loading them into memory (same report)\n"
       "  --chunk-bytes <n>     streaming chunk size; K/M/G suffixes accepted\n"
       "  --checkpoint <path>   write a resumable fold snapshot after every\n"
       "                        chunk; resume from it if present\n"
@@ -93,13 +89,8 @@ void build_demo_logs(certchain::obs::RunContext& context,
                      std::size_t connections, std::string& ssl_text,
                      std::string& x509_text) {
   using namespace certchain;
-  datagen::ScenarioConfig config;
-  config.seed = 20200901;
-  config.chain_scale = 1.0 / static_cast<double>(connections);
-  config.total_connections = connections;
-  config.client_count = 300;
-  config.include_length_outliers = false;
-  const auto scenario = datagen::build_study_scenario(config, &context);
+  const auto scenario = datagen::build_study_scenario(
+      datagen::demo_scenario_config(connections), &context);
   const netsim::GeneratedLogs logs = scenario->generate_logs(&context);
 
   zeek::SslLogWriter ssl_writer;
@@ -128,7 +119,6 @@ int main(int argc, char** argv) {
   std::size_t demo_connections = 4000;
   bool trace = false;
   bool demo = false;
-  bool stream_files = false;
   int arg = 1;
   for (; arg < argc; ++arg) {
     const std::string_view flag = argv[arg];
@@ -138,8 +128,6 @@ int main(int argc, char** argv) {
       trace = true;
     } else if (flag == "--demo") {
       demo = true;
-    } else if (flag == "--input-file") {
-      stream_files = true;
     } else if (flag == "--metrics" || flag == "--checkpoint" ||
                flag == "--write-logs" || flag == "--chunk-bytes" ||
                flag == "--threads" || flag == "--demo-connections") {
@@ -205,55 +193,33 @@ int main(int argc, char** argv) {
       return 0;
     }
     input = core::StudyInput::text(ssl_text, x509_text);
-  } else if (stream_files) {
-    // The streaming engine: the logs never become resident strings here.
+  } else {
+    // The engine's fold: the logs never become resident strings here.
     input = core::StudyInput::files(argv[arg], argv[arg + 1]);
     telemetry.set_config("input.ssl", argv[arg]);
     telemetry.set_config("input.x509", argv[arg + 1]);
-  } else {
-    const auto slurp = [](const char* path) -> std::optional<std::string> {
-      std::ifstream in(path);
-      if (!in) return std::nullopt;
-      std::ostringstream buffer;
-      buffer << in.rdbuf();
-      return buffer.str();
-    };
-    auto ssl_file = slurp(argv[arg]);
-    auto x509_file = slurp(argv[arg + 1]);
-    if (!ssl_file || !x509_file) {
-      std::fprintf(stderr, "certchain-analyze: cannot read input logs\n");
-      return 1;
-    }
-    ssl_text = *std::move(ssl_file);
-    x509_text = *std::move(x509_file);
-    telemetry.set_config("input.ssl", argv[arg]);
-    telemetry.set_config("input.x509", argv[arg + 1]);
-    input = core::StudyInput::text(ssl_text, x509_text);
   }
 
   netsim::PkiWorld world;  // databases the classification runs against
-  core::VendorDirectory vendors;
-  for (auto& deployment : world.interception()) {
-    const core::VendorInfo info{
-        deployment.vendor.name,
-        std::string(interception_category_name(deployment.vendor.category))};
-    vendors[deployment.intermediate_ca.name().canonical()] = info;
-    vendors[deployment.root_ca.name().canonical()] = info;
-  }
+  const core::VendorDirectory vendors =
+      datagen::interception_vendor_directory(world);
   const core::StudyPipeline pipeline(world.stores(), world.ct_logs(), vendors,
                                      &world.cross_signs());
   core::StudyReport report;
   try {
     report = pipeline.run(*input, run_options, &telemetry);
   } catch (const core::IngestError& error) {
-    std::fprintf(stderr, "certchain-analyze: %s (rerun without --strict to "
-                 "skip damaged lines)\n", error.what());
+    // Lenient runs raise only for a source that cannot be opened or rewound.
+    std::fprintf(stderr, "certchain-analyze: %s%s\n", error.what(),
+                 ingest.mode == core::IngestMode::kStrict
+                     ? " (rerun without --strict to skip damaged lines)"
+                     : "");
     return 1;
   }
   std::fprintf(stderr, "parsed %zu SSL rows (%zu skipped), %zu X509 rows (%zu skipped)\n",
                report.ingest.ssl.records, report.ingest.ssl.skipped_lines,
                report.ingest.x509.records, report.ingest.x509.skipped_lines);
-  if (stream_files) {
+  if (input->streamed()) {
     std::fprintf(
         stderr,
         "streamed %llu ssl + %llu x509 chunks of <=%zu bytes, peak rss %.1f MiB\n",

@@ -119,13 +119,8 @@ int main(int argc, char** argv) {
 
   // The same demo-scale scenario certchain-serve --demo loads, so a fleet
   // pointed at a --demo daemon extends exactly the corpus it already serves.
-  datagen::ScenarioConfig scenario_config;
-  scenario_config.seed = 20200901;
-  scenario_config.chain_scale = 1.0 / static_cast<double>(connections);
-  scenario_config.total_connections = connections;
-  scenario_config.client_count = 300;
-  scenario_config.include_length_outliers = false;
-  auto scenario = datagen::build_study_scenario(scenario_config);
+  auto scenario =
+      datagen::build_study_scenario(datagen::demo_scenario_config(connections));
 
   datagen::EpochDriftConfig drift;
   drift.seed = config.seed;

@@ -27,10 +27,11 @@
 //   shutdown                       ask the daemon to drain and exit
 //
 // Prints the response payload (JSON; for `report` the rendered text) to
-// stdout. Exit codes: 0 success, 1 typed server error, 2 usage, 3 transport
-// failure.
+// stdout. Exit codes: 0 success, 1 typed server error, 2 usage (checked
+// before connecting, input files included), 3 transport failure.
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -160,6 +161,68 @@ int main(int argc, char** argv) {
   const std::string_view command = argv[arg];
   const int extra = argc - arg - 1;
 
+  // The command, its arguments and its input files are resolved before
+  // connecting, so a usage error exits 2 even when no daemon is listening.
+  std::function<std::optional<svc::Response>(svc::Client&)> request;
+  if (command == "ping" && extra == 0) {
+    request = [](svc::Client& client) { return client.ping(); };
+  } else if (command == "classify" && extra == 1) {
+    request = [dn = argv[arg + 1]](svc::Client& client) {
+      return client.classify_issuer(dn);
+    };
+  } else if (command == "categorize" && extra == 1) {
+    std::string pem;
+    if (!slurp(argv[arg + 1], pem)) {
+      std::fprintf(stderr, "certchain-query: cannot read %s\n", argv[arg + 1]);
+      return 2;
+    }
+    request = [pem = std::move(pem)](svc::Client& client) {
+      return client.categorize_chain_pem(pem);
+    };
+  } else if (command == "report" && extra <= 1) {
+    request = [section = extra == 1 ? argv[arg + 1] : "full"](
+                  svc::Client& client) { return client.report_section(section); };
+  } else if (command == "ingest" && extra == 2) {
+    std::string ssl_text;
+    std::string x509_text;
+    if (!slurp(argv[arg + 1], ssl_text) || !slurp(argv[arg + 2], x509_text)) {
+      std::fprintf(stderr, "certchain-query: cannot read input logs\n");
+      return 2;
+    }
+    request = [ssl_rows = body_rows(ssl_text), x509_rows = body_rows(x509_text),
+               &idempotency_key](svc::Client& client) {
+      return client.ingest_append(ssl_rows, x509_rows, idempotency_key);
+    };
+  } else if (command == "metrics" && extra == 0) {
+    request = [](svc::Client& client) { return client.metrics(); };
+  } else if (command == "ct-sth" && extra == 0) {
+    request = [](svc::Client& client) { return client.ct_sth(); };
+  } else if (command == "ct-prove" && (extra == 1 || extra == 2)) {
+    request = [fingerprint = argv[arg + 1],
+               log_id = extra == 2 ? argv[arg + 2] : ""](svc::Client& client) {
+      return client.ct_prove_inclusion(fingerprint, log_id);
+    };
+  } else if (command == "ct-status" && extra == 0) {
+    request = [](svc::Client& client) { return client.ct_monitor_status(); };
+  } else if (command == "fleet-status" && extra == 0) {
+    request = [](svc::Client& client) { return client.fleet_status(); };
+  } else if (command == "epoch-delta" && extra <= 1) {
+    std::optional<std::size_t> epoch;
+    if (extra == 1) {
+      epoch = util::parse_count<std::size_t>(argv[arg + 1]);
+      if (!epoch) {
+        print_usage(argv[0]);
+        return 2;
+      }
+    }
+    request = [epoch](svc::Client& client) { return client.epoch_delta(epoch); };
+  } else if (command == "shutdown" && extra == 0) {
+    request = [](svc::Client& client) { return client.shutdown(); };
+  } else {
+    print_usage(argv[0]);
+    return 2;
+  }
+
   svc::Client client;
   client.set_timeout_ms(timeout_ms);
   if (retries > 0) {
@@ -172,68 +235,5 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "certchain-query: %s\n", error.c_str());
     return 3;
   }
-
-  if (command == "ping" && extra == 0) {
-    return render_response(client.ping(), false);
-  }
-  if (command == "classify" && extra == 1) {
-    return render_response(client.classify_issuer(argv[arg + 1]), false);
-  }
-  if (command == "categorize" && extra == 1) {
-    std::string pem;
-    if (!slurp(argv[arg + 1], pem)) {
-      std::fprintf(stderr, "certchain-query: cannot read %s\n", argv[arg + 1]);
-      return 2;
-    }
-    return render_response(client.categorize_chain_pem(pem), false);
-  }
-  if (command == "report" && extra <= 1) {
-    const std::string section = extra == 1 ? argv[arg + 1] : "full";
-    return render_response(client.report_section(section), true);
-  }
-  if (command == "ingest" && extra == 2) {
-    std::string ssl_text;
-    std::string x509_text;
-    if (!slurp(argv[arg + 1], ssl_text) || !slurp(argv[arg + 2], x509_text)) {
-      std::fprintf(stderr, "certchain-query: cannot read input logs\n");
-      return 2;
-    }
-    return render_response(
-        client.ingest_append(body_rows(ssl_text), body_rows(x509_text),
-                             idempotency_key),
-        false);
-  }
-  if (command == "metrics" && extra == 0) {
-    return render_response(client.metrics(), false);
-  }
-  if (command == "ct-sth" && extra == 0) {
-    return render_response(client.ct_sth(), false);
-  }
-  if (command == "ct-prove" && (extra == 1 || extra == 2)) {
-    const std::string log_id = extra == 2 ? argv[arg + 2] : "";
-    return render_response(client.ct_prove_inclusion(argv[arg + 1], log_id),
-                           false);
-  }
-  if (command == "ct-status" && extra == 0) {
-    return render_response(client.ct_monitor_status(), false);
-  }
-  if (command == "fleet-status" && extra == 0) {
-    return render_response(client.fleet_status(), false);
-  }
-  if (command == "epoch-delta" && extra <= 1) {
-    std::optional<std::size_t> epoch;
-    if (extra == 1) {
-      epoch = util::parse_count<std::size_t>(argv[arg + 1]);
-      if (!epoch) {
-        print_usage(argv[0]);
-        return 2;
-      }
-    }
-    return render_response(client.epoch_delta(epoch), false);
-  }
-  if (command == "shutdown" && extra == 0) {
-    return render_response(client.shutdown(), false);
-  }
-  print_usage(argv[0]);
-  return 2;
+  return render_response(request(client), command == "report");
 }

@@ -4,7 +4,9 @@
 //   certchain-serve [options] <ssl.log> <x509.log>
 //   certchain-serve --demo [options]
 //
-// Loads the corpus once, keeps the analyzed state warm as an immutable RCU
+// Loads the corpus once (a file pair streams through the engine's fold, as
+// in certchain-analyze, and stderr reports its row counts), keeps the
+// analyzed state warm as an immutable RCU
 // snapshot (CorpusIndex fold, trust classification, interception verdicts,
 // the full StudyReport — republished atomically on every append, DESIGN.md
 // §15), then answers certchain.svc.wire queries on a loopback TCP socket:
@@ -43,7 +45,6 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <thread>
 
@@ -53,7 +54,6 @@
 #include "obs/stopwatch.hpp"
 #include "svc/server.hpp"
 #include "util/strings.hpp"
-#include "zeek/log_io.hpp"
 
 namespace {
 
@@ -94,15 +94,6 @@ void print_usage(const char* argv0) {
       "  --demo                serve a synthesized demo corpus\n"
       "  --demo-connections <n> demo corpus size (default 4000)\n",
       argv0, argv0);
-}
-
-bool slurp(const char* path, std::string& out) {
-  std::ifstream in(path);
-  if (!in) return false;
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  out = buffer.str();
-  return true;
 }
 
 }  // namespace
@@ -187,52 +178,32 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  // Load the corpus records.
-  std::vector<zeek::SslLogRecord> ssl_records;
-  std::vector<zeek::X509LogRecord> x509_records;
-  if (demo) {
-    obs::RunContext scratch;
-    datagen::ScenarioConfig config;
-    config.seed = 20200901;
-    config.chain_scale = 1.0 / static_cast<double>(demo_connections);
-    config.total_connections = demo_connections;
-    config.client_count = 300;
-    config.include_length_outliers = false;
-    const auto scenario = datagen::build_study_scenario(config, &scratch);
-    netsim::GeneratedLogs logs = scenario->generate_logs(&scratch);
-    ssl_records = std::move(logs.ssl);
-    x509_records = std::move(logs.x509);
-  } else {
-    std::string ssl_text;
-    std::string x509_text;
-    if (!slurp(argv[arg], ssl_text) || !slurp(argv[arg + 1], x509_text)) {
-      std::fprintf(stderr, "certchain-serve: cannot read input logs\n");
-      return 1;
-    }
-    zeek::ParseDiagnostics ssl_diag;
-    zeek::ParseDiagnostics x509_diag;
-    ssl_records = zeek::parse_ssl_log(ssl_text, &ssl_diag);
-    x509_records = zeek::parse_x509_log(x509_text, &x509_diag);
-    std::fprintf(stderr, "loaded %zu SSL rows (%zu skipped), %zu X509 rows (%zu skipped)\n",
-                 ssl_records.size(), ssl_diag.skipped_lines,
-                 x509_records.size(), x509_diag.skipped_lines);
-  }
-
   // The classification universe; same construction as certchain-analyze so
   // the two front-ends answer identically for the same records.
   netsim::PkiWorld world;
-  core::VendorDirectory vendors;
-  for (auto& deployment : world.interception()) {
-    const core::VendorInfo info{
-        deployment.vendor.name,
-        std::string(interception_category_name(deployment.vendor.category))};
-    vendors[deployment.intermediate_ca.name().canonical()] = info;
-    vendors[deployment.root_ca.name().canonical()] = info;
-  }
-
+  const core::VendorDirectory vendors =
+      datagen::interception_vendor_directory(world);
   svc::ServiceState state(world.stores(), world.ct_logs(), vendors,
                           &world.cross_signs());
-  state.load(ssl_records, x509_records);
+  if (demo) {
+    obs::RunContext scratch;
+    const auto scenario = datagen::build_study_scenario(
+        datagen::demo_scenario_config(demo_connections), &scratch);
+    const netsim::GeneratedLogs logs = scenario->generate_logs(&scratch);
+    state.load(core::StudyInput::records(logs));
+  } else {
+    // The engine's fold streams the pair in chunks, as certchain-analyze does.
+    try {
+      const core::IngestReport ingest =
+          state.load(core::StudyInput::files(argv[arg], argv[arg + 1]));
+      std::fprintf(stderr, "loaded %zu SSL rows (%zu skipped), %zu X509 rows (%zu skipped)\n",
+                   ingest.ssl.records, ingest.ssl.skipped_lines,
+                   ingest.x509.records, ingest.x509.skipped_lines);
+    } catch (const core::IngestError& error) {
+      std::fprintf(stderr, "certchain-serve: %s\n", error.what());
+      return 1;
+    }
+  }
 
   svc::SyncTelemetry telemetry;
   telemetry.set_config("tool", "certchain-serve");
