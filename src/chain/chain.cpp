@@ -19,19 +19,18 @@ void CertificateChain::push_back(x509::Certificate cert) {
 
 void CertificateChain::push_back(x509::CertificateHandle cert) {
   certs_.push_back(std::move(cert));
-  cached_id_.clear();
 }
 
-const std::string& CertificateChain::id() const {
-  if (cached_id_.empty() && !certs_.empty()) {
-    std::string bytes;
-    for (const x509::Certificate& cert : *this) {
-      bytes.append(cert.fingerprint());
-      bytes.push_back('|');
-    }
-    cached_id_ = util::digest256_hex(bytes);
+util::Digest256 CertificateChain::id_digest() const {
+  if (certs_.empty()) return {};
+  util::Digest256Builder digest;
+  char hex[64];
+  for (const x509::Certificate& cert : *this) {
+    cert.fingerprint_digest().write_hex(hex);
+    digest.append(std::string_view(hex, sizeof hex));
+    digest.push_back('|');
   }
-  return cached_id_;
+  return digest.finish();
 }
 
 bool CertificateChain::operator==(const CertificateChain& other) const {

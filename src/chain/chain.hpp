@@ -69,9 +69,14 @@ class CertificateChain {
   void push_back(x509::Certificate cert);
   void push_back(x509::CertificateHandle cert);
 
-  /// Digest over the ordered certificate fingerprints; two deliveries with
-  /// identical certificates in identical order share an id.
-  const std::string& id() const;
+  /// Digest over the ordered certificate fingerprints (each as hex, then
+  /// '|'); two deliveries with identical certificates in identical order
+  /// share an id. Over sealed certificates it digests their memos.
+  util::Digest256 id_digest() const;
+  /// The id as hex; empty for an empty chain.
+  std::string id() const {
+    return certs_.empty() ? std::string() : id_digest().to_hex();
+  }
 
   /// True if the single certificate (or the first one) has identical issuer
   /// and subject — the study's self-signed test.
@@ -86,7 +91,6 @@ class CertificateChain {
 
  private:
   Handles certs_;
-  mutable std::string cached_id_;
 };
 
 }  // namespace certchain::chain

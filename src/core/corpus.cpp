@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <charconv>
 #include <cstdint>
-#include <cstring>
 #include <limits>
 #include <stdexcept>
 
@@ -24,6 +23,17 @@ void write_strings(obs::json::Writer& writer, const char* key,
   writer.end_array();
 }
 
+/// Writes the strings behind `ids` as a JSON array, sorted.
+template <typename Lookup>
+void write_sorted(obs::json::Writer& writer, const char* key,
+                  const std::vector<std::uint32_t>& ids, Lookup&& text_of) {
+  std::vector<std::string_view> texts;
+  texts.reserve(ids.size());
+  for (const std::uint32_t id : ids) texts.push_back(text_of(id));
+  std::sort(texts.begin(), texts.end());
+  write_strings(writer, key, texts);
+}
+
 /// Calls `add(text)` for each element of a string-array member; false when
 /// the member is absent, not an array, or holds a non-string.
 template <typename Add>
@@ -37,10 +47,11 @@ bool read_strings(const obs::json::Value& object, const char* key, Add&& add) {
   return true;
 }
 
-bool read_string_set(const obs::json::Value& object, const char* key,
-                     std::set<std::string>& out) {
-  return read_strings(object, key,
-                      [&out](const std::string& text) { out.insert(text); });
+/// Parses a digest as write_snapshot writes it: 64 lowercase hex digits.
+bool parse_digest(std::string_view hex, util::Digest256& out) {
+  return std::none_of(hex.begin(), hex.end(),
+                      [](char c) { return c >= 'A' && c <= 'F'; }) &&
+         util::Digest256::from_hex(hex, out);
 }
 
 /// Appends one fuid to a fuid-list key: its length, then its bytes, so
@@ -52,6 +63,24 @@ void append_key_fuid(std::string& key, std::string_view fuid) {
 }
 
 }  // namespace
+
+void PortCounts::add(std::uint16_t port, std::uint64_t count) {
+  const auto it = std::lower_bound(
+      items_.begin(), items_.end(), port,
+      [](const Item& item, std::uint16_t wanted) { return item.first < wanted; });
+  if (it != items_.end() && it->first == port) {
+    it->second += count;
+  } else {
+    items_.insert(it, Item{port, count});
+  }
+}
+
+std::uint64_t PortCounts::count(std::uint16_t port) const {
+  const auto it = std::lower_bound(
+      items_.begin(), items_.end(), port,
+      [](const Item& item, std::uint16_t wanted) { return item.first < wanted; });
+  return it != items_.end() && it->first == port ? it->second : 0;
+}
 
 CorpusIndex::FoldRow CorpusIndex::fold_row_of(const zeek::SslLogRecord& ssl) {
   FoldRow row;
@@ -65,61 +94,19 @@ CorpusIndex::FoldRow CorpusIndex::fold_row_of(const zeek::SslLogRecord& ssl) {
   return row;
 }
 
-ClientId CorpusIndex::intern_client(std::string_view address) {
-  const auto it = client_ids_.find(address);
-  if (it != client_ids_.end()) return it->second;
-  if (client_addresses_.size() >= std::numeric_limits<ClientId>::max()) {
-    throw std::length_error("CorpusIndex: client id space exhausted");
+std::uint32_t CorpusIndex::StringIds::intern(std::string_view text) {
+  const auto it = ids_.find(text);
+  if (it != ids_.end()) return it->second;
+  if (texts_.size() >= std::numeric_limits<std::uint32_t>::max()) {
+    throw std::length_error("CorpusIndex: id space exhausted");
   }
-  const auto id = static_cast<ClientId>(client_addresses_.size());
-  client_addresses_.emplace_back(address);
-  client_ids_.emplace(client_addresses_.back(), id);
+  const auto id = static_cast<std::uint32_t>(texts_.size());
+  texts_.emplace_back(text);
+  ids_.emplace(texts_.back(), id);
   return id;
 }
 
-void CorpusIndex::fold_usage(ChainObservation& observation, const FoldRow& row) {
-  if (observation.connections == 0) {
-    observation.first_seen = row.ts;
-    observation.last_seen = row.ts;
-  } else {
-    observation.first_seen = std::min(observation.first_seen, row.ts);
-    observation.last_seen = std::max(observation.last_seen, row.ts);
-  }
-  ++observation.connections;
-  if (row.established) ++observation.established;
-  add_client(observation, intern_client(row.client));
-
-  std::string& server_key = fold_.server_key;
-  server_key.assign(row.server_host);
-  server_key.push_back(':');
-  char port[8];
-  const auto port_end =
-      std::to_chars(port, port + sizeof(port), row.server_port).ptr;
-  server_key.append(port, port_end);
-  observation.server_keys.insert(server_key);  // copies only when new
-
-  observation.ports.add(row.server_port);
-  if (row.server_name->empty()) {
-    ++observation.without_sni;
-  } else {
-    ++observation.with_sni;
-    observation.domains.insert(*row.server_name);
-  }
-}
-
-ChainObservation& CorpusIndex::observation_slot(const std::string& chain_id) {
-  const auto [it, inserted] = chains_.try_emplace(chain_id);
-  if (inserted) {
-    const std::size_t ordinal = chains_.size() - 1;
-    if (ordinal > std::numeric_limits<std::uint32_t>::max()) {
-      throw std::length_error("CorpusIndex: chain ordinal space exhausted");
-    }
-    it->second.ordinal = static_cast<std::uint32_t>(ordinal);
-  }
-  return it->second;
-}
-
-bool CorpusIndex::ClientPairSet::insert(std::uint64_t pair) {
+bool CorpusIndex::PairSet::insert(std::uint64_t pair) {
   if (2 * (size + 1) > slots.size()) {
     std::vector<std::uint64_t> old(std::max<std::size_t>(64, 2 * slots.size()),
                                    kEmpty);
@@ -142,9 +129,106 @@ bool CorpusIndex::ClientPairSet::insert(std::uint64_t pair) {
   }
 }
 
-void CorpusIndex::add_client(ChainObservation& observation, ClientId client) {
-  const std::uint64_t pair = std::uint64_t{observation.ordinal} << 32 | client;
-  if (chain_clients_.insert(pair)) observation.client_ips.push_back(client);
+bool CorpusIndex::DigestSet::insert(const util::Digest256& digest) {
+  if (digest == util::Digest256{}) {
+    const bool added = !has_zero;
+    has_zero = true;
+    return added;
+  }
+  if (2 * (size + 1) > slots.size()) {
+    std::vector<util::Digest256> old(std::max<std::size_t>(64, 2 * slots.size()));
+    old.swap(slots);
+    size = 0;
+    for (const util::Digest256& kept : old) {
+      if (kept != util::Digest256{}) insert(kept);
+    }
+  }
+  const std::size_t mask = slots.size() - 1;
+  // The words are avalanche-mixed already: the first one picks the slot.
+  for (std::size_t i = digest.words[0] & mask;; i = (i + 1) & mask) {
+    if (slots[i] == digest) return false;
+    if (slots[i] == util::Digest256{}) {
+      slots[i] = digest;
+      ++size;
+      return true;
+    }
+  }
+}
+
+std::vector<util::Digest256> CorpusIndex::DigestSet::sorted() const {
+  std::vector<util::Digest256> out;
+  out.reserve(size + 1);
+  if (has_zero) out.push_back(util::Digest256{});
+  for (const util::Digest256& digest : slots) {
+    if (digest != util::Digest256{}) out.push_back(digest);
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+void CorpusIndex::add_unique(PairSet& pairs, const ChainObservation& observation,
+                             std::uint32_t id, std::vector<std::uint32_t>& ids) {
+  if (pairs.insert(std::uint64_t{observation.ordinal} << 32 | id)) {
+    ids.push_back(id);
+  }
+}
+
+void CorpusIndex::add_recent(StringIds& table, PairSet& pairs,
+                             const ChainObservation& observation,
+                             std::string_view text, std::uint32_t& recent,
+                             std::vector<std::uint32_t>& ids) {
+  if (recent != RecentIds::kNone && table.text(recent) == text) return;
+  recent = table.intern(text);
+  add_unique(pairs, observation, recent, ids);
+}
+
+void CorpusIndex::fold_usage(ChainObservation& observation, const FoldRow& row) {
+  if (observation.connections == 0) {
+    observation.first_seen = row.ts;
+    observation.last_seen = row.ts;
+  } else {
+    observation.first_seen = std::min(observation.first_seen, row.ts);
+    observation.last_seen = std::max(observation.last_seen, row.ts);
+  }
+  ++observation.connections;
+  if (row.established) ++observation.established;
+  add_unique(chain_clients_, observation, clients_.intern(row.client),
+             observation.client_ips);
+
+  std::string& server_key = fold_.server_key;
+  server_key.assign(row.server_host);
+  server_key.push_back(':');
+  char port[8];
+  const auto port_end =
+      std::to_chars(port, port + sizeof(port), row.server_port).ptr;
+  server_key.append(port, port_end);
+  if (observation.ordinal >= fold_.recent.size()) {
+    fold_.recent.resize(std::size_t{observation.ordinal} + 1);
+  }
+  RecentIds& recent = fold_.recent[observation.ordinal];
+  add_recent(endpoints_, chain_endpoints_, observation, server_key,
+             recent.endpoint, observation.server_endpoints);
+
+  observation.ports.add(row.server_port);
+  if (row.server_name->empty()) {
+    ++observation.without_sni;
+  } else {
+    ++observation.with_sni;
+    add_recent(snis_, chain_snis_, observation, *row.server_name, recent.sni,
+               observation.domains);
+  }
+}
+
+ChainObservation& CorpusIndex::observation_slot(const util::Digest256& chain_id) {
+  const auto [it, inserted] = chains_.try_emplace(chain_id);
+  if (inserted) {
+    const std::size_t ordinal = chains_.size() - 1;
+    if (ordinal > std::numeric_limits<std::uint32_t>::max()) {
+      throw std::length_error("CorpusIndex: chain ordinal space exhausted");
+    }
+    it->second.ordinal = static_cast<std::uint32_t>(ordinal);
+  }
+  return it->second;
 }
 
 void CorpusIndex::add(const zeek::JoinedConnection& connection) {
@@ -155,12 +239,12 @@ void CorpusIndex::add(const zeek::JoinedConnection& connection) {
   ++totals_.with_certificates;
 
   for (const x509::Certificate& cert : connection.chain) {
-    if (certificate_fingerprints_.insert(cert.fingerprint()).second) {
+    if (certificate_fingerprints_.insert(cert.fingerprint_digest())) {
       ++totals_.distinct_certificates;
     }
   }
 
-  ChainObservation& observation = observation_slot(connection.chain.id());
+  ChainObservation& observation = observation_slot(connection.chain.id_digest());
   if (observation.connections == 0) observation.chain = connection.chain;
   fold_usage(observation, fold_row_of(connection.ssl));
 }
@@ -171,15 +255,20 @@ void CorpusIndex::add(const zeek::LogJoiner& joiner,
   for (const std::string& fuid : ssl.cert_chain_fuids) {
     append_key_fuid(fold_.key, fuid);
   }
-  fold(joiner, fold_row_of(ssl));
+  const FoldMemoEntry entry =
+      memo_entry(joiner, fold_.record_memo, fold_.key, [&ssl](auto&& visit) {
+        for (const std::string& fuid : ssl.cert_chain_fuids) visit(fuid);
+      });
+  fold(entry, fold_row_of(ssl));
 }
 
 void CorpusIndex::add(const zeek::LogJoiner& joiner,
                       const zeek::SslRowView& row) {
-  fold_.key.clear();
-  zeek::tsv::for_each_vector_element(
-      row.cert_chain_fuids, fold_.unescaped,
-      [this](std::string_view fuid) { append_key_fuid(fold_.key, fuid); });
+  const FoldMemoEntry entry = memo_entry(
+      joiner, fold_.cell_memo, row.cert_chain_fuids, [this, &row](auto&& visit) {
+        zeek::tsv::for_each_vector_element(row.cert_chain_fuids,
+                                           fold_.unescaped, visit);
+      });
   zeek::tsv::unescape_into(row.server_name, fold_.server_name);
 
   FoldRow fold_row;
@@ -190,13 +279,14 @@ void CorpusIndex::add(const zeek::LogJoiner& joiner,
   fold_row.server_host = row.id_resp_h;
   fold_row.server_port = row.id_resp_p;
   fold_row.server_name = &fold_.server_name;
-  fold(joiner, fold_row);
+  fold(entry, fold_row);
 }
 
-void CorpusIndex::fold(const zeek::LogJoiner& joiner, const FoldRow& row) {
-  ++totals_.connections;
-  if (row.tls13) ++totals_.tls13_connections;
-
+template <typename ForEachFuid>
+CorpusIndex::FoldMemoEntry CorpusIndex::memo_entry(const zeek::LogJoiner& joiner,
+                                                   FoldMemo& memo,
+                                                   std::string_view key,
+                                                   ForEachFuid&& for_each_fuid) {
   // The memo is only valid against the joiner state it was built from: the
   // joiner grows over time, and growth can resolve a previously-missing fuid.
   if (fold_.joiner != &joiner ||
@@ -205,56 +295,51 @@ void CorpusIndex::fold(const zeek::LogJoiner& joiner, const FoldRow& row) {
     fold_.joiner = &joiner;
     fold_.joiner_size = joiner.certificate_count();
   }
+  const auto it = memo.find(key);
+  if (it != memo.end()) return it->second;
 
+  // A miss runs once per distinct fuid list: each fuid is a string_view
+  // probe of the joiner's index, and the chain is digested.
   FoldMemoEntry entry;
-  const auto memo_it = fold_.memo.find(std::string_view(fold_.key));
-  if (memo_it != fold_.memo.end()) {
-    entry = memo_it->second;
-  } else {
-    entry.observation = resolve_and_register(joiner, entry.missing);
-    fold_.memo.emplace(fold_.key, entry);
-  }
+  fold_.certs.clear();
+  for_each_fuid([this, &joiner, &entry](std::string_view fuid) {
+    if (const x509::CertificateHandle* cert = joiner.find(fuid)) {
+      fold_.certs.push_back(cert);
+    } else {
+      entry.missing = true;
+    }
+  });
+  if (!fold_.certs.empty()) entry.observation = &register_chain();
+  memo.emplace(key, entry);
+  return entry;
+}
 
+void CorpusIndex::fold(const FoldMemoEntry& entry, const FoldRow& row) {
+  ++totals_.connections;
+  if (row.tls13) ++totals_.tls13_connections;
   if (entry.missing) ++totals_.incomplete_joins;
   if (entry.observation == nullptr) return;  // no fuid resolved: totals only
   ++totals_.with_certificates;
   fold_usage(*entry.observation, row);
 }
 
-ChainObservation* CorpusIndex::resolve_and_register(
-    const zeek::LogJoiner& joiner, bool& missing) {
-  fold_.certs.clear();
-  const std::string_view key = fold_.key;
-  for (std::size_t pos = 0; pos < key.size();) {
-    std::size_t size = 0;
-    std::memcpy(&size, key.data() + pos, sizeof size);
-    pos += sizeof size;
-    const x509::CertificateHandle* cert = joiner.find(key.substr(pos, size));
-    pos += size;
-    if (cert == nullptr) {
-      missing = true;
-    } else {
-      fold_.certs.push_back(cert);
-    }
-  }
-  if (fold_.certs.empty()) return nullptr;
-
-  fold_.id_bytes.clear();
+ChainObservation& CorpusIndex::register_chain() {
+  // Mirrors CertificateChain::id_digest() byte for byte: same bytes, same
+  // digest, same chain identity as the copying path. LogJoiner::add seals
+  // every certificate, so each fingerprint is a memo read, not a digest.
+  util::Digest256Builder id;
+  char hex[64];
   for (const x509::CertificateHandle* cert : fold_.certs) {
-    // LogJoiner::add seals every certificate, so the fingerprint is a memo
-    // read, not a digest.
-    const std::string& fingerprint = (*cert)->fingerprint_memo;
-    if (certificate_fingerprints_.insert(fingerprint).second) {
+    const util::Digest256 fingerprint = (*cert)->fingerprint_digest();
+    if (certificate_fingerprints_.insert(fingerprint)) {
       ++totals_.distinct_certificates;
     }
-    // Mirrors CertificateChain::id() byte for byte: same bytes, same digest,
-    // same chain identity as the copying path.
-    fold_.id_bytes.append(fingerprint);
-    fold_.id_bytes.push_back('|');
+    fingerprint.write_hex(hex);
+    id.append(std::string_view(hex, sizeof hex));
+    id.push_back('|');
   }
 
-  ChainObservation& observation =
-      observation_slot(util::digest256_hex(fold_.id_bytes));
+  ChainObservation& observation = observation_slot(id.finish());
   if (observation.connections == 0) {
     // First observation of this chain id: the chain shares the joiner's
     // certificates, one handle each.
@@ -263,7 +348,7 @@ ChainObservation* CorpusIndex::resolve_and_register(
     for (const x509::CertificateHandle* cert : fold_.certs) certs.push_back(*cert);
     observation.chain = chain::CertificateChain(std::move(certs));
   }
-  return &observation;
+  return observation;
 }
 
 void CorpusIndex::write_snapshot(obs::json::Writer& writer) const {
@@ -281,17 +366,20 @@ void CorpusIndex::write_snapshot(obs::json::Writer& writer) const {
   writer.value_uint(totals_.incomplete_joins);
   writer.end_object();
 
-  std::vector<std::string_view> fingerprints(certificate_fingerprints_.begin(),
-                                             certificate_fingerprints_.end());
-  std::sort(fingerprints.begin(), fingerprints.end());
-  write_strings(writer, "certificates", fingerprints);
+  // Digest order is hex order, so sorting digests sorts their renderings.
+  writer.key("certificates");
+  writer.begin_array();
+  for (const util::Digest256& fingerprint : certificate_fingerprints_.sorted()) {
+    writer.value_string(fingerprint.to_hex());
+  }
+  writer.end_array();
 
   writer.key("chains");
   writer.begin_array();
   for (const auto& [chain_id, observation] : chains_) {
     writer.begin_object();
     writer.key("id");
-    writer.value_string(chain_id);
+    writer.value_string(chain_id.to_hex());
     writer.key("fingerprints");
     writer.begin_array();
     for (const x509::Certificate& cert : observation.chain) {
@@ -302,14 +390,14 @@ void CorpusIndex::write_snapshot(obs::json::Writer& writer) const {
     writer.value_uint(observation.connections);
     writer.key("established");
     writer.value_uint(observation.established);
-    std::vector<std::string_view> addresses;
-    addresses.reserve(observation.client_ips.size());
-    for (const ClientId id : observation.client_ips) {
-      addresses.push_back(client_addresses_[id]);
-    }
-    std::sort(addresses.begin(), addresses.end());
-    write_strings(writer, "client_ips", addresses);
-    write_strings(writer, "server_keys", observation.server_keys);
+    write_sorted(writer, "client_ips", observation.client_ips,
+                 [this](std::uint32_t id) -> std::string_view {
+                   return clients_.text(id);
+                 });
+    write_sorted(writer, "server_keys", observation.server_endpoints,
+                 [this](std::uint32_t id) -> std::string_view {
+                   return endpoints_.text(id);
+                 });
     writer.key("ports");
     writer.begin_array();
     for (const auto& [port, count] : observation.ports.items()) {
@@ -323,7 +411,10 @@ void CorpusIndex::write_snapshot(obs::json::Writer& writer) const {
     writer.value_uint(observation.with_sni);
     writer.key("without_sni");
     writer.value_uint(observation.without_sni);
-    write_strings(writer, "domains", observation.domains);
+    write_sorted(writer, "domains", observation.domains,
+                 [this](std::uint32_t id) -> std::string_view {
+                   return snis_.text(id);
+                 });
     writer.key("first_seen");
     writer.value_uint(static_cast<std::uint64_t>(observation.first_seen));
     writer.key("last_seen");
@@ -365,9 +456,15 @@ bool CorpusIndex::restore_snapshot(const obs::json::Value& value,
   }
   for (const obs::json::Value& entry : certificates->array) {
     if (!entry.is_string()) return fail("corpus snapshot certificates malformed");
-    certificate_fingerprints_.insert(entry.string);
+    util::Digest256 fingerprint;
+    if (!parse_digest(entry.string, fingerprint)) {
+      return fail("corpus snapshot certificate is not a hex digest: " +
+                  entry.string);
+    }
+    if (certificate_fingerprints_.insert(fingerprint)) {
+      ++totals_.distinct_certificates;
+    }
   }
-  totals_.distinct_certificates = certificate_fingerprints_.size();
 
   const obs::json::Value* chains = value.find("chains");
   if (chains == nullptr || !chains->is_array()) {
@@ -381,11 +478,15 @@ bool CorpusIndex::restore_snapshot(const obs::json::Value& value,
         !fingerprints->is_array()) {
       return fail("corpus snapshot chain malformed");
     }
-    if (chains_.contains(id->string)) {
+    util::Digest256 chain_id;
+    if (!parse_digest(id->string, chain_id)) {
+      return fail("corpus snapshot chain id is not a hex digest: " + id->string);
+    }
+    if (chains_.contains(chain_id)) {
       return fail("corpus snapshot repeats chain " + id->string);
     }
 
-    ChainObservation& observation = observation_slot(id->string);
+    ChainObservation& observation = observation_slot(chain_id);
     std::vector<x509::CertificateHandle> certs;
     certs.reserve(fingerprints->array.size());
     for (const obs::json::Value& fingerprint : fingerprints->array) {
@@ -398,7 +499,7 @@ bool CorpusIndex::restore_snapshot(const obs::json::Value& value,
       certs.push_back(it->second);
     }
     observation.chain = chain::CertificateChain(std::move(certs));
-    if (observation.chain.id() != id->string) {
+    if (observation.chain.id_digest() != chain_id) {
       return fail("corpus snapshot chain id mismatch for " + id->string);
     }
 
@@ -406,8 +507,11 @@ bool CorpusIndex::restore_snapshot(const obs::json::Value& value,
     std::uint64_t without_sni = 0;
     std::uint64_t first_seen = 0;
     std::uint64_t last_seen = 0;
-    const auto add_address = [this, &observation](const std::string& address) {
-      add_client(observation, intern_client(address));
+    const auto interning = [this, &observation](StringIds& table, PairSet& pairs,
+                                                std::vector<std::uint32_t>& ids) {
+      return [this, &observation, &table, &pairs, &ids](const std::string& text) {
+        add_unique(pairs, observation, table.intern(text), ids);
+      };
     };
     if (!obs::json::read_uint(entry.find("connections"), observation.connections) ||
         !obs::json::read_uint(entry.find("established"), observation.established) ||
@@ -415,9 +519,13 @@ bool CorpusIndex::restore_snapshot(const obs::json::Value& value,
         !obs::json::read_uint(entry.find("without_sni"), without_sni) ||
         !obs::json::read_uint(entry.find("first_seen"), first_seen) ||
         !obs::json::read_uint(entry.find("last_seen"), last_seen) ||
-        !read_strings(entry, "client_ips", add_address) ||
-        !read_string_set(entry, "server_keys", observation.server_keys) ||
-        !read_string_set(entry, "domains", observation.domains)) {
+        !read_strings(entry, "client_ips",
+                      interning(clients_, chain_clients_, observation.client_ips)) ||
+        !read_strings(entry, "server_keys",
+                      interning(endpoints_, chain_endpoints_,
+                                observation.server_endpoints)) ||
+        !read_strings(entry, "domains",
+                      interning(snis_, chain_snis_, observation.domains))) {
       return fail("corpus snapshot chain fields malformed for " + id->string);
     }
     observation.with_sni = with_sni;
@@ -448,10 +556,13 @@ void CorpusIndex::clear() {
   chains_.clear();
   certificate_fingerprints_.clear();
   totals_ = CorpusTotals{};
-  client_addresses_.clear();
-  client_ids_.clear();
+  clients_.clear();
+  endpoints_.clear();
+  snis_.clear();
   chain_clients_.clear();
-  fold_.reset_memo();
+  chain_endpoints_.clear();
+  chain_snis_.clear();
+  fold_.clear();
 }
 
 std::size_t CorpusIndex::distinct_clients(

@@ -34,8 +34,6 @@ std::string_view DnPool::arena_store(std::string_view bytes) {
 }
 
 DnId DnPool::intern_parsed(x509::DistinguishedName name) {
-  const auto it = by_canonical_.find(name.canonical());
-  if (it != by_canonical_.end()) return it->second;
   const DnId id = static_cast<DnId>(entries_.size());
   entries_.push_back(std::move(name));
   by_canonical_.emplace(std::string_view(entries_.back().canonical()), id);

@@ -96,6 +96,7 @@ class DnPool {
   /// the pool's lifetime.
   std::string_view arena_store(std::string_view bytes);
 
+  /// Adds `name`, whose canonical form the pool does not hold yet.
   DnId intern_parsed(x509::DistinguishedName name);
   Interned memo_raw(std::string_view raw);
 

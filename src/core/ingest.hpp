@@ -34,10 +34,23 @@ struct IngestOptions {
   IngestMode mode = IngestMode::kLenient;
 };
 
-/// Raised by strict-mode ingestion on the first damaged line.
+/// Raised when ingestion cannot go on: in strict mode on the first damaged
+/// line, and in either mode when a source cannot be read. The cause says
+/// which, so a caller can tell a bad line (rerun leniently) from a bad path.
 class IngestError : public std::runtime_error {
  public:
-  explicit IngestError(const std::string& message) : std::runtime_error(message) {}
+  enum class Cause : std::uint8_t {
+    kUnreadableSource,  // a source could not be opened or rewound
+    kDamagedLine,       // strict mode met a damaged line
+  };
+
+  IngestError(Cause cause, const std::string& message)
+      : std::runtime_error(message), cause_(cause) {}
+
+  Cause cause() const { return cause_; }
+
+ private:
+  Cause cause_;
 };
 
 /// Per-stream line accounting. The numbers originate in the stream's

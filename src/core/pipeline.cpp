@@ -1,6 +1,7 @@
 #include "core/pipeline.hpp"
 
 #include <functional>
+#include <memory>
 #include <optional>
 #include <set>
 
@@ -42,14 +43,19 @@ StudyReport StudyPipeline::run(const StudyInput& input, const RunOptions& option
 
   // The run's one DnPool. Only the joiner interns into it, on this thread,
   // so it is complete and read-only before any worker compares its ids.
-  DnPool dn_pool;
-  zeek::LogJoiner joiner;
-  joiner.set_dn_pool(&dn_pool);
-  CorpusIndex corpus;
+  // The report keeps nothing of the pool, the joiner or the corpus, so all
+  // three are freed before the run returns, under a span of their own.
+  struct Fold {
+    DnPool dn_pool;
+    zeek::LogJoiner joiner;
+    CorpusIndex corpus;
+  };
+  auto fold = std::make_unique<Fold>();
+  fold->joiner.set_dn_pool(&fold->dn_pool);
   IngestReport ingest;
   {
     obs::StageTimer timer(ctx, "ingest");
-    ingest = fold_input(input, options, joiner, corpus, ctx);
+    ingest = fold_input(input, options, fold->joiner, fold->corpus, ctx);
   }
   if (ingest.populated) {
     // The stage triple counts rows that carried (or should have carried)
@@ -59,8 +65,12 @@ StudyReport StudyPipeline::run(const StudyInput& input, const RunOptions& option
                   ingest.skipped_total());
   }
 
-  StudyReport report = analyze_corpus(pool, corpus, obs, dn_pool);
+  StudyReport report = analyze_corpus(pool, fold->corpus, obs, fold->dn_pool);
   report.ingest = std::move(ingest);
+  {
+    obs::StageTimer timer(ctx, "teardown");
+    fold.reset();
+  }
   if (input.streamed()) {
     ctx.metrics.set_gauge("mem.peak_rss_bytes",
                           static_cast<double>(obs::peak_rss_bytes()));

@@ -78,7 +78,8 @@ IngestReport account_streams(const zeek::ReaderCheckpoint& ssl,
     stats.rotations = publish("rotations", reader.rotations_seen);
     if (mode == IngestMode::kStrict && !reader.errors.empty()) {
       const zeek::ReaderLineError& first = reader.errors.front();
-      throw IngestError(stream + " log line " +
+      throw IngestError(IngestError::Cause::kDamagedLine,
+                        stream + " log line " +
                         std::to_string(first.line_number) + ": " +
                         first.message);
     }
@@ -148,7 +149,7 @@ IngestReport fold_sources(LogSource& ssl_source, LogSource& x509_source,
   };
 
   auto x509_reader = zeek::make_streaming_x509_reader(
-      [&joiner](zeek::X509LogRecord record) { joiner.add(record); });
+      [&joiner](zeek::X509LogRecord record) { joiner.add(std::move(record)); });
   std::uint64_t x509_digest = util::fnv1a64({});
   {
     obs::StageTimer timer(ctx, "join");
@@ -186,6 +187,7 @@ IngestReport fold_sources(LogSource& ssl_source, LogSource& x509_source,
         ctx.metrics.count("stream.resume.rejected");
         if (!ssl_source.seek(0)) {
           throw IngestError(
+              IngestError::Cause::kUnreadableSource,
               "stream checkpoint rejected and SSL source cannot rewind: " +
               std::string(ssl_source.name()));
         }
@@ -241,7 +243,7 @@ IngestReport fold_input(const StudyInput& input, const RunOptions& options,
     }
     case StudyInput::Kind::kText: {
       auto x509_reader = zeek::make_streaming_x509_reader(
-          [&joiner](zeek::X509LogRecord record) { joiner.add(record); });
+          [&joiner](zeek::X509LogRecord record) { joiner.add(std::move(record)); });
       {
         obs::StageTimer timer(ctx, "join");
         feed_slices(x509_reader, input.x509_text(), chunk_bytes);
@@ -256,17 +258,20 @@ IngestReport fold_input(const StudyInput& input, const RunOptions& options,
     case StudyInput::Kind::kFiles: {
       const std::shared_ptr<LogSource> ssl = input.open_ssl_source();
       if (ssl == nullptr) {
-        throw IngestError("cannot open SSL log source: " + input.ssl_path());
+        throw IngestError(IngestError::Cause::kUnreadableSource,
+                          "cannot open SSL log source: " + input.ssl_path());
       }
       const std::shared_ptr<LogSource> x509 = input.open_x509_source();
       if (x509 == nullptr) {
-        throw IngestError("cannot open X509 log source: " + input.x509_path());
+        throw IngestError(IngestError::Cause::kUnreadableSource,
+                          "cannot open X509 log source: " + input.x509_path());
       }
       return fold_sources(*ssl, *x509, options, chunk_bytes, joiner, corpus,
                           ctx);
     }
   }
-  throw IngestError("unknown StudyInput kind");
+  throw IngestError(IngestError::Cause::kUnreadableSource,
+                    "unknown StudyInput kind");
 }
 
 }  // namespace certchain::core

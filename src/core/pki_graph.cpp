@@ -15,11 +15,11 @@ std::string_view cert_role_name(CertRole role) {
 
 std::size_t PkiGraph::intern_node(const x509::Certificate& cert,
                                   truststore::IssuerClassifier& classifier) {
-  const std::string fingerprint = cert.fingerprint();
+  const util::Digest256 fingerprint = cert.fingerprint_digest();
   const auto it = by_fingerprint_.find(fingerprint);
   if (it != by_fingerprint_.end()) return it->second;
   PkiGraphNode node;
-  node.fingerprint = fingerprint;
+  node.fingerprint = fingerprint.to_hex();
   node.subject = cert.subject.to_string();
   node.issuer_class = classifier.classify(cert);
   node.role = CertRole::kLeaf;  // promoted later as evidence accumulates

@@ -13,12 +13,14 @@
 #include <map>
 #include <set>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "core/corpus.hpp"
 #include "core/dn_pool.hpp"
 #include "truststore/issuer_classifier.hpp"
 #include "truststore/trust_store.hpp"
+#include "util/hash.hpp"
 
 namespace certchain::core {
 
@@ -79,7 +81,8 @@ class PkiGraph {
 
  private:
   std::vector<PkiGraphNode> nodes_;
-  std::map<std::string, std::size_t, std::less<>> by_fingerprint_;
+  std::unordered_map<util::Digest256, std::size_t, util::Digest256Hash>
+      by_fingerprint_;
   std::set<std::pair<std::size_t, std::size_t>> co_edges_;
   std::set<std::pair<std::size_t, std::size_t>> links_;
 };

@@ -1,8 +1,10 @@
 #include "ct/ct_log.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <set>
 
+#include "util/hash.hpp"
 #include "util/strings.hpp"
 
 namespace certchain::ct {
@@ -43,6 +45,7 @@ std::size_t CtLog::index_entry(LogEntry entry, const Digest256& leaf) {
     domains_.add(domain, static_cast<std::uint32_t>(index), entry.validity);
   }
   by_fingerprint_.emplace(entry.certificate_fingerprint, index);
+  by_serial_.emplace(util::fnv1a64(entry.serial), index);
   entries_.push_back(std::move(entry));
   return index;
 }
@@ -94,25 +97,42 @@ std::optional<std::size_t> CtLog::entry_index_for(
 }
 
 bool CtLog::contains_matching(const x509::Certificate& cert) const {
-  // Narrow by domain first (the realistic crt.sh-style query), then match
-  // the identifying fields.
-  std::vector<const LogEntry*> candidates;
-  for (const std::string& san : cert.subject_alt_names) {
-    for (const LogEntry* entry : entries_for_domain(san)) candidates.push_back(entry);
-  }
-  if (candidates.empty()) {
-    if (const auto cn = cert.subject.common_name()) {
-      for (const LogEntry* entry : entries_for_domain(*cn)) candidates.push_back(entry);
+  // The domain query (the realistic crt.sh-style one) returns the entries
+  // covering one of the SANs, or, only when none does, those covering the
+  // CN; a match is one of them with the same serial, issuer, subject and
+  // overlapping validity. Probing the serial first visits just the entries
+  // that can match, and settles the query's shape only when one covers the
+  // CN and no SAN.
+  bool lowered = false;
+  std::vector<std::string> sans;
+  std::optional<std::string> cn;
+  bool covers_cn = false;
+  const auto [first, last] = by_serial_.equal_range(util::fnv1a64(cert.serial));
+  for (auto it = first; it != last; ++it) {
+    const LogEntry& entry = entries_[it->second];
+    if (entry.serial != cert.serial || !entry.issuer.matches(cert.issuer) ||
+        !entry.subject.matches(cert.subject) ||
+        !entry.validity.overlaps(cert.validity)) {
+      continue;
     }
-  }
-  for (const LogEntry* entry : candidates) {
-    if (entry->serial == cert.serial && entry->issuer.matches(cert.issuer) &&
-        entry->subject.matches(cert.subject) &&
-        entry->validity.overlaps(cert.validity)) {
-      return true;
+    if (!lowered) {
+      lowered = true;
+      for (const std::string& san : cert.subject_alt_names) {
+        sans.push_back(util::to_lower(san));
+      }
+      if (const auto name = cert.subject.common_name()) cn = util::to_lower(*name);
     }
+    for (const std::string& san : sans) {
+      if (entry_covers(entry.domains, san)) return true;
+    }
+    covers_cn = covers_cn || (cn && entry_covers(entry.domains, *cn));
   }
-  return false;
+  if (!covers_cn) return false;
+  // The CN answers only when no entry of the log covers any SAN.
+  for (const std::string& san : sans) {
+    if (!entries_for_domain(san).empty()) return false;
+  }
+  return true;
 }
 
 std::vector<const LogEntry*> CtLog::entries_for_domain(std::string_view domain) const {
@@ -202,18 +222,24 @@ std::size_t CtLogSet::required_sct_count(util::SimTime lifetime_seconds) {
 }
 
 bool CtLogSet::complies(const x509::Certificate& cert) const {
-  std::set<std::string> distinct_logs;
+  // Each counted log is named by its own SCT, so a certificate with fewer
+  // SCTs than the policy asks for (never below 2) cannot comply. Observed
+  // leaves, X509.log rows, carry none.
+  const std::size_t required = required_sct_count(cert.validity.duration());
+  if (cert.scts.size() < required) return false;
   // The logged entry is the SCT-free precertificate.
-  x509::Certificate precert = cert;
-  precert.scts.clear();
-  const std::string fingerprint = precert.fingerprint();
+  const std::string fingerprint = cert.precertificate_fingerprint().to_hex();
+  std::vector<std::string_view> distinct_logs;
   for (const x509::EmbeddedSct& sct : cert.scts) {
     const CtLog* log = find_log(sct.log_id);
     if (log == nullptr) continue;
     if (!log->contains_fingerprint(fingerprint)) continue;
-    distinct_logs.insert(sct.log_id);
+    if (std::find(distinct_logs.begin(), distinct_logs.end(), sct.log_id) ==
+        distinct_logs.end()) {
+      distinct_logs.push_back(sct.log_id);
+    }
   }
-  return distinct_logs.size() >= required_sct_count(cert.validity.duration());
+  return distinct_logs.size() >= required;
 }
 
 std::vector<x509::DistinguishedName> CtLogSet::issuers_for_domain(
@@ -229,9 +255,7 @@ std::vector<x509::DistinguishedName> CtLogSet::issuers_for_domain(
 }
 
 bool CtLogSet::logged_anywhere(const x509::Certificate& cert) const {
-  x509::Certificate precert = cert;
-  precert.scts.clear();
-  const std::string fingerprint = precert.fingerprint();
+  const std::string fingerprint = cert.precertificate_fingerprint().to_hex();
   for (const CtLog& log : logs_) {
     if (log.contains_fingerprint(fingerprint)) return true;
   }

@@ -19,6 +19,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "ct/domain_index.hpp"
@@ -78,9 +79,14 @@ class CtLog {
   std::optional<std::size_t> entry_index_for(std::string_view fingerprint) const;
 
   /// Field-level lookup: true if an entry matches the certificate's subject,
-  /// issuer, serial and validity. This is how log data (which carries no key
-  /// material, hence no stable fingerprint) is checked against CT — the
-  /// paper's "we query CT logs and confirm" step (§4.2).
+  /// issuer, serial and validity among the entries a domain query for the
+  /// certificate returns — those covering one of its SANs, or, when no
+  /// entry covers any SAN, those covering its CN. This is how log data
+  /// (which carries no key material, hence no stable fingerprint) is
+  /// checked against CT — the paper's "we query CT logs and confirm" step
+  /// (§4.2). One probe of the serial index finds every entry that can
+  /// match; the domain index is consulted only when a matching entry covers
+  /// the CN but no SAN.
   bool contains_matching(const x509::Certificate& cert) const;
 
   /// All entries whose domains cover `domain` (exact or wildcard match).
@@ -138,6 +144,8 @@ class CtLog {
   // Transparent comparator: lookups are heterogeneous string_view probes,
   // no per-query std::string allocation.
   std::map<std::string, std::size_t, std::less<>> by_fingerprint_;
+  /// Entry indices by fnv1a64 of their serial; a probe re-checks the serial.
+  std::unordered_multimap<std::uint64_t, std::size_t> by_serial_;
   DomainIndex domains_;
 };
 
@@ -170,7 +178,8 @@ class CtLogSet {
   static std::size_t required_sct_count(util::SimTime lifetime_seconds);
 
   /// True if the certificate carries enough SCTs from distinct known logs
-  /// and each referenced log actually contains it.
+  /// and each referenced log actually contains its precertificate (the
+  /// certificate without its SCTs).
   bool complies(const x509::Certificate& cert) const;
 
   /// Union interception query across all logs.

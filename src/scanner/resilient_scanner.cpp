@@ -15,6 +15,8 @@ using netsim::FaultPlan;
 namespace {
 
 // The fixed half of the retry discipline (RetryPolicy documents it).
+constexpr double kBaseBackoffMs = 100.0;
+constexpr double kMaxBackoffMs = 5000.0;
 constexpr double kBackoffMultiplier = 2.0;
 constexpr double kJitterFraction = 0.1;
 constexpr std::uint32_t kRttMs = 50;
@@ -123,9 +125,9 @@ ResilientScanResult ResilientScanner::run_attempts(ScanResult pristine) {
   for (std::uint32_t attempt = 0; attempt < max_attempts; ++attempt) {
     if (attempt > 0) {
       // Exponential backoff with deterministic jitter before every retry.
-      double wait = static_cast<double>(policy_.base_backoff_ms) *
+      double wait = kBaseBackoffMs *
                     std::pow(kBackoffMultiplier, static_cast<double>(attempt - 1));
-      wait = std::min(wait, static_cast<double>(policy_.max_backoff_ms));
+      wait = std::min(wait, kMaxBackoffMs);
       wait *= jitter_rng.uniform(1.0 - kJitterFraction, 1.0 + kJitterFraction);
       const auto wait_ms = static_cast<std::uint32_t>(wait);
       elapsed += wait_ms;

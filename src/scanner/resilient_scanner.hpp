@@ -47,15 +47,13 @@ std::string_view scan_error_name(ScanError error);
 
 /// Retry/backoff knobs. All time is virtual (milliseconds charged against
 /// the per-target deadline), so runs are instant and reproducible. The rest
-/// of the discipline is fixed: the backoff doubles per retry, each wait is
-/// scaled by a factor drawn uniformly from [0.9, 1.1] (deterministic via
-/// jitter_seed), a round trip costs 50 ms and a connect timeout 1,000 ms,
-/// and the parseable prefix of a damaged bundle is kept as a degraded
-/// result.
+/// of the discipline is fixed: the first retry waits 100 ms, the backoff
+/// doubles per retry up to 5,000 ms, each wait is scaled by a factor drawn
+/// uniformly from [0.9, 1.1] (deterministic via jitter_seed), a round trip
+/// costs 50 ms and a connect timeout 1,000 ms, and the parseable prefix of a
+/// damaged bundle is kept as a degraded result.
 struct RetryPolicy {
   std::uint32_t max_attempts = 4;
-  std::uint32_t base_backoff_ms = 100;
-  std::uint32_t max_backoff_ms = 5000;
   std::uint64_t jitter_seed = 0x5CA27E7ULL;
   /// Per-target budget; attempts stop once it is exhausted.
   std::uint32_t target_deadline_ms = 30000;

@@ -372,7 +372,7 @@ AppendResult ServiceState::fold_batch_locked(
   // X509 rows index before the SSL rows join, so an append can introduce a
   // chain and its connections together (same contract as the batch fold).
   for (const std::string& row : x509_rows) {
-    const std::optional<zeek::X509LogRecord> record = zeek::parse_x509_row(row);
+    std::optional<zeek::X509LogRecord> record = zeek::parse_x509_row(row);
     if (!record) {
       ++result.x509_malformed;
       continue;
@@ -385,7 +385,7 @@ AppendResult ServiceState::fold_batch_locked(
     if (durable_ && joiner_.find(record->fuid) == nullptr) {
       appended_x509_rows_.push_back(row);
     }
-    joiner_.add(*record);
+    joiner_.add(std::move(*record));
   }
   // SSL rows fold as views, the engine's path: nothing is materialized.
   for (const std::string& row : ssl_rows) {

@@ -436,12 +436,12 @@ std::optional<SvcSnapshot> decode_svc_snapshot(std::string_view text,
   // the corpus snapshot then resolves its chain fingerprints against it. A
   // row that no longer parses means the snapshot is not ours — reject it.
   for (std::size_t i = 0; i < snapshot.appended_x509_rows.size(); ++i) {
-    const auto record = zeek::parse_x509_row(snapshot.appended_x509_rows[i]);
+    auto record = zeek::parse_x509_row(snapshot.appended_x509_rows[i]);
     if (!record.has_value()) {
       return fail("snapshot appended_x509_rows[" + std::to_string(i) +
                   "] does not parse");
     }
-    joiner.add(*record);
+    joiner.add(std::move(*record));
   }
   const obs::json::Value* corpus_block = root->find("corpus");
   std::string corpus_error;

@@ -32,14 +32,17 @@ std::uint64_t fnv1a64_continue(std::uint64_t state, std::string_view data) {
 }
 
 std::string Digest256::to_hex() const {
-  std::string out;
-  out.reserve(64);
+  std::string out(64, '\0');
+  write_hex(out.data());
+  return out;
+}
+
+void Digest256::write_hex(char* out) const {
   for (const std::uint64_t word : words) {
     for (int shift = 60; shift >= 0; shift -= 4) {
-      out.push_back(kHexDigits[(word >> shift) & 0xF]);
+      *out++ = kHexDigits[(word >> shift) & 0xF];
     }
   }
-  return out;
 }
 
 bool Digest256::from_hex(std::string_view hex, Digest256& out) {
@@ -58,25 +61,41 @@ bool Digest256::from_hex(std::string_view hex, Digest256& out) {
   return true;
 }
 
-Digest256 digest256(std::string_view data) {
-  // Four lanes of FNV-1a with distinct offsets, finalized with avalanche
-  // mixing and cross-lane diffusion. Fully deterministic; not secure.
-  std::uint64_t lanes[4] = {0xCBF29CE484222325ULL, 0x84222325CBF29CE4ULL,
-                            0x9E3779B97F4A7C15ULL, 0xC2B2AE3D27D4EB4FULL};
-  std::size_t index = 0;
-  for (const char c : data) {
-    const auto byte = static_cast<unsigned char>(c);
+Digest256Builder& Digest256Builder::append(std::string_view data) {
+  // Four lanes of FNV-1a with distinct offsets; byte i goes to lane i % 4
+  // and folds in its position. Aligned runs of four bytes step all four
+  // lanes at once, so the lanes' multiply chains overlap.
+  std::uint64_t lanes[4] = {lanes_[0], lanes_[1], lanes_[2], lanes_[3]};
+  std::uint64_t index = size_;
+  const auto* bytes = reinterpret_cast<const unsigned char*>(data.data());
+  const unsigned char* const end = bytes + data.size();
+  const auto step = [&lanes, &index](unsigned char byte) {
     std::uint64_t& lane = lanes[index & 3];
-    lane ^= byte;
-    lane *= 0x100000001B3ULL;
-    lane ^= (index << 1);
+    lane = ((lane ^ byte) * kPrime) ^ (index << 1);
     ++index;
+  };
+  while (bytes != end && (index & 3) != 0) step(*bytes++);
+  for (; end - bytes >= 4; bytes += 4, index += 4) {
+    lanes[0] = ((lanes[0] ^ bytes[0]) * kPrime) ^ (index << 1);
+    lanes[1] = ((lanes[1] ^ bytes[1]) * kPrime) ^ ((index + 1) << 1);
+    lanes[2] = ((lanes[2] ^ bytes[2]) * kPrime) ^ ((index + 2) << 1);
+    lanes[3] = ((lanes[3] ^ bytes[3]) * kPrime) ^ ((index + 3) << 1);
   }
-  // Length padding + cross-lane diffusion. Every output word must depend on
-  // every lane: fold an all-lane mix into each lane, twice, so inputs that
-  // differ only in bytes assigned to one lane still change all four words.
-  for (auto& lane : lanes) lane ^= static_cast<std::uint64_t>(data.size()) * 0x9E3779B97F4A7C15ULL;
-  Digest256 digest;
+  while (bytes != end) step(*bytes++);
+  for (std::size_t i = 0; i < 4; ++i) lanes_[i] = lanes[i];
+  size_ = index;
+  return *this;
+}
+
+Digest256 Digest256Builder::finish() const {
+  // Length padding + cross-lane diffusion, with avalanche mixing. Every
+  // output word must depend on every lane: fold an all-lane mix into each
+  // lane, twice, so inputs that differ only in bytes assigned to one lane
+  // still change all four words. Fully deterministic; not secure.
+  std::uint64_t lanes[4];
+  for (std::size_t i = 0; i < 4; ++i) {
+    lanes[i] = lanes_[i] ^ size_ * 0x9E3779B97F4A7C15ULL;
+  }
   for (std::size_t round = 0; round < 2; ++round) {
     const std::uint64_t all =
         mix64(lanes[0] ^ (lanes[1] << 17 | lanes[1] >> 47) ^
@@ -85,8 +104,13 @@ Digest256 digest256(std::string_view data) {
       lanes[i] = mix64(lanes[i] + all + i * 0xD6E8FEB86659FD93ULL + round);
     }
   }
+  Digest256 digest;
   for (std::size_t i = 0; i < 4; ++i) digest.words[i] = lanes[i];
   return digest;
+}
+
+Digest256 digest256(std::string_view data) {
+  return Digest256Builder().append(data).finish();
 }
 
 std::string digest256_hex(std::string_view data) { return digest256(data).to_hex(); }

@@ -35,9 +35,44 @@ struct Digest256 {
 
   /// Lowercase hex rendering (64 chars).
   std::string to_hex() const;
+  /// The same 64 chars written to `out`, which must hold them.
+  void write_hex(char* out) const;
 
   /// Parses 64 hex chars; returns false on malformed input.
   static bool from_hex(std::string_view hex, Digest256& out);
+};
+
+/// Hashes a Digest256 for unordered containers. The words are already
+/// avalanche-mixed, so one of them is a good hash.
+struct Digest256Hash {
+  std::size_t operator()(const Digest256& digest) const {
+    return static_cast<std::size_t>(digest.words[0]);
+  }
+};
+
+/// digest256 over bytes that arrive in pieces: appending the pieces of a
+/// string, split anywhere, and then calling finish() yields exactly
+/// digest256 of the whole string. The digest is per-byte FNV-1a over four
+/// lanes plus a length finalizer, so a value can be digested while it is
+/// serialized, without building the string.
+class Digest256Builder {
+ public:
+  Digest256Builder& append(std::string_view data);
+  Digest256Builder& push_back(char c) {
+    std::uint64_t& lane = lanes_[size_ & 3];
+    lane = ((lane ^ static_cast<unsigned char>(c)) * kPrime) ^ (size_ << 1);
+    ++size_;
+    return *this;
+  }
+  /// The digest of everything appended so far; the builder stays usable.
+  Digest256 finish() const;
+
+ private:
+  static constexpr std::uint64_t kPrime = 0x100000001B3ULL;
+
+  std::uint64_t lanes_[4] = {0xCBF29CE484222325ULL, 0x84222325CBF29CE4ULL,
+                             0x9E3779B97F4A7C15ULL, 0xC2B2AE3D27D4EB4FULL};
+  std::uint64_t size_ = 0;
 };
 
 /// Computes the 256-bit digest of a byte string. Deterministic across

@@ -1,5 +1,7 @@
 #include "x509/certificate.hpp"
 
+#include <charconv>
+
 #include "util/hash.hpp"
 #include "util/strings.hpp"
 
@@ -25,84 +27,139 @@ bool NameConstraints::allows(std::string_view dns_name) const {
   return false;
 }
 
-std::string Certificate::tbs_bytes() const {
-  // A canonical, field-tagged serialization; unambiguous because every field
-  // is length-independent and separated by record markers.
-  std::string out;
-  out.reserve(512);
-  out.append("v=").append(std::to_string(version)).push_back('\x1e');
-  out.append("serial=").append(serial).push_back('\x1e');
-  out.append("issuer=").append(issuer.to_string()).push_back('\x1e');
-  out.append("subject=").append(subject.to_string()).push_back('\x1e');
-  out.append("nb=").append(std::to_string(validity.begin)).push_back('\x1e');
-  out.append("na=").append(std::to_string(validity.end)).push_back('\x1e');
-  out.append("keyalg=")
-      .append(crypto::key_algorithm_name(public_key.algorithm))
-      .push_back('\x1e');
-  out.append("key=").append(public_key.material).push_back('\x1e');
-  out.append("bc=");
-  if (basic_constraints.present) {
-    out.append(basic_constraints.is_ca ? "CA:TRUE" : "CA:FALSE");
-    if (basic_constraints.path_len_constraint) {
-      out.append(",pathlen:")
-          .append(std::to_string(*basic_constraints.path_len_constraint));
+namespace {
+
+/// Appends `value` in decimal, as std::to_string writes it.
+template <typename Sink, typename Int>
+void append_decimal(Sink& sink, Int value) {
+  char digits[24];
+  const auto end = std::to_chars(digits, digits + sizeof digits, value).ptr;
+  sink.append(std::string_view(digits, static_cast<std::size_t>(end - digits)));
+}
+
+/// Writes the canonical to-be-signed serialization into `sink` (a
+/// std::string or a util::Digest256Builder). Unambiguous because every
+/// field is length-independent and separated by record markers.
+template <typename Sink>
+void write_tbs(const Certificate& cert, Sink& sink) {
+  constexpr char kEnd = '\x1e';
+  sink.append("v=");
+  append_decimal(sink, cert.version);
+  sink.push_back(kEnd);
+  sink.append("serial=");
+  sink.append(cert.serial);
+  sink.push_back(kEnd);
+  sink.append("issuer=");
+  sink.append(cert.issuer.to_string());
+  sink.push_back(kEnd);
+  sink.append("subject=");
+  sink.append(cert.subject.to_string());
+  sink.push_back(kEnd);
+  sink.append("nb=");
+  append_decimal(sink, cert.validity.begin);
+  sink.push_back(kEnd);
+  sink.append("na=");
+  append_decimal(sink, cert.validity.end);
+  sink.push_back(kEnd);
+  sink.append("keyalg=");
+  sink.append(crypto::key_algorithm_name(cert.public_key.algorithm));
+  sink.push_back(kEnd);
+  sink.append("key=");
+  sink.append(cert.public_key.material);
+  sink.push_back(kEnd);
+  sink.append("bc=");
+  const BasicConstraints& bc = cert.basic_constraints;
+  if (bc.present) {
+    sink.append(bc.is_ca ? "CA:TRUE" : "CA:FALSE");
+    if (bc.path_len_constraint) {
+      sink.append(",pathlen:");
+      append_decimal(sink, *bc.path_len_constraint);
     }
   } else {
-    out.append("absent");
+    sink.append("absent");
   }
-  out.push_back('\x1e');
-  out.append("nc=");
-  if (name_constraints.present) {
-    out.push_back('p');
-    for (const std::string& base : name_constraints.permitted_dns) {
-      out.append(base).push_back(';');
+  sink.push_back(kEnd);
+  sink.append("nc=");
+  if (cert.name_constraints.present) {
+    sink.push_back('p');
+    for (const std::string& base : cert.name_constraints.permitted_dns) {
+      sink.append(base);
+      sink.push_back(';');
     }
-    out.push_back('x');
-    for (const std::string& base : name_constraints.excluded_dns) {
-      out.append(base).push_back(';');
+    sink.push_back('x');
+    for (const std::string& base : cert.name_constraints.excluded_dns) {
+      sink.append(base);
+      sink.push_back(';');
     }
   }
-  out.push_back('\x1e');
-  out.append("ku=");
-  if (key_usage.present) {
-    if (key_usage.digital_signature) out.append("ds,");
-    if (key_usage.key_cert_sign) out.append("kcs,");
-    if (key_usage.crl_sign) out.append("crl,");
+  sink.push_back(kEnd);
+  sink.append("ku=");
+  if (cert.key_usage.present) {
+    if (cert.key_usage.digital_signature) sink.append("ds,");
+    if (cert.key_usage.key_cert_sign) sink.append("kcs,");
+    if (cert.key_usage.crl_sign) sink.append("crl,");
   }
-  out.push_back('\x1e');
-  out.append("san=");
-  for (const std::string& name : subject_alt_names) {
-    out.append(name).push_back(';');
+  sink.push_back(kEnd);
+  sink.append("san=");
+  for (const std::string& name : cert.subject_alt_names) {
+    sink.append(name);
+    sink.push_back(';');
   }
-  out.push_back('\x1e');
+  sink.push_back(kEnd);
   // Note: the SCT list is deliberately NOT part of the to-be-signed bytes.
   // This mirrors RFC 6962 precertificate semantics: the CA signs the
   // certificate before logs return their SCTs, so embedding SCTs afterwards
   // must not invalidate the signature.
+}
+
+/// Digests the fingerprint bytes: the tbs serialization, then `scts` (the
+/// certificate's own list, or none for its precertificate identity), then
+/// the signature.
+util::Digest256 digest_fingerprint(const Certificate& cert,
+                                   const std::vector<EmbeddedSct>& scts) {
+  constexpr char kEnd = '\x1e';
+  util::Digest256Builder digest;
+  write_tbs(cert, digest);
+  digest.append("scts=");
+  for (const EmbeddedSct& sct : scts) {
+    digest.append(sct.log_id);
+    digest.push_back('@');
+    append_decimal(digest, sct.timestamp);
+    digest.push_back(';');
+  }
+  digest.push_back(kEnd);
+  digest.append("sigalg=");
+  digest.append(crypto::signature_algorithm_name(cert.signature.algorithm));
+  digest.push_back(kEnd);
+  digest.append("sig=");
+  digest.append(cert.signature.value);
+  digest.push_back(kEnd);
+  return digest.finish();
+}
+
+}  // namespace
+
+std::string Certificate::tbs_bytes() const {
+  std::string out;
+  out.reserve(512);
+  write_tbs(*this, out);
   return out;
 }
 
-std::string Certificate::fingerprint() const {
-  if (!fingerprint_memo.empty()) return fingerprint_memo;
-  std::string bytes = tbs_bytes();
+util::Digest256 Certificate::fingerprint_digest() const {
+  if (fingerprint_memo) return *fingerprint_memo;
   // The fingerprint is the identity of the certificate *as delivered*, so it
   // does cover the embedded SCT list (unlike the signature).
-  bytes.append("scts=");
-  for (const EmbeddedSct& sct : scts) {
-    bytes.append(sct.log_id).push_back('@');
-    bytes.append(std::to_string(sct.timestamp)).push_back(';');
-  }
-  bytes.push_back('\x1e');
-  bytes.append("sigalg=")
-      .append(crypto::signature_algorithm_name(signature.algorithm))
-      .push_back('\x1e');
-  bytes.append("sig=").append(signature.value).push_back('\x1e');
-  return util::digest256_hex(bytes);
+  return digest_fingerprint(*this, scts);
+}
+
+util::Digest256 Certificate::precertificate_fingerprint() const {
+  return digest_fingerprint(*this, {});
 }
 
 void Certificate::seal_fingerprint() {
-  fingerprint_memo.clear();
-  fingerprint_memo = fingerprint();
+  fingerprint_memo.reset();
+  fingerprint_memo = fingerprint_digest();
 }
 
 bool wildcard_matches(std::string_view pattern, std::string_view domain) {

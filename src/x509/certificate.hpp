@@ -15,6 +15,7 @@
 
 #include "core/dn_id.hpp"
 #include "crypto/sim_crypto.hpp"
+#include "util/hash.hpp"
 #include "util/time.hpp"
 #include "x509/distinguished_name.hpp"
 
@@ -101,8 +102,8 @@ struct Certificate {
   core::DnId subject_id = core::kInvalidDnId;
 
   /// Cached fingerprint, filled by seal_fingerprint(). Derived state like the
-  /// ids: excluded from equality, empty on hand-built certificates.
-  std::string fingerprint_memo;
+  /// ids: excluded from equality, unset on hand-built certificates.
+  std::optional<util::Digest256> fingerprint_memo;
 
   /// Issuer and subject canonically equal (the study's self-signed test —
   /// "issuer and subject are identical", §4.3).
@@ -127,12 +128,23 @@ struct Certificate {
   /// subject enter as their kept RFC 4514 displays, escaped once per body.
   std::string tbs_bytes() const;
 
-  /// Content fingerprint (digest of tbs + signature), hex. Used as the
-  /// certificate identity throughout the pipeline, like a SHA-256
+  /// Content fingerprint (digest of tbs + embedded SCTs + signature). Used
+  /// as the certificate identity throughout the pipeline, like a SHA-256
   /// fingerprint would be in practice. Answers from fingerprint_memo when
   /// sealed; recomputes otherwise (tests mutate certificates and expect the
-  /// fingerprint to follow, so there is no implicit memoization).
-  std::string fingerprint() const;
+  /// fingerprint to follow, so there is no implicit memoization). The bytes
+  /// stream into the digest; no serialization is built.
+  util::Digest256 fingerprint_digest() const;
+
+  /// The fingerprint as hex: the form that leaves the process (snapshots,
+  /// CT entries, wire answers).
+  std::string fingerprint() const { return fingerprint_digest().to_hex(); }
+
+  /// The fingerprint this certificate has with its SCT list emptied: the
+  /// identity a CT log records for it (RFC 6962 precertificate semantics).
+  /// Always computed, never read from fingerprint_memo, which covers the
+  /// SCTs.
+  util::Digest256 precertificate_fingerprint() const;
 
   /// Computes and caches the fingerprint. Call once the certificate is
   /// final — the joiner seals every cert it constructs so per-connection

@@ -1,5 +1,6 @@
 #include "x509/distinguished_name.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <cstdlib>
 #include <stdexcept>
@@ -25,23 +26,23 @@ bool is_special(char c) {
   }
 }
 
-std::string canonical_type(std::string_view type) {
-  std::string out;
-  out.reserve(type.size());
-  for (const char c : type) {
-    out.push_back(static_cast<char>(std::toupper(static_cast<unsigned char>(c))));
-  }
-  return out;
+char upper(char c) {
+  return static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
 }
 
-std::string canonical_value(std::string_view value) {
-  // Lowercase + collapse runs of whitespace to single spaces + trim.
-  std::string out;
-  out.reserve(value.size());
+/// Appends the canonical form of an attribute type: uppercased.
+void append_canonical_type(std::string& out, std::string_view type) {
+  for (const char c : type) out.push_back(upper(c));
+}
+
+/// Appends the canonical form of an attribute value: lowercased, runs of
+/// whitespace collapsed to single spaces, trimmed.
+void append_canonical_value(std::string& out, std::string_view value) {
+  bool wrote = false;
   bool pending_space = false;
   for (const char c : value) {
     if (std::isspace(static_cast<unsigned char>(c))) {
-      pending_space = !out.empty();
+      pending_space = wrote;
       continue;
     }
     if (pending_space) {
@@ -49,8 +50,29 @@ std::string canonical_value(std::string_view value) {
       pending_space = false;
     }
     out.push_back(static_cast<char>(std::tolower(static_cast<unsigned char>(c))));
+    wrote = true;
   }
-  return out;
+}
+
+/// Appends `value` escaped per RFC 4514.
+void append_escaped(std::string& out, std::string_view value) {
+  for (std::size_t i = 0; i < value.size(); ++i) {
+    const char c = value[i];
+    const bool needs_escape =
+        is_special(c) || (i == 0 && (c == ' ' || c == '#')) ||
+        (i + 1 == value.size() && c == ' ');
+    if (needs_escape) out.push_back('\\');
+    out.push_back(c);
+  }
+}
+
+/// True if two attribute types are equal ignoring ASCII case.
+bool same_type(std::string_view a, std::string_view b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (upper(a[i]) != upper(b[i])) return false;
+  }
+  return true;
 }
 
 }  // namespace
@@ -72,17 +94,23 @@ void DistinguishedName::Body::append(Rdn rdn) {
     canonical.push_back('\n');  // unambiguous separator
     display.push_back(',');
   }
-  canonical.append(canonical_type(rdn.type));
+  append_canonical_type(canonical, rdn.type);
   canonical.push_back('=');
-  canonical.append(canonical_value(rdn.value));
+  append_canonical_value(canonical, rdn.value);
   display.append(rdn.type);
   display.push_back('=');
-  display.append(escape_dn_value(rdn.value));
+  append_escaped(display, rdn.value);
   rdns.push_back(std::move(rdn));
 }
 
 std::optional<DistinguishedName> DistinguishedName::parse(std::string_view text) {
-  std::vector<Rdn> rdns;
+  // The body is built as the text parses: each RDN's canonical and display
+  // forms are written straight into it, sized once for the whole name.
+  auto body = std::make_shared<Body>();
+  body->rdns.reserve(1 + static_cast<std::size_t>(
+                             std::count(text.begin(), text.end(), ',')));
+  body->canonical.reserve(text.size());
+  body->display.reserve(text.size());
   std::size_t i = 0;
   const std::size_t n = text.size();
 
@@ -140,7 +168,7 @@ std::optional<DistinguishedName> DistinguishedName::parse(std::string_view text)
     }
     // Drop trailing unescaped spaces.
     value.resize(value.size() - trailing_spaces);
-    rdns.push_back(Rdn{std::move(type), std::move(value)});
+    body->append(Rdn{std::move(type), std::move(value)});
 
     if (i < n) {
       // consume ','
@@ -148,7 +176,9 @@ std::optional<DistinguishedName> DistinguishedName::parse(std::string_view text)
       if (i == n) return std::nullopt;  // trailing comma
     }
   }
-  return DistinguishedName(std::move(rdns));
+  DistinguishedName name;
+  name.body_ = std::move(body);
+  return name;
 }
 
 DistinguishedName DistinguishedName::parse_or_die(std::string_view text) {
@@ -163,21 +193,13 @@ DistinguishedName DistinguishedName::parse_or_die(std::string_view text) {
 std::string escape_dn_value(std::string_view value) {
   std::string out;
   out.reserve(value.size());
-  for (std::size_t i = 0; i < value.size(); ++i) {
-    const char c = value[i];
-    const bool needs_escape =
-        is_special(c) || (i == 0 && (c == ' ' || c == '#')) ||
-        (i + 1 == value.size() && c == ' ');
-    if (needs_escape) out.push_back('\\');
-    out.push_back(c);
-  }
+  append_escaped(out, value);
   return out;
 }
 
 std::optional<std::string> DistinguishedName::attribute(std::string_view type) const {
-  const std::string wanted = canonical_type(type);
   for (const Rdn& rdn : rdns()) {
-    if (canonical_type(rdn.type) == wanted) return rdn.value;
+    if (same_type(rdn.type, type)) return rdn.value;
   }
   return std::nullopt;
 }

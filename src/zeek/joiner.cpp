@@ -1,6 +1,7 @@
 #include "zeek/joiner.hpp"
 
 #include <memory>
+#include <utility>
 
 #include "core/dn_pool.hpp"
 #include "util/strings.hpp"
@@ -38,13 +39,14 @@ crypto::SignatureAlgorithm parse_sig_alg(const std::string& name) {
   return crypto::SignatureAlgorithm::kSimSha256WithRsa;
 }
 
-}  // namespace
-
-x509::Certificate certificate_from_record(const X509LogRecord& record,
-                                          core::DnPool* pool) {
+/// The one certificate build behind certificate_from_record and
+/// LogJoiner::add: `Record` is `const X509LogRecord&` (copy the strings) or
+/// `X509LogRecord` (move the serial and SANs).
+template <typename Record>
+x509::Certificate build_certificate(Record&& record, core::DnPool* pool) {
   x509::Certificate cert;
   cert.version = record.version;
-  cert.serial = record.serial;
+  cert.serial = std::forward<Record>(record).serial;
   if (pool != nullptr) {
     // Raw-bytes memo: each distinct spelling parses once, ever. The stored
     // parse is of *these* bytes, so rendering is unchanged vs. the poolless
@@ -69,8 +71,15 @@ x509::Certificate certificate_from_record(const X509LogRecord& record,
     cert.basic_constraints.is_ca = *record.basic_constraints_ca;
     cert.basic_constraints.path_len_constraint = record.basic_constraints_path_len;
   }
-  cert.subject_alt_names = record.san_dns;
+  cert.subject_alt_names = std::forward<Record>(record).san_dns;
   return cert;
+}
+
+}  // namespace
+
+x509::Certificate certificate_from_record(const X509LogRecord& record,
+                                          core::DnPool* pool) {
+  return build_certificate(record, pool);
 }
 
 X509LogRecord record_from_certificate(const x509::Certificate& cert,
@@ -101,13 +110,24 @@ LogJoiner::LogJoiner(const std::vector<X509LogRecord>& certificates) {
   for (const X509LogRecord& record : certificates) add(record);
 }
 
-void LogJoiner::add(const X509LogRecord& certificate) {
+void LogJoiner::add(const X509LogRecord& certificate) { add_record(certificate); }
+
+void LogJoiner::add(X509LogRecord&& certificate) {
+  add_record(std::move(certificate));
+}
+
+template <typename Record>
+void LogJoiner::add_record(Record&& certificate) {
   // First observation wins; fuids are content-derived so duplicates carry
   // identical fields anyway. try_emplace skips certificate construction
   // entirely on the duplicate path.
-  const auto [it, inserted] = by_fuid_.try_emplace(certificate.fuid);
+  // The fuid moves into the key on the owned-record path; try_emplace
+  // leaves it alone when the fuid is already there.
+  const auto [it, inserted] =
+      by_fuid_.try_emplace(std::forward<Record>(certificate).fuid);
   if (!inserted) return;
-  x509::Certificate cert = certificate_from_record(certificate, dn_pool_);
+  x509::Certificate cert =
+      build_certificate(std::forward<Record>(certificate), dn_pool_);
   // The joined certificate is immutable from here on; sealing makes every
   // later fingerprint() — one per cert per connection in the corpus fold —
   // a memo read instead of a digest.

@@ -65,6 +65,9 @@ class LogJoiner {
   /// Registers one certificate row; a re-observed fuid keeps the first
   /// record (fuids are content-addressed in practice).
   void add(const X509LogRecord& certificate);
+  /// The same, moving the row's strings into the certificate (the readers
+  /// hand each parsed row over by value).
+  void add(X509LogRecord&& certificate);
 
   std::size_t certificate_count() const { return by_fuid_.size(); }
 
@@ -85,6 +88,10 @@ class LogJoiner {
   JoinedConnection join(const SslLogRecord& ssl) const;
 
  private:
+  /// The one body behind both add() overloads.
+  template <typename Record>
+  void add_record(Record&& certificate);
+
   CertificateIndex by_fuid_;
   core::DnPool* dn_pool_ = nullptr;
 };

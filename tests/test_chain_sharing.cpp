@@ -284,7 +284,7 @@ TEST_F(ChainSharing, SharedChainsReadFromManyThreads) {
   std::vector<std::string> ids;
   for (const auto& [id, observation] : folded->corpus.chains()) {
     chains.push_back(&observation.chain);
-    ids.push_back(id);
+    ids.push_back(id.to_hex());
   }
   ASSERT_GT(chains.size(), 10u);
   constexpr int kThreads = 4;

@@ -244,6 +244,21 @@ TEST(CtLogSet, ComplianceRequiresRealLogEntries) {
   EXPECT_FALSE(logs.complies(single));
 }
 
+TEST(CtLogSet, SealedEmbeddedCertificateComplies) {
+  // A sealed certificate's fingerprint memo covers its SCTs; the logs hold
+  // the SCT-free precertificate, so compliance must not read the seal.
+  TestPki pki;
+  CtLogSet logs(3);
+  x509::Certificate leaf = pki.leaf("sealed.example");
+  leaf.validity = {util::make_time(2021, 1, 1), util::make_time(2021, 4, 1)};
+  x509::Certificate embedded = logs.submit_and_embed(leaf, 7, 2);
+  ASSERT_TRUE(logs.complies(embedded));
+  embedded.seal_fingerprint();
+  EXPECT_TRUE(logs.complies(embedded));
+  EXPECT_TRUE(logs.logged_anywhere(embedded));
+  EXPECT_EQ(embedded.precertificate_fingerprint(), leaf.fingerprint_digest());
+}
+
 TEST(CtLogSet, UnionQueriesDeduplicate) {
   TestPki pki;
   CtLogSet logs(2);

@@ -433,6 +433,28 @@ TEST_F(IngestionTest, StrictModeSurfacesTheFirstError) {
     FAIL() << "strict ingestion must throw on damaged input";
   } catch (const core::IngestError& error) {
     EXPECT_NE(std::string(error.what()).find("ssl log line"), std::string::npos);
+    EXPECT_EQ(error.cause(), core::IngestError::Cause::kDamagedLine);
+  }
+}
+
+TEST_F(IngestionTest, UnopenableSourceIsNotADamagedLine) {
+  // A path that cannot be opened fails alike in both modes, and says so:
+  // rerunning leniently would not help.
+  const std::string missing = ::testing::TempDir() + "certchain_no_such_dir/";
+  for (const core::IngestMode mode :
+       {core::IngestMode::kStrict, core::IngestMode::kLenient}) {
+    core::RunOptions options;
+    options.ingest.mode = mode;
+    try {
+      (void)pipeline_.run(
+          core::StudyInput::files(missing + "ssl.log", missing + "x509.log"),
+          options);
+      FAIL() << "an unopenable source must throw";
+    } catch (const core::IngestError& error) {
+      EXPECT_NE(std::string(error.what()).find("cannot open SSL log source"),
+                std::string::npos);
+      EXPECT_EQ(error.cause(), core::IngestError::Cause::kUnreadableSource);
+    }
   }
 }
 

@@ -57,6 +57,36 @@ TEST(Digest256, LengthExtensionDistinct) {
   EXPECT_NE(digest256("a\0b"), digest256("ab"));
 }
 
+TEST(Digest256, KnownVectors) {
+  // Every fingerprint, chain id and snapshot in the repository rests on
+  // these exact values.
+  std::string long_text;
+  for (int i = 0; i < 1000; ++i) long_text.push_back(static_cast<char>(i * 37 + 11));
+  EXPECT_EQ(digest256_hex(""),
+            "4ace162c6da8558471cf6a2c79ceb74edd86fa761d448ca145f989f5c22bdc7d");
+  EXPECT_EQ(digest256_hex("a"),
+            "1c5d56362a049630de30e742bd3aaa44106be50bc8ab359bdea5fcce368e525f");
+  EXPECT_EQ(digest256_hex("certchain"),
+            "88003c42a42b422ead34eafae927ae607d277866af75083f65199f6c06e0cdde");
+  EXPECT_EQ(digest256_hex(long_text),
+            "f8a3f25d72f497cf46476270d474195999ef3329912c4b5cbbf7f7e5722a0ca7");
+}
+
+TEST(Digest256, BuilderMatchesOneShotAtEverySplit) {
+  std::string text;
+  for (int i = 0; i < 67; ++i) text.push_back(static_cast<char>(i * 53 + 7));
+  const Digest256 whole = digest256(text);
+  for (std::size_t first = 0; first <= text.size(); ++first) {
+    for (std::size_t second = first; second <= text.size(); second += 5) {
+      Digest256Builder builder;
+      builder.append(std::string_view(text).substr(0, first))
+          .append(std::string_view(text).substr(first, second - first));
+      for (std::size_t i = second; i < text.size(); ++i) builder.push_back(text[i]);
+      ASSERT_EQ(builder.finish(), whole) << first << "/" << second;
+    }
+  }
+}
+
 TEST(Fnv1a64, KnownVector) {
   // FNV-1a("") = offset basis.
   EXPECT_EQ(fnv1a64(""), 0xCBF29CE484222325ULL);

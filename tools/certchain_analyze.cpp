@@ -209,9 +209,10 @@ int main(int argc, char** argv) {
   try {
     report = pipeline.run(*input, run_options, &telemetry);
   } catch (const core::IngestError& error) {
-    // Lenient runs raise only for a source that cannot be opened or rewound.
+    // Only a damaged line (strict mode) earns the hint; a source that cannot
+    // be opened or rewound fails alike in both modes.
     std::fprintf(stderr, "certchain-analyze: %s%s\n", error.what(),
-                 ingest.mode == core::IngestMode::kStrict
+                 error.cause() == core::IngestError::Cause::kDamagedLine
                      ? " (rerun without --strict to skip damaged lines)"
                      : "");
     return 1;
