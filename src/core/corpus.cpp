@@ -23,17 +23,6 @@ void write_strings(obs::json::Writer& writer, const char* key,
   writer.end_array();
 }
 
-/// Writes the strings behind `ids` as a JSON array, sorted.
-template <typename Lookup>
-void write_sorted(obs::json::Writer& writer, const char* key,
-                  const std::vector<std::uint32_t>& ids, Lookup&& text_of) {
-  std::vector<std::string_view> texts;
-  texts.reserve(ids.size());
-  for (const std::uint32_t id : ids) texts.push_back(text_of(id));
-  std::sort(texts.begin(), texts.end());
-  write_strings(writer, key, texts);
-}
-
 /// Calls `add(text)` for each element of a string-array member; false when
 /// the member is absent, not an array, or holds a non-string.
 template <typename Add>
@@ -45,6 +34,12 @@ bool read_strings(const obs::json::Value& object, const char* key, Add&& add) {
     add(entry.string);
   }
   return true;
+}
+
+bool read_string_set(const obs::json::Value& object, const char* key,
+                     std::set<std::string>& out) {
+  return read_strings(object, key,
+                      [&out](const std::string& text) { out.insert(text); });
 }
 
 /// Parses a digest as write_snapshot writes it: 64 lowercase hex digits.
@@ -64,24 +59,6 @@ void append_key_fuid(std::string& key, std::string_view fuid) {
 
 }  // namespace
 
-void PortCounts::add(std::uint16_t port, std::uint64_t count) {
-  const auto it = std::lower_bound(
-      items_.begin(), items_.end(), port,
-      [](const Item& item, std::uint16_t wanted) { return item.first < wanted; });
-  if (it != items_.end() && it->first == port) {
-    it->second += count;
-  } else {
-    items_.insert(it, Item{port, count});
-  }
-}
-
-std::uint64_t PortCounts::count(std::uint16_t port) const {
-  const auto it = std::lower_bound(
-      items_.begin(), items_.end(), port,
-      [](const Item& item, std::uint16_t wanted) { return item.first < wanted; });
-  return it != items_.end() && it->first == port ? it->second : 0;
-}
-
 CorpusIndex::FoldRow CorpusIndex::fold_row_of(const zeek::SslLogRecord& ssl) {
   FoldRow row;
   row.ts = ssl.ts;
@@ -94,19 +71,61 @@ CorpusIndex::FoldRow CorpusIndex::fold_row_of(const zeek::SslLogRecord& ssl) {
   return row;
 }
 
-std::uint32_t CorpusIndex::StringIds::intern(std::string_view text) {
-  const auto it = ids_.find(text);
-  if (it != ids_.end()) return it->second;
-  if (texts_.size() >= std::numeric_limits<std::uint32_t>::max()) {
-    throw std::length_error("CorpusIndex: id space exhausted");
+ClientId CorpusIndex::intern_client(std::string_view address) {
+  const auto it = client_ids_.find(address);
+  if (it != client_ids_.end()) return it->second;
+  if (client_addresses_.size() >= std::numeric_limits<ClientId>::max()) {
+    throw std::length_error("CorpusIndex: client id space exhausted");
   }
-  const auto id = static_cast<std::uint32_t>(texts_.size());
-  texts_.emplace_back(text);
-  ids_.emplace(texts_.back(), id);
+  const auto id = static_cast<ClientId>(client_addresses_.size());
+  client_addresses_.emplace_back(address);
+  client_ids_.emplace(client_addresses_.back(), id);
   return id;
 }
 
-bool CorpusIndex::PairSet::insert(std::uint64_t pair) {
+void CorpusIndex::fold_usage(ChainObservation& observation, const FoldRow& row) {
+  if (observation.connections == 0) {
+    observation.first_seen = row.ts;
+    observation.last_seen = row.ts;
+  } else {
+    observation.first_seen = std::min(observation.first_seen, row.ts);
+    observation.last_seen = std::max(observation.last_seen, row.ts);
+  }
+  ++observation.connections;
+  if (row.established) ++observation.established;
+  add_client(observation, intern_client(row.client));
+
+  std::string& server_key = fold_.server_key;
+  server_key.assign(row.server_host);
+  server_key.push_back(':');
+  char port[8];
+  const auto port_end =
+      std::to_chars(port, port + sizeof(port), row.server_port).ptr;
+  server_key.append(port, port_end);
+  observation.server_keys.insert(server_key);  // copies only when new
+
+  observation.ports.add(row.server_port);
+  if (row.server_name->empty()) {
+    ++observation.without_sni;
+  } else {
+    ++observation.with_sni;
+    observation.domains.insert(*row.server_name);
+  }
+}
+
+ChainObservation& CorpusIndex::observation_slot(const util::Digest256& chain_id) {
+  const auto [it, inserted] = chains_.try_emplace(chain_id);
+  if (inserted) {
+    const std::size_t ordinal = chains_.size() - 1;
+    if (ordinal > std::numeric_limits<std::uint32_t>::max()) {
+      throw std::length_error("CorpusIndex: chain ordinal space exhausted");
+    }
+    it->second.ordinal = static_cast<std::uint32_t>(ordinal);
+  }
+  return it->second;
+}
+
+bool CorpusIndex::ClientPairSet::insert(std::uint64_t pair) {
   if (2 * (size + 1) > slots.size()) {
     std::vector<std::uint64_t> old(std::max<std::size_t>(64, 2 * slots.size()),
                                    kEmpty);
@@ -129,106 +148,9 @@ bool CorpusIndex::PairSet::insert(std::uint64_t pair) {
   }
 }
 
-bool CorpusIndex::DigestSet::insert(const util::Digest256& digest) {
-  if (digest == util::Digest256{}) {
-    const bool added = !has_zero;
-    has_zero = true;
-    return added;
-  }
-  if (2 * (size + 1) > slots.size()) {
-    std::vector<util::Digest256> old(std::max<std::size_t>(64, 2 * slots.size()));
-    old.swap(slots);
-    size = 0;
-    for (const util::Digest256& kept : old) {
-      if (kept != util::Digest256{}) insert(kept);
-    }
-  }
-  const std::size_t mask = slots.size() - 1;
-  // The words are avalanche-mixed already: the first one picks the slot.
-  for (std::size_t i = digest.words[0] & mask;; i = (i + 1) & mask) {
-    if (slots[i] == digest) return false;
-    if (slots[i] == util::Digest256{}) {
-      slots[i] = digest;
-      ++size;
-      return true;
-    }
-  }
-}
-
-std::vector<util::Digest256> CorpusIndex::DigestSet::sorted() const {
-  std::vector<util::Digest256> out;
-  out.reserve(size + 1);
-  if (has_zero) out.push_back(util::Digest256{});
-  for (const util::Digest256& digest : slots) {
-    if (digest != util::Digest256{}) out.push_back(digest);
-  }
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
-void CorpusIndex::add_unique(PairSet& pairs, const ChainObservation& observation,
-                             std::uint32_t id, std::vector<std::uint32_t>& ids) {
-  if (pairs.insert(std::uint64_t{observation.ordinal} << 32 | id)) {
-    ids.push_back(id);
-  }
-}
-
-void CorpusIndex::add_recent(StringIds& table, PairSet& pairs,
-                             const ChainObservation& observation,
-                             std::string_view text, std::uint32_t& recent,
-                             std::vector<std::uint32_t>& ids) {
-  if (recent != RecentIds::kNone && table.text(recent) == text) return;
-  recent = table.intern(text);
-  add_unique(pairs, observation, recent, ids);
-}
-
-void CorpusIndex::fold_usage(ChainObservation& observation, const FoldRow& row) {
-  if (observation.connections == 0) {
-    observation.first_seen = row.ts;
-    observation.last_seen = row.ts;
-  } else {
-    observation.first_seen = std::min(observation.first_seen, row.ts);
-    observation.last_seen = std::max(observation.last_seen, row.ts);
-  }
-  ++observation.connections;
-  if (row.established) ++observation.established;
-  add_unique(chain_clients_, observation, clients_.intern(row.client),
-             observation.client_ips);
-
-  std::string& server_key = fold_.server_key;
-  server_key.assign(row.server_host);
-  server_key.push_back(':');
-  char port[8];
-  const auto port_end =
-      std::to_chars(port, port + sizeof(port), row.server_port).ptr;
-  server_key.append(port, port_end);
-  if (observation.ordinal >= fold_.recent.size()) {
-    fold_.recent.resize(std::size_t{observation.ordinal} + 1);
-  }
-  RecentIds& recent = fold_.recent[observation.ordinal];
-  add_recent(endpoints_, chain_endpoints_, observation, server_key,
-             recent.endpoint, observation.server_endpoints);
-
-  observation.ports.add(row.server_port);
-  if (row.server_name->empty()) {
-    ++observation.without_sni;
-  } else {
-    ++observation.with_sni;
-    add_recent(snis_, chain_snis_, observation, *row.server_name, recent.sni,
-               observation.domains);
-  }
-}
-
-ChainObservation& CorpusIndex::observation_slot(const util::Digest256& chain_id) {
-  const auto [it, inserted] = chains_.try_emplace(chain_id);
-  if (inserted) {
-    const std::size_t ordinal = chains_.size() - 1;
-    if (ordinal > std::numeric_limits<std::uint32_t>::max()) {
-      throw std::length_error("CorpusIndex: chain ordinal space exhausted");
-    }
-    it->second.ordinal = static_cast<std::uint32_t>(ordinal);
-  }
-  return it->second;
+void CorpusIndex::add_client(ChainObservation& observation, ClientId client) {
+  const std::uint64_t pair = std::uint64_t{observation.ordinal} << 32 | client;
+  if (chain_clients_.insert(pair)) observation.client_ips.push_back(client);
 }
 
 void CorpusIndex::add(const zeek::JoinedConnection& connection) {
@@ -239,7 +161,7 @@ void CorpusIndex::add(const zeek::JoinedConnection& connection) {
   ++totals_.with_certificates;
 
   for (const x509::Certificate& cert : connection.chain) {
-    if (certificate_fingerprints_.insert(cert.fingerprint_digest())) {
+    if (certificate_fingerprints_.insert(cert.fingerprint_digest()).second) {
       ++totals_.distinct_certificates;
     }
   }
@@ -324,30 +246,22 @@ void CorpusIndex::fold(const FoldMemoEntry& entry, const FoldRow& row) {
 }
 
 ChainObservation& CorpusIndex::register_chain() {
-  // Mirrors CertificateChain::id_digest() byte for byte: same bytes, same
-  // digest, same chain identity as the copying path. LogJoiner::add seals
-  // every certificate, so each fingerprint is a memo read, not a digest.
-  util::Digest256Builder id;
-  char hex[64];
+  // LogJoiner::add seals every certificate, so each fingerprint (here and
+  // in id_digest) is a memo read, not a digest.
+  std::vector<x509::CertificateHandle> certs;
+  certs.reserve(fold_.certs.size());
   for (const x509::CertificateHandle* cert : fold_.certs) {
-    const util::Digest256 fingerprint = (*cert)->fingerprint_digest();
-    if (certificate_fingerprints_.insert(fingerprint)) {
+    if (certificate_fingerprints_.insert((*cert)->fingerprint_digest()).second) {
       ++totals_.distinct_certificates;
     }
-    fingerprint.write_hex(hex);
-    id.append(std::string_view(hex, sizeof hex));
-    id.push_back('|');
+    certs.push_back(*cert);
   }
+  chain::CertificateChain chain(std::move(certs));
 
-  ChainObservation& observation = observation_slot(id.finish());
-  if (observation.connections == 0) {
-    // First observation of this chain id: the chain shares the joiner's
-    // certificates, one handle each.
-    std::vector<x509::CertificateHandle> certs;
-    certs.reserve(fold_.certs.size());
-    for (const x509::CertificateHandle* cert : fold_.certs) certs.push_back(*cert);
-    observation.chain = chain::CertificateChain(std::move(certs));
-  }
+  ChainObservation& observation = observation_slot(chain.id_digest());
+  // First observation of this chain id: the chain shares the joiner's
+  // certificates, one handle each.
+  if (observation.connections == 0) observation.chain = std::move(chain);
   return observation;
 }
 
@@ -367,9 +281,12 @@ void CorpusIndex::write_snapshot(obs::json::Writer& writer) const {
   writer.end_object();
 
   // Digest order is hex order, so sorting digests sorts their renderings.
+  std::vector<util::Digest256> fingerprints(certificate_fingerprints_.begin(),
+                                            certificate_fingerprints_.end());
+  std::sort(fingerprints.begin(), fingerprints.end());
   writer.key("certificates");
   writer.begin_array();
-  for (const util::Digest256& fingerprint : certificate_fingerprints_.sorted()) {
+  for (const util::Digest256& fingerprint : fingerprints) {
     writer.value_string(fingerprint.to_hex());
   }
   writer.end_array();
@@ -390,14 +307,14 @@ void CorpusIndex::write_snapshot(obs::json::Writer& writer) const {
     writer.value_uint(observation.connections);
     writer.key("established");
     writer.value_uint(observation.established);
-    write_sorted(writer, "client_ips", observation.client_ips,
-                 [this](std::uint32_t id) -> std::string_view {
-                   return clients_.text(id);
-                 });
-    write_sorted(writer, "server_keys", observation.server_endpoints,
-                 [this](std::uint32_t id) -> std::string_view {
-                   return endpoints_.text(id);
-                 });
+    std::vector<std::string_view> addresses;
+    addresses.reserve(observation.client_ips.size());
+    for (const ClientId id : observation.client_ips) {
+      addresses.push_back(client_addresses_[id]);
+    }
+    std::sort(addresses.begin(), addresses.end());
+    write_strings(writer, "client_ips", addresses);
+    write_strings(writer, "server_keys", observation.server_keys);
     writer.key("ports");
     writer.begin_array();
     for (const auto& [port, count] : observation.ports.items()) {
@@ -411,10 +328,7 @@ void CorpusIndex::write_snapshot(obs::json::Writer& writer) const {
     writer.value_uint(observation.with_sni);
     writer.key("without_sni");
     writer.value_uint(observation.without_sni);
-    write_sorted(writer, "domains", observation.domains,
-                 [this](std::uint32_t id) -> std::string_view {
-                   return snis_.text(id);
-                 });
+    write_strings(writer, "domains", observation.domains);
     writer.key("first_seen");
     writer.value_uint(static_cast<std::uint64_t>(observation.first_seen));
     writer.key("last_seen");
@@ -461,10 +375,9 @@ bool CorpusIndex::restore_snapshot(const obs::json::Value& value,
       return fail("corpus snapshot certificate is not a hex digest: " +
                   entry.string);
     }
-    if (certificate_fingerprints_.insert(fingerprint)) {
-      ++totals_.distinct_certificates;
-    }
+    certificate_fingerprints_.insert(fingerprint);
   }
+  totals_.distinct_certificates = certificate_fingerprints_.size();
 
   const obs::json::Value* chains = value.find("chains");
   if (chains == nullptr || !chains->is_array()) {
@@ -507,11 +420,8 @@ bool CorpusIndex::restore_snapshot(const obs::json::Value& value,
     std::uint64_t without_sni = 0;
     std::uint64_t first_seen = 0;
     std::uint64_t last_seen = 0;
-    const auto interning = [this, &observation](StringIds& table, PairSet& pairs,
-                                                std::vector<std::uint32_t>& ids) {
-      return [this, &observation, &table, &pairs, &ids](const std::string& text) {
-        add_unique(pairs, observation, table.intern(text), ids);
-      };
+    const auto add_address = [this, &observation](const std::string& address) {
+      add_client(observation, intern_client(address));
     };
     if (!obs::json::read_uint(entry.find("connections"), observation.connections) ||
         !obs::json::read_uint(entry.find("established"), observation.established) ||
@@ -519,13 +429,9 @@ bool CorpusIndex::restore_snapshot(const obs::json::Value& value,
         !obs::json::read_uint(entry.find("without_sni"), without_sni) ||
         !obs::json::read_uint(entry.find("first_seen"), first_seen) ||
         !obs::json::read_uint(entry.find("last_seen"), last_seen) ||
-        !read_strings(entry, "client_ips",
-                      interning(clients_, chain_clients_, observation.client_ips)) ||
-        !read_strings(entry, "server_keys",
-                      interning(endpoints_, chain_endpoints_,
-                                observation.server_endpoints)) ||
-        !read_strings(entry, "domains",
-                      interning(snis_, chain_snis_, observation.domains))) {
+        !read_strings(entry, "client_ips", add_address) ||
+        !read_string_set(entry, "server_keys", observation.server_keys) ||
+        !read_string_set(entry, "domains", observation.domains)) {
       return fail("corpus snapshot chain fields malformed for " + id->string);
     }
     observation.with_sni = with_sni;
@@ -556,13 +462,10 @@ void CorpusIndex::clear() {
   chains_.clear();
   certificate_fingerprints_.clear();
   totals_ = CorpusTotals{};
-  clients_.clear();
-  endpoints_.clear();
-  snis_.clear();
+  client_addresses_.clear();
+  client_ids_.clear();
   chain_clients_.clear();
-  chain_endpoints_.clear();
-  chain_snis_.clear();
-  fold_.clear();
+  fold_.reset_memo();
 }
 
 std::size_t CorpusIndex::distinct_clients(

@@ -5,31 +5,32 @@
 // connections delivered it, how many completed the handshake, and how many
 // distinct client IPs were involved (§3.2.2, Table 2). CorpusIndex folds a
 // stream of joined SSL/X509 records into one ChainObservation per unique
-// chain (identity = the digest of its ordered certificate fingerprints) plus
-// corpus-wide counters, preserving exactly the fields the downstream
-// analyzers read. SSL rows arrive either as owned records or as views into
-// the log text (zeek::SslRowView, the engine's path); both feed one fold
-// body. The per-row strings a chain keeps — client addresses, `ip:port`
-// server endpoints and SNI values — are interned corpus-wide as dense ids
-// in first-seen order, so a chain holds id vectors and every distinct-client
-// count in the analysis is one bitmap pass over ids (distinct_clients). One
-// hash set of (chain, id) pairs per table keeps each vector unique at O(1)
-// expected cost per row, however many ids a chain has. Snapshots store the
-// strings themselves, sorted.
+// chain (identity = the digest of its ordered certificate fingerprints, a
+// util::Digest256) plus corpus-wide counters, preserving exactly the fields
+// the downstream analyzers read. SSL rows arrive either as owned records or
+// as views into the log text (zeek::SslRowView, the engine's path); both
+// feed one fold body. Client addresses are interned as dense ClientIds in
+// first-seen order, so a chain's clients are an id vector and every
+// distinct-client count in the analysis is one bitmap pass over ids
+// (distinct_clients). One hash set of (chain, client) pairs keeps each
+// vector unique at O(1) expected cost per row, however many clients a chain
+// has. Snapshots store the addresses themselves, and digests as hex.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <set>
 #include <string>
 #include <string_view>
 #include <unordered_map>
-#include <utility>
+#include <unordered_set>
 #include <vector>
 
 #include "chain/chain.hpp"
 #include "obs/json.hpp"
 #include "util/hash.hpp"
+#include "util/stats.hpp"
 #include "util/time.hpp"
 #include "zeek/joiner.hpp"
 #include "zeek/records.hpp"
@@ -38,25 +39,8 @@ namespace certchain::core {
 
 /// A client address interned by one CorpusIndex: dense, in first-seen
 /// order. An id means something only within the index (or a copy of the
-/// index) that assigned it. EndpointId and SniId work the same way for
-/// `ip:port` server endpoints and SNI values.
+/// index) that assigned it.
 using ClientId = std::uint32_t;
-using EndpointId = std::uint32_t;
-using SniId = std::uint32_t;
-
-/// Connection counts per server port, in port order. A chain is served on a
-/// handful of ports, so a sorted flat vector beats a map node per port.
-class PortCounts {
- public:
-  using Item = std::pair<std::uint16_t, std::uint64_t>;
-
-  void add(std::uint16_t port, std::uint64_t count = 1);
-  std::uint64_t count(std::uint16_t port) const;
-  const std::vector<Item>& items() const { return items_; }
-
- private:
-  std::vector<Item> items_;
-};
 
 /// Everything the study tracks about one unique certificate chain.
 struct ChainObservation {
@@ -65,15 +49,15 @@ struct ChainObservation {
   std::uint64_t connections = 0;
   std::uint64_t established = 0;
   std::vector<ClientId> client_ips;  // unique, in insertion order
-  std::vector<EndpointId> server_endpoints;  // unique "ip:port" delivery points
-  PortCounts ports;
+  std::set<std::string> server_keys;  // "ip:port" delivery points
+  util::Counter<std::uint16_t> ports;
   std::uint64_t with_sni = 0;
   std::uint64_t without_sni = 0;
-  std::vector<SniId> domains;  // unique observed SNI values
+  std::set<std::string> domains;  // observed SNI values
   util::SimTime first_seen = 0;
   util::SimTime last_seen = 0;
-  /// Position in the owning CorpusIndex's chain creation order; with an id
-  /// it keys the index's (chain, id) sets.
+  /// Position in the owning CorpusIndex's chain creation order; with a
+  /// ClientId it keys the index's (chain, client) set.
   std::uint32_t ordinal = 0;
 
   double establish_rate() const {
@@ -108,10 +92,9 @@ class CorpusIndex {
 
   /// The same fold over a row parsed in place — the engine's hot path. No
   /// per-row allocation in the steady state: the fuid memo is keyed by the
-  /// raw cert_chain_fuids cell, the server endpoint is built in a reused
-  /// scratch string, an SNI cell is unescaped only when it holds a
-  /// backslash, and fuids are split out of the cell only when it is new to
-  /// the memo.
+  /// raw cert_chain_fuids cell, the server key is built in a reused scratch
+  /// string, an SNI cell is unescaped only when it holds a backslash, and
+  /// fuids are split out of the cell only when it is new to the memo.
   void add(const zeek::LogJoiner& joiner, const zeek::SslRowView& row);
 
   /// The chains, in id order (which is the order of their hex ids).
@@ -121,9 +104,6 @@ class CorpusIndex {
   const CorpusTotals& totals() const { return totals_; }
 
   std::size_t unique_chain_count() const { return chains_.size(); }
-
-  /// The SNI value behind a chain's id.
-  const std::string& sni(SniId id) const { return snis_.text(id); }
 
   /// Number of distinct clients across ClientId lists of one index (each a
   /// ChainObservation::client_ips, or a union of some). Ids are dense, so
@@ -138,13 +118,12 @@ class CorpusIndex {
   /// of a stream checkpoint, DESIGN.md §11). Chains are stored as ordered
   /// certificate fingerprints, not serialized certificates — every
   /// certificate in the corpus came out of the X509 log, so a resuming run
-  /// re-derives the objects from its re-ingested records. Ids and digests
-  /// are written as their strings: addresses, endpoints and SNI values
-  /// sorted, digests as lowercase hex.
+  /// re-derives the objects from its re-ingested records. Client ids are
+  /// written as their addresses, sorted, and digests as lowercase hex.
   void write_snapshot(obs::json::Writer& writer) const;
 
   /// Restores a write_snapshot() state into an empty index, interning the
-  /// strings afresh. Fingerprints are resolved to the handles in
+  /// client addresses afresh. Fingerprints are resolved to the handles in
   /// `by_fingerprint` (LogJoiner::by_fingerprint() over the re-ingested X509
   /// records), so restored chains share the joiner's certificates. A chain
   /// id or certificate fingerprint that is not 64 lowercase hex digits, an
@@ -196,35 +175,22 @@ class CorpusIndex {
   /// The observation slot for `chain_id`; a new slot gets the next ordinal.
   ChainObservation& observation_slot(const util::Digest256& chain_id);
 
+  /// Appends `client` to the chain's clients unless it is there already.
+  void add_client(ChainObservation& observation, ClientId client);
+
   /// Registers the chain of the resolved certificates in fold_.certs: its
   /// fingerprints join the distinct-certificate set, and a chain first
   /// observed shares the joiner's handles.
   ChainObservation& register_chain();
 
+  ClientId intern_client(std::string_view address);
   void clear();
 
-  /// Strings interned to dense ids in first-seen order.
-  class StringIds {
-   public:
-    std::uint32_t intern(std::string_view text);
-    const std::string& text(std::uint32_t id) const { return texts_[id]; }
-    void clear() {
-      texts_.clear();
-      ids_.clear();
-    }
-
-   private:
-    std::vector<std::string> texts_;  // by id
-    std::unordered_map<std::string, std::uint32_t, util::StringHash,
-                       std::equal_to<>>
-        ids_;
-  };
-
-  /// (chain, id) pairs, each `ordinal << 32 | id`: one flat
-  /// open-addressing table with linear probing, so a lookup is O(1)
-  /// expected and growth is the only allocation. ~0 marks an empty slot (no
-  /// id is 2^32 - 1).
-  struct PairSet {
+  /// The (chain, client) pairs already in some chain's client_ips, each
+  /// `ordinal << 32 | id`: one flat open-addressing table with linear
+  /// probing, so a lookup is O(1) expected and growth is the only
+  /// allocation. ~0 marks an empty slot (no client gets id 2^32 - 1).
+  struct ClientPairSet {
     static constexpr std::uint64_t kEmpty = ~std::uint64_t{0};
     /// Adds `pair`; false when it was already there.
     bool insert(std::uint64_t pair);
@@ -236,61 +202,20 @@ class CorpusIndex {
     std::size_t size = 0;
   };
 
-  /// Distinct digests in one flat open-addressing table with linear
-  /// probing, like PairSet: no node per digest. The all-zero digest marks an
-  /// empty slot, so a real one is kept on the side.
-  struct DigestSet {
-    /// Adds `digest`; false when it was already there.
-    bool insert(const util::Digest256& digest);
-    /// Every digest, in digest order (which is hex order).
-    std::vector<util::Digest256> sorted() const;
-    void clear() {
-      slots.clear();
-      size = 0;
-      has_zero = false;
-    }
-    std::vector<util::Digest256> slots;  // power-of-two count, at most half full
-    std::size_t size = 0;
-    bool has_zero = false;
-  };
-
-  /// Appends `id` to the chain's `ids` unless `pairs` says the chain holds
-  /// it already.
-  static void add_unique(PairSet& pairs, const ChainObservation& observation,
-                         std::uint32_t id, std::vector<std::uint32_t>& ids);
-
-  /// The endpoint and SNI ids of a chain's latest row, by chain ordinal. A
-  /// chain mostly repeats its endpoint and name from row to row, and a
-  /// repeat then costs one string compare instead of a table lookup and a
-  /// pair insert.
-  struct RecentIds {
-    static constexpr std::uint32_t kNone = ~std::uint32_t{0};
-    EndpointId endpoint = kNone;
-    SniId sni = kNone;
-  };
-
-  /// Records `text` on the chain's `ids` through `table` and `pairs`,
-  /// unless it is the text of `recent`; `recent` becomes its id.
-  static void add_recent(StringIds& table, PairSet& pairs,
-                         const ChainObservation& observation,
-                         std::string_view text, std::uint32_t& recent,
-                         std::vector<std::uint32_t>& ids);
-
   /// Scratch reused across fused folds, so the per-row fold stays
-  /// allocation-free (one CorpusIndex is only ever fed from one thread), the
-  /// chains' recent ids, and the fuid-list memos: one keyed by raw
-  /// cert_chain_fuids cells (views), one by length-prefixed fuid lists
-  /// (owned records). The memos are valid only for one (joiner,
-  /// certificate_count) snapshot: the joiner can grow between folds (svc
-  /// appends X509 rows incrementally), and growth can turn a missing fuid
-  /// into a resolved one. They point into the chain map, whose nodes survive
-  /// moves, so moves keep them; a copy starts cold instead of inheriting
-  /// pointers into the source, or recent ids from the tables it replaced.
+  /// allocation-free (one CorpusIndex is only ever fed from one thread), and
+  /// the fuid-list memos: one keyed by raw cert_chain_fuids cells (views),
+  /// one by length-prefixed fuid lists (owned records). The memos are valid
+  /// only for one (joiner, certificate_count) snapshot: the joiner can grow
+  /// between folds (svc appends X509 rows incrementally), and growth can
+  /// turn a missing fuid into a resolved one. They point into the chain map,
+  /// whose nodes survive moves, so moves keep them; a copy starts cold
+  /// instead of inheriting pointers into the source.
   struct FoldState {
     FoldState() = default;
     FoldState(const FoldState&) {}
     FoldState& operator=(const FoldState&) {
-      clear();
+      reset_memo();
       return *this;
     }
     FoldState(FoldState&&) = default;
@@ -303,13 +228,7 @@ class CorpusIndex {
       joiner_size = 0;
     }
 
-    void clear() {
-      reset_memo();
-      recent.clear();
-    }
-
     std::vector<const x509::CertificateHandle*> certs;
-    std::vector<RecentIds> recent;  // by chain ordinal
     std::string key;  // an owned record's fuids, each prefixed by its length
     std::string unescaped;
     std::string server_name;
@@ -321,14 +240,14 @@ class CorpusIndex {
   };
 
   std::map<util::Digest256, ChainObservation> chains_;  // by chain id
-  DigestSet certificate_fingerprints_;
+  /// Hashed; write_snapshot() sorts it.
+  std::unordered_set<util::Digest256, util::Digest256Hash>
+      certificate_fingerprints_;
   CorpusTotals totals_;
-  StringIds clients_;
-  StringIds endpoints_;
-  StringIds snis_;
-  PairSet chain_clients_;
-  PairSet chain_endpoints_;
-  PairSet chain_snis_;
+  std::vector<std::string> client_addresses_;  // by ClientId
+  std::unordered_map<std::string, ClientId, util::StringHash, std::equal_to<>>
+      client_ids_;
+  ClientPairSet chain_clients_;
   FoldState fold_;
 };
 

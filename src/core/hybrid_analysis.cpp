@@ -77,7 +77,6 @@ StructureColumn HybridAnalyzer::build_structure_column(
     const chain::HybridClassification& cls,
     truststore::IssuerClassifier& classifier) const {
   StructureColumn column;
-  column.chain_id = observation.chain.id().substr(0, 12);
   const auto& chain = observation.chain;
   const auto& analysis = cls.paths;
 

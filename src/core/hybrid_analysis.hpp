@@ -46,7 +46,6 @@ std::string_view structure_cell_code(const StructureCell& cell);
 /// One Figure 4 column: the per-position cells of one chain (index 0 = the
 /// bottom of the trust hierarchy, as in the paper's y-axis).
 struct StructureColumn {
-  std::string chain_id;
   std::vector<StructureCell> cells;
 };
 

@@ -78,13 +78,13 @@ struct DetectFold {
 
 /// The loop body: evaluates one chain observation into the fold.
 void fold_observation(const InterceptionDetector& detector,
-                      const VendorDirectory& directory, const CorpusIndex& corpus,
+                      const VendorDirectory& directory,
                       const ChainObservation& observation, DetectFold& fold) {
   if (observation.chain.empty()) return;
   // Evaluate against each observed SNI; the first confirming domain wins.
   bool candidate = false;
-  for (const SniId domain : observation.domains) {
-    if (detector.is_interception_candidate(observation.chain, corpus.sni(domain))) {
+  for (const std::string& domain : observation.domains) {
+    if (detector.is_interception_candidate(observation.chain, domain)) {
       candidate = true;
       break;
     }
@@ -173,11 +173,10 @@ InterceptionReport InterceptionDetector::detect(const CorpusIndex& corpus,
   std::vector<DetectFold> folds(chunks);
   par::parallel_for_chunks(
       pool, observations.size(), chunks,
-      [this, &corpus, &folds, &observations](std::size_t chunk, std::size_t begin,
-                                             std::size_t end) {
+      [this, &folds, &observations](std::size_t chunk, std::size_t begin,
+                                    std::size_t end) {
         for (std::size_t i = begin; i < end; ++i) {
-          fold_observation(*this, *directory_, corpus, *observations[i],
-                           folds[chunk]);
+          fold_observation(*this, *directory_, *observations[i], folds[chunk]);
         }
       });
   for (std::size_t i = 1; i < chunks; ++i) {

@@ -66,9 +66,8 @@ ServiceState::ServiceState(const truststore::TrustStoreSet& stores,
   // Never serve a null snapshot: before load() the state answers as an
   // empty, unanalyzed corpus. It is live but not a publication; load()
   // publishes generation 0.
-  snapshot_.store(make_snapshot(std::make_shared<const core::StudyReport>(),
-                                std::make_shared<const EpochList>()),
-                  std::memory_order_release);
+  snapshot_ = make_snapshot(std::make_shared<const core::StudyReport>(),
+                            std::make_shared<const EpochList>());
 }
 
 ServiceState::~ServiceState() {
@@ -354,10 +353,14 @@ ServiceState::SnapshotPtr ServiceState::make_snapshot(
 
 void ServiceState::publish_locked(ReportPtr report, EpochListPtr fleet_epochs) {
   // Build the whole next generation off to the side, then publish it with a
-  // single atomic store.
+  // single pointer swap. The superseded snapshot is released after the
+  // mutex, so its deleter never runs under it.
   SnapshotPtr next = make_snapshot(std::move(report), std::move(fleet_epochs));
   tracker_->on_publish();
-  snapshot_.store(std::move(next), std::memory_order_release);
+  {
+    std::lock_guard<std::mutex> lock(snapshot_mutex_);
+    snapshot_.swap(next);
+  }
 }
 
 ServiceState::ReportPtr ServiceState::analyze_locked() const {

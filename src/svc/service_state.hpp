@@ -1,15 +1,16 @@
 // The live corpus behind certchain_serve (DESIGN.md §12.3, durability §13,
-// lock-free reads §15).
+// snapshot reads §15).
 //
 // ServiceState keeps everything a query needs warm between requests and
 // serves it RCU-style: the entire read-side world — the analyzed StudyReport,
 // the interception issuer set the chain categorizer consumes, the fleet
 // epoch list and the generation stamp — lives in one immutable
-// AnalysisSnapshot published through an atomic shared_ptr. Readers grab the
-// current snapshot with a single atomic load and answer from it with **zero
-// locks**; a reader that is mid-request keeps its snapshot alive (and
-// byte-stable) no matter how many newer generations the writer publishes,
-// and the snapshot is freed the instant its last reader drops it.
+// AnalysisSnapshot published through one shared_ptr. Readers copy the
+// current pointer under a mutex held for that copy alone and answer from the
+// snapshot with no lock at all; a reader that is mid-request keeps its
+// snapshot alive (and byte-stable) no matter how many newer generations the
+// writer publishes, and the snapshot is freed the instant its last reader
+// drops it.
 // `svc.snapshot.published` counts publications and the `svc.snapshot.live`
 // gauge tracks how many generations are currently pinned (1 = only the
 // current one).
@@ -17,7 +18,7 @@
 // Writes stay serialized: ingest_append takes the writer mutex, folds the
 // new rows through the same LogJoiner/CorpusIndex machinery the batch
 // pipeline uses into writer-private state, re-analyzes eagerly, then builds
-// the next snapshot off to the side and publishes it with one atomic store —
+// the next snapshot off to the side and publishes it with one pointer swap —
 // so every answer reflects a complete, consistent analysis generation, never
 // a half-updated one. Readers never wait for the (expensive) re-analysis.
 // Each write publishes exactly once, and a snapshot shares its report and
@@ -93,7 +94,7 @@ struct RecoveryStats {
 };
 
 /// One immutable, fully analyzed view of the corpus. Everything a read-only
-/// request needs lives here, so a single atomic shared_ptr load yields a
+/// request needs lives here, so one shared_ptr copy yields a
 /// self-consistent answer set: the report (corpus totals and unique chains
 /// included), the interception issuer set, the fleet epochs and the
 /// generation stamp all belong to the same publication. Snapshots are never
@@ -148,12 +149,14 @@ class ServiceState {
   bool recover_and_arm(const DurabilityOptions& options, RecoveryStats* stats,
                        std::string* error);
 
-  /// The current analysis snapshot: one atomic load, no lock. Hold the
-  /// returned pointer for the duration of one request so every value you
-  /// read belongs to the same generation; drop it promptly so superseded
-  /// generations can be freed.
+  /// The current analysis snapshot: one pointer copy under snapshot_mutex_,
+  /// which a writer holds only to swap that pointer, so a reader never waits
+  /// for a fold or a re-analysis. Hold the returned pointer for the
+  /// duration of one request so every value you read belongs to the same
+  /// generation; drop it promptly so superseded generations can be freed.
   SnapshotPtr acquire_snapshot() const {
-    return snapshot_.load(std::memory_order_acquire);
+    std::lock_guard<std::mutex> lock(snapshot_mutex_);
+    return snapshot_;
   }
 
   /// §3.2.1 issuer classification. The databases are immutable, so this
@@ -164,12 +167,12 @@ class ServiceState {
   /// Categorizes a submitted chain exactly the way the batch pipeline
   /// categorizes corpus chains — same categorize_chain call against the
   /// live interception issuer set — plus the matched-path analysis, hybrid
-  /// classification and lints. Lock-free: answers from one snapshot.
+  /// classification and lints. Answers from one snapshot.
   ChainVerdict categorize_chain(const chain::CertificateChain& chain) const;
 
   /// Renders the selected report sections from the warm StudyReport.
-  /// Lock-free; byte-identical to rendering a batch run over the same
-  /// folded records. (Callers that also need the generation should
+  /// Answers from one snapshot; byte-identical to rendering a batch run over
+  /// the same folded records. (Callers that also need the generation should
   /// acquire_snapshot() once and read both from it.)
   std::string report_section(const core::ReportTextOptions& options) const;
 
@@ -180,8 +183,8 @@ class ServiceState {
   /// connections together; SSL rows referencing fuids never seen remain
   /// incomplete joins, exactly as in batch. Takes the writer mutex, folds
   /// and re-analyzes off to the side, then publishes the new snapshot with
-  /// one atomic store — concurrent readers are never blocked and never see
-  /// a half-updated corpus.
+  /// one pointer swap — concurrent readers never wait for the fold and never
+  /// see a half-updated corpus.
   ///
   /// When durability is armed the batch is committed to the WAL before the
   /// fold; a WAL write failure throws std::runtime_error with nothing folded
@@ -202,7 +205,7 @@ class ServiceState {
                              std::optional<core::EpochSummary> epoch =
                                  std::nullopt);
 
-  // --- snapshot accessors (each one atomic load, no lock) -----------------
+  // --- snapshot accessors (each one acquire_snapshot) ---------------------
   std::uint64_t generation() const { return acquire_snapshot()->generation; }
   std::size_t unique_chains() const {
     return acquire_snapshot()->report->unique_chains;
@@ -280,8 +283,8 @@ class ServiceState {
   /// generation. The one place a snapshot's tracker deleter is written:
   /// every snapshot counts as live from here until its last holder drops it.
   SnapshotPtr make_snapshot(ReportPtr report, EpochListPtr fleet_epochs) const;
-  /// Publishes one generation built by make_snapshot with a single atomic
-  /// store. Caller holds writer_mutex_.
+  /// Publishes one generation built by make_snapshot with a single pointer
+  /// swap under snapshot_mutex_. Caller holds writer_mutex_.
   void publish_locked(ReportPtr report, EpochListPtr fleet_epochs);
   /// Re-analyzes the writer-side corpus. Caller holds writer_mutex_.
   ReportPtr analyze_locked() const;
@@ -307,7 +310,12 @@ class ServiceState {
   std::unique_ptr<ct::Monitor> ct_monitor_;
 
   // --- read side: the published snapshot ----------------------------------
-  std::atomic<SnapshotPtr> snapshot_;
+  /// A mutex, not std::atomic<SnapshotPtr>: libstdc++ 12's atomic load
+  /// releases its lock bit with a relaxed store, which orders nothing for
+  /// ThreadSanitizer, and a reader's copy of the pointer then races the
+  /// writer's swap.
+  mutable std::mutex snapshot_mutex_;
+  SnapshotPtr snapshot_;  // guarded by snapshot_mutex_
   std::shared_ptr<SnapshotTracker> tracker_;
 
   // --- write side (all guarded by writer_mutex_) ---------------------------

@@ -2,10 +2,11 @@
 // corpus suites check core::CorpusIndex against.
 //
 // CorpusIndex keys chains and the distinct-certificate set by
-// util::Digest256 and keeps each chain's clients, `ip:port` server
-// endpoints and SNI values as ids into corpus-wide interned tables. This
-// oracle is the plain form of the same fold: hex-keyed maps, and one
-// ordered std::set<std::string> per chain and field. snapshot() writes the
+// util::Digest256, memoizes fuid lists by the raw cert_chain_fuids cell and
+// keeps each chain's clients as ids into a corpus-wide interned table. This
+// oracle is the plain form of the same fold over joined connections:
+// hex-keyed maps, and one ordered std::set<std::string> per chain and field
+// (clients included). snapshot() writes the
 // `corpus` snapshot block in CorpusIndex::write_snapshot's format, so a
 // differential compares the two folds byte for byte.
 #pragma once

@@ -63,7 +63,7 @@ TEST(CorpusIndex, DeduplicatesChainsAndAggregatesUsage) {
   EXPECT_EQ(observation.connections, 3u);
   EXPECT_EQ(observation.established, 2u);
   EXPECT_EQ(observation.client_ips.size(), 2u);
-  EXPECT_EQ(observation.server_endpoints.size(), 2u);
+  EXPECT_EQ(observation.server_keys.size(), 2u);
   EXPECT_EQ(observation.ports.count(443), 2u);
   EXPECT_EQ(observation.with_sni, 2u);
   EXPECT_EQ(observation.without_sni, 1u);

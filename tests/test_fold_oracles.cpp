@@ -1,9 +1,10 @@
 // Differentials of the corpus fold and the CT match against their plain
 // forms (tests/corpus_oracle.hpp, tests/ct_match_oracle.hpp).
 //
-// CorpusIndex keys chains by digest and interns each chain's clients, server
-// endpoints and SNI values into corpus-wide tables; the oracle keeps one
-// string set per chain and field. Both must write the same snapshot bytes,
+// CorpusIndex keys chains and certificates by digest, memoizes fuid lists by
+// the raw log cell and interns client addresses corpus-wide; the oracle keys
+// by hex string and keeps one string set per chain and field, folding the
+// rows LogJoiner::join copies out. Both must write the same snapshot bytes,
 // whatever form the rows arrive in: text, records, or files read 4 KiB at a
 // time. CtLog::contains_matching probes its serial index; the oracle scans
 // the domain index as the §4.2 "query CT and confirm" step reads. Both must
@@ -185,7 +186,7 @@ TEST(CorpusOracle, CdnShapedCorpusMatchesStringSetFold) {
   std::size_t most_endpoints = 0;
   std::size_t most_domains = 0;
   for (const auto& [id, observation] : corpus.chains()) {
-    most_endpoints = std::max(most_endpoints, observation.server_endpoints.size());
+    most_endpoints = std::max(most_endpoints, observation.server_keys.size());
     most_domains = std::max(most_domains, observation.domains.size());
   }
   EXPECT_GT(most_endpoints, 500u);
@@ -349,37 +350,6 @@ TEST(CorpusIndex, SnapshotRejectsNonHexIdentities) {
                                             "\"not-hex\""))
                 .find("certificate is not a hex digest"),
             std::string::npos);
-}
-
-TEST(CorpusIndex, SnapshotKeepsAnAllZeroCertificateDigest) {
-  // The flat digest set marks empty slots with the all-zero digest; a real
-  // one still counts once and writes back first.
-  TestPki pki;
-  std::vector<zeek::X509LogRecord> x509 = {
-      zeek::record_from_certificate(pki.leaf("zero.example"), 1, "Fleaf"),
-      zeek::record_from_certificate(pki.intermediate_cert, 1, "Fint")};
-  const zeek::LogJoiner joiner(x509);
-  zeek::SslLogRecord ssl;
-  ssl.id_orig_h = "10.0.0.1";
-  ssl.id_resp_h = "198.51.100.1";
-  ssl.id_resp_p = 443;
-  ssl.cert_chain_fuids = {"Fleaf", "Fint"};
-  core::CorpusIndex corpus;
-  corpus.add(joiner, ssl);
-  const std::string zero(64, '0');
-  const std::string snapshot = util::replace_all(
-      snapshot_of(corpus), "\"certificates\":[", "\"certificates\":[\"" + zero +
-                                                    "\",\"" + zero + "\",");
-  const std::optional<obs::json::Value> value = obs::json::parse(snapshot);
-  ASSERT_TRUE(value.has_value());
-  core::CorpusIndex restored;
-  std::string error;
-  ASSERT_TRUE(restored.restore_snapshot(*value, joiner.by_fingerprint(), &error))
-      << error;
-  EXPECT_EQ(restored.totals().distinct_certificates, 3u);
-  EXPECT_EQ(snapshot_of(restored),
-            util::replace_all(snapshot, "\"" + zero + "\",\"" + zero + "\",",
-                              "\"" + zero + "\","));
 }
 
 // --- CT match ---------------------------------------------------------------
