@@ -637,6 +637,11 @@ std::unique_ptr<Scenario> build_study_scenario(const ScenarioConfig& config,
     throw std::invalid_argument(
         "build_study_scenario: chain_scale must be finite and > 0");
   }
+  // Interception endpoints take their client `i % client_count`, and every
+  // connection draws from the pool.
+  if (config.client_count == 0) {
+    throw std::invalid_argument("build_study_scenario: client_count must be > 0");
+  }
   auto scenario = std::make_unique<Scenario>(config.seed);
   util::Rng rng(config.seed ^ 0xD47A6E5ULL);
 

@@ -76,7 +76,7 @@ struct Scenario {
 /// under a "scenario" span with one child span per endpoint-population
 /// builder, and per-population endpoint counts land as `datagen.*` counters.
 /// Throws std::invalid_argument unless `config.chain_scale` is finite and
-/// > 0.
+/// > 0 and `config.client_count` is > 0.
 std::unique_ptr<Scenario> build_study_scenario(const ScenarioConfig& config = {},
                                                obs::RunContext* obs = nullptr);
 

@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <memory>
+#include <stdexcept>
 
 #include "obs/metrics.hpp"
 #include "util/hash.hpp"
@@ -24,21 +25,81 @@ ClientPool make_campus_client_pool(std::size_t count) {
 
 CampusSimulator::CampusSimulator(std::vector<ServerEndpoint> endpoints)
     : endpoints_(std::move(endpoints)) {
-  weights_.reserve(endpoints_.size());
+  std::vector<double> weights;
+  weights.reserve(endpoints_.size());
   for (const ServerEndpoint& endpoint : endpoints_) {
-    weights_.push_back(endpoint.popularity > 0 ? endpoint.popularity : 0.0);
+    weights.push_back(endpoint.popularity > 0 ? endpoint.popularity : 0.0);
   }
+  weights_ = util::WeightedTable(weights);
 }
+
+namespace {
+
+/// What every certificate-visible row of one endpoint carries.
+struct EndpointRows {
+  std::vector<std::string> fuids;  // cert_chain_fuids, in chain order
+  /// (chain position, certificate id) of each distinct certificate, in
+  /// chain order: the X509 rows the endpoint's first visible row may owe.
+  std::vector<std::pair<std::size_t, std::size_t>> certificates;
+  std::string subject;
+  std::string issuer;
+};
+
+/// Every endpoint's row constants, with one fingerprint -> fuid registry
+/// across all of them. Certificate ids count distinct fingerprints.
+std::vector<EndpointRows> build_endpoint_rows(
+    const std::vector<ServerEndpoint>& endpoints,
+    std::vector<std::string>& fuid_by_id) {
+  std::map<util::Digest256, std::size_t> id_by_fingerprint;
+  std::vector<std::size_t> listed_by;  // id -> 1 + the last endpoint listing it
+  std::vector<EndpointRows> rows(endpoints.size());
+  for (std::size_t e = 0; e < endpoints.size(); ++e) {
+    const chain::CertificateChain& chain = endpoints[e].chain;
+    if (chain.empty()) continue;
+    EndpointRows& out = rows[e];
+    out.fuids.reserve(chain.length());
+    for (std::size_t position = 0; position < chain.length(); ++position) {
+      const util::Digest256 fingerprint = chain.at(position).fingerprint_digest();
+      const auto [it, added] =
+          id_by_fingerprint.emplace(fingerprint, fuid_by_id.size());
+      const std::size_t id = it->second;
+      if (added) {
+        fuid_by_id.push_back(util::zeek_style_fuid(fingerprint.to_hex()));
+        listed_by.push_back(0);
+      }
+      out.fuids.push_back(fuid_by_id[id]);
+      if (listed_by[id] != e + 1) {
+        listed_by[id] = e + 1;
+        out.certificates.emplace_back(position, id);
+      }
+    }
+    out.subject = chain.first().subject.to_string();
+    out.issuer = chain.first().issuer.to_string();
+  }
+  return rows;
+}
+
+}  // namespace
 
 GeneratedLogs CampusSimulator::run(const TrafficConfig& config) const {
   GeneratedLogs logs;
+  if (config.connections > 0 && config.client_count == 0) {
+    throw std::invalid_argument(
+        "CampusSimulator::run: client_count must be > 0 when connections > 0");
+  }
   if (endpoints_.empty() || config.connections == 0) return logs;
 
   util::Rng rng(config.seed);
   const ClientPool pool = make_campus_client_pool(config.client_count);
 
-  // fuid registry: one X509.log row per distinct certificate.
-  std::map<std::string, std::string> fuid_by_fingerprint;
+  // One X509.log row per distinct certificate, emitted on the first
+  // certificate-visible row of an endpoint whose chain holds it. An
+  // endpoint's first visible row therefore owes every certificate of its
+  // chain not yet emitted; its later rows owe none.
+  std::vector<std::string> fuid_by_id;
+  std::vector<EndpointRows> endpoint_rows =
+      build_endpoint_rows(endpoints_, fuid_by_id);
+  std::vector<bool> certificate_emitted(fuid_by_id.size(), false);
 
   // Emergent-model machinery: validators plus a per-(endpoint, client-kind)
   // verdict cache. Verdicts are evaluated at the window midpoint, so a chain
@@ -120,18 +181,17 @@ GeneratedLogs CampusSimulator::run(const TrafficConfig& config) const {
                           : rng.bernoulli(server.establish_probability);
 
     if (!tls13 && !resumed && !server.chain.empty()) {
-      for (const x509::Certificate& cert : server.chain) {
-        const std::string fingerprint = cert.fingerprint();
-        auto it = fuid_by_fingerprint.find(fingerprint);
-        if (it == fuid_by_fingerprint.end()) {
-          const std::string fuid = util::zeek_style_fuid(fingerprint);
-          it = fuid_by_fingerprint.emplace(fingerprint, fuid).first;
-          logs.x509.push_back(zeek::record_from_certificate(cert, ssl.ts, fuid));
-        }
-        ssl.cert_chain_fuids.push_back(it->second);
+      EndpointRows& rows = endpoint_rows[server_index];
+      for (const auto& [position, id] : rows.certificates) {
+        if (certificate_emitted[id]) continue;
+        certificate_emitted[id] = true;
+        logs.x509.push_back(zeek::record_from_certificate(
+            server.chain.at(position), ssl.ts, fuid_by_id[id]));
       }
-      ssl.subject = server.chain.first().subject.to_string();
-      ssl.issuer = server.chain.first().issuer.to_string();
+      rows.certificates.clear();  // the endpoint's later rows owe none
+      ssl.cert_chain_fuids = rows.fuids;
+      ssl.subject = rows.subject;
+      ssl.issuer = rows.issuer;
       ssl.validation_status = server.validation_status;
     }
     logs.ssl.push_back(std::move(ssl));

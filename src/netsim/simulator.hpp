@@ -87,11 +87,13 @@ class CampusSimulator {
   const std::vector<ServerEndpoint>& endpoints() const { return endpoints_; }
 
   /// Runs the traffic generation. Deterministic in (endpoints, config).
+  /// Throws std::invalid_argument when `config.client_count` is 0 and
+  /// `config.connections` is not.
   GeneratedLogs run(const TrafficConfig& config) const;
 
  private:
   std::vector<ServerEndpoint> endpoints_;
-  std::vector<double> weights_;
+  util::WeightedTable weights_;  // popularity, for the weighted endpoint draw
 };
 
 }  // namespace certchain::netsim

@@ -1,5 +1,6 @@
 #include "util/rng.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <numbers>
 
@@ -18,7 +19,45 @@ std::uint64_t rotl(std::uint64_t x, int k) {
   return (x << k) | (x >> (64 - k));
 }
 
+/// pick_weighted's scan: subtracts each positive weight from `target` in
+/// order and stops at the first that takes it to zero or below; the last
+/// index when none does.
+std::size_t scan_for(std::span<const double> weights, double target) {
+  for (std::size_t i = 0; i < weights.size(); ++i) {
+    if (weights[i] <= 0.0) continue;
+    target -= weights[i];
+    if (target <= 0.0) return i;
+  }
+  return weights.size() - 1;
+}
+
 }  // namespace
+
+WeightedTable::WeightedTable(std::span<const double> weights)
+    : weights_(weights.begin(), weights.end()) {
+  prefix_.reserve(weights_.size());
+  bool finite = true;
+  for (const double w : weights_) {
+    total_ += (w > 0.0 ? w : 0.0);
+    prefix_.push_back(total_);
+    finite = finite && std::isfinite(w);
+  }
+  searchable_ = finite && std::isfinite(total_) && total_ > 0.0;
+  margin_ = 8.0 * static_cast<double>(weights_.size() + 1) * 0x1.0p-53 * total_;
+}
+
+std::size_t WeightedTable::index_for(double target) const {
+  if (searchable_) {
+    const auto above = std::lower_bound(prefix_.begin(), prefix_.end(), target);
+    if (above != prefix_.end()) {
+      const double below = above == prefix_.begin() ? 0.0 : *(above - 1);
+      if (target - below > margin_ && *above - target > margin_) {
+        return static_cast<std::size_t>(above - prefix_.begin());
+      }
+    }
+  }
+  return scan_for(weights_, target);
+}
 
 Rng::Rng(std::uint64_t seed) {
   std::uint64_t sm = seed;
@@ -141,17 +180,18 @@ std::size_t Rng::pick_weighted(std::span<const double> weights) {
   if (total <= 0.0) {
     return weights.empty() ? 0 : static_cast<std::size_t>(next_below(weights.size()));
   }
-  double target = uniform() * total;
-  for (std::size_t i = 0; i < weights.size(); ++i) {
-    if (weights[i] <= 0.0) continue;
-    target -= weights[i];
-    if (target <= 0.0) return i;
-  }
-  return weights.size() - 1;
+  return scan_for(weights, uniform() * total);
 }
 
 std::size_t Rng::pick_weighted(std::initializer_list<double> weights) {
   return pick_weighted(std::span<const double>(weights.begin(), weights.size()));
+}
+
+std::size_t Rng::pick_weighted(const WeightedTable& table) {
+  if (table.total() <= 0.0) {
+    return table.size() == 0 ? 0 : static_cast<std::size_t>(next_below(table.size()));
+  }
+  return table.index_for(uniform() * table.total());
 }
 
 std::string Rng::alpha_string(std::size_t length) {

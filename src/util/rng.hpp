@@ -21,6 +21,38 @@ namespace certchain::util {
 /// splitmix64 step; used for seeding and as a standalone mixer.
 std::uint64_t splitmix64(std::uint64_t& state);
 
+/// A weight span prepared for repeated draws: Rng::pick_weighted(table)
+/// returns exactly what Rng::pick_weighted(weights) returns, from the same
+/// random draws, in O(log n) instead of two linear passes.
+///
+/// The table keeps the running sums of max(w, 0), so its total equals the
+/// scan's total bit for bit. A target t is searched in those sums. The
+/// scan's running remainder and the sums each carry at most
+/// (n+1)·2⁻⁵³·total of rounding error, so the searched index is the scan's
+/// whenever t lies more than 8(n+1)·2⁻⁵³·total from both neighbouring sums;
+/// otherwise the table runs the scan itself. It always scans when a weight
+/// is NaN or infinite.
+class WeightedTable {
+ public:
+  WeightedTable() = default;
+  explicit WeightedTable(std::span<const double> weights);
+
+  std::size_t size() const { return weights_.size(); }
+  /// The sum of the positive weights, in order; the scan's total.
+  double total() const { return total_; }
+
+  /// The index the scan picks for the target `target` (u · total, u in
+  /// [0, 1)). Requires total() > 0.
+  std::size_t index_for(double target) const;
+
+ private:
+  std::vector<double> weights_;
+  std::vector<double> prefix_;  // prefix_[i]: the sum through weights_[i]
+  double total_ = 0.0;
+  double margin_ = 0.0;
+  bool searchable_ = false;  // every weight finite and the total > 0
+};
+
 /// A small, fast, deterministic PRNG (xoshiro256** core, splitmix64-seeded).
 ///
 /// Not cryptographically secure — it only drives simulation workloads.
@@ -67,6 +99,8 @@ class Rng {
   /// All-zero weights degrade to uniform choice.
   std::size_t pick_weighted(std::span<const double> weights);
   std::size_t pick_weighted(std::initializer_list<double> weights);
+  /// The same pick, from the same draws, over a prepared table.
+  std::size_t pick_weighted(const WeightedTable& table);
 
   /// Picks a uniformly random element of a non-empty vector.
   template <typename T>

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <charconv>
-#include <cstdio>
 
 #include "util/strings.hpp"
 
@@ -11,10 +10,11 @@ namespace certchain::zeek {
 
 namespace tsv {
 
-std::string render_time(util::SimTime t) {
-  char buffer[32];
-  std::snprintf(buffer, sizeof(buffer), "%lld.000000", static_cast<long long>(t));
-  return buffer;
+void append_time(std::string& out, util::SimTime t) {
+  char buffer[24];
+  const auto end = std::to_chars(buffer, buffer + sizeof(buffer), t).ptr;
+  out.append(buffer, end);
+  out.append(".000000");
 }
 
 std::optional<util::SimTime> parse_time(std::string_view text) {
@@ -36,22 +36,23 @@ std::optional<util::SimTime> parse_time(std::string_view text) {
   return value;
 }
 
-std::string render_bool(bool b) { return b ? "T" : "F"; }
-
 std::optional<bool> parse_bool(std::string_view text) {
   if (text == "T") return true;
   if (text == "F") return false;
   return std::nullopt;
 }
 
-std::string render_vector(const std::vector<std::string>& items) {
-  if (items.empty()) return std::string(kEmpty);
-  std::string out;
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    if (i != 0) out.push_back(',');
-    out.append(escape_field(items[i]));
+void append_vector(std::string& out, const std::vector<std::string>& items) {
+  if (items.empty()) {
+    out.append(kEmpty);
+  } else if (items.size() == 1 && items.front().empty()) {
+    out.append(kUnset);  // a lone empty element renders as an empty cell
+  } else {
+    for (std::size_t i = 0; i < items.size(); ++i) {
+      if (i != 0) out.push_back(',');
+      append_escaped(out, items[i]);
+    }
   }
-  return out;
 }
 
 std::vector<std::string> parse_vector(std::string_view text) {
@@ -66,21 +67,25 @@ std::vector<std::string> parse_vector(std::string_view text) {
   return out;
 }
 
-std::string escape_field(std::string_view value) {
+void append_escaped(std::string& out, std::string_view value) {
   // Zeek escapes separator bytes as \xNN; tabs, newlines and commas (the
-  // vector separator) are the ones that can occur in DN strings.
-  std::string out;
-  out.reserve(value.size());
-  for (const char c : value) {
-    switch (c) {
-      case '\t': out.append("\\x09"); break;
-      case '\n': out.append("\\x0a"); break;
-      case ',': out.append("\\x2c"); break;
-      case '\\': out.append("\\x5c"); break;
-      default: out.push_back(c);
+  // vector separator) are the ones that can occur in DN strings. Runs
+  // without one are appended whole.
+  std::size_t copied = 0;  // value[0, copied) is in `out`
+  for (std::size_t at = 0; at < value.size(); ++at) {
+    std::string_view code;
+    switch (value[at]) {
+      case '\t': code = "\\x09"; break;
+      case '\n': code = "\\x0a"; break;
+      case ',': code = "\\x2c"; break;
+      case '\\': code = "\\x5c"; break;
+      default: continue;
     }
+    out.append(value.substr(copied, at - copied));
+    out.append(code);
+    copied = at + 1;
   }
-  return out;
+  out.append(value.substr(copied));
 }
 
 void unescape_into(std::string_view value, std::string& out) {
@@ -142,78 +147,133 @@ std::string header(std::string_view path, std::string_view fields,
   return out;
 }
 
-void append_field(std::string& row, std::string_view value, bool first = false) {
-  if (!first) row.push_back('\t');
-  row.append(value.empty() ? tsv::kUnset : value);
+/// A string cell: "-" when empty.
+void append_text(std::string& out, std::string_view value) {
+  out.append(value.empty() ? tsv::kUnset : value);
+  out.push_back('\t');
+}
+
+/// An escaped string cell: "-" when empty.
+void append_escaped_text(std::string& out, std::string_view value) {
+  if (value.empty()) {
+    out.append(tsv::kUnset);
+  } else {
+    tsv::append_escaped(out, value);
+  }
+  out.push_back('\t');
+}
+
+void append_int(std::string& out, long long value) {
+  char buffer[24];
+  out.append(buffer, std::to_chars(buffer, buffer + sizeof(buffer), value).ptr);
+  out.push_back('\t');
+}
+
+void append_bool(std::string& out, bool value) {
+  out.push_back(value ? 'T' : 'F');
+  out.push_back('\t');
+}
+
+void append_time_cell(std::string& out, util::SimTime t) {
+  tsv::append_time(out, t);
+  out.push_back('\t');
+}
+
+/// Each appender writes one row followed by its newline.
+void append_ssl_row(std::string& out, const SslLogRecord& record) {
+  append_time_cell(out, record.ts);
+  append_text(out, record.uid);
+  append_text(out, record.id_orig_h);
+  append_int(out, record.id_orig_p);
+  append_text(out, record.id_resp_h);
+  append_int(out, record.id_resp_p);
+  append_text(out, record.version);
+  append_text(out, record.cipher);
+  append_escaped_text(out, record.server_name);
+  append_bool(out, record.resumed);
+  append_bool(out, record.established);
+  tsv::append_vector(out, record.cert_chain_fuids);
+  out.push_back('\t');
+  append_escaped_text(out, record.subject);
+  append_escaped_text(out, record.issuer);
+  append_escaped_text(out, record.validation_status);
+  out.back() = '\n';
+}
+
+void append_x509_row(std::string& out, const X509LogRecord& record) {
+  append_time_cell(out, record.ts);
+  append_text(out, record.fuid);
+  append_int(out, record.version);
+  append_text(out, record.serial);
+  append_escaped_text(out, record.subject);
+  append_escaped_text(out, record.issuer);
+  append_time_cell(out, record.not_before);
+  append_time_cell(out, record.not_after);
+  append_text(out, record.key_alg);
+  append_text(out, record.sig_alg);
+  append_int(out, record.key_length);
+  if (record.basic_constraints_ca) {
+    append_bool(out, *record.basic_constraints_ca);
+  } else {
+    append_text(out, {});  // unset: "-"
+  }
+  if (record.basic_constraints_path_len) {
+    append_int(out, *record.basic_constraints_path_len);
+  } else {
+    append_text(out, {});
+  }
+  tsv::append_vector(out, record.san_dns);
+  out.push_back('\n');
+}
+
+/// The header, the body and the closing line. The result is reserved
+/// before the body goes in, so the body is copied once.
+std::string finish_log(std::string_view path, std::string_view fields,
+                       std::string_view types, const std::string& body) {
+  std::string out = header(path, fields, types);
+  constexpr std::string_view kClose = "#close\n";
+  out.reserve(out.size() + body.size() + kClose.size());
+  out.append(body);
+  out.append(kClose);
+  return out;
 }
 
 }  // namespace
 
 std::string render_ssl_row(const SslLogRecord& record) {
   std::string row;
-  append_field(row, tsv::render_time(record.ts), true);
-  append_field(row, record.uid);
-  append_field(row, record.id_orig_h);
-  append_field(row, std::to_string(record.id_orig_p));
-  append_field(row, record.id_resp_h);
-  append_field(row, std::to_string(record.id_resp_p));
-  append_field(row, record.version);
-  append_field(row, record.cipher);
-  append_field(row, tsv::escape_field(record.server_name));
-  append_field(row, tsv::render_bool(record.resumed));
-  append_field(row, tsv::render_bool(record.established));
-  append_field(row, tsv::render_vector(record.cert_chain_fuids));
-  append_field(row, tsv::escape_field(record.subject));
-  append_field(row, tsv::escape_field(record.issuer));
-  append_field(row, tsv::escape_field(record.validation_status));
+  append_ssl_row(row, record);
+  row.pop_back();
   return row;
 }
 
 std::string render_x509_row(const X509LogRecord& record) {
   std::string row;
-  append_field(row, tsv::render_time(record.ts), true);
-  append_field(row, record.fuid);
-  append_field(row, std::to_string(record.version));
-  append_field(row, record.serial);
-  append_field(row, tsv::escape_field(record.subject));
-  append_field(row, tsv::escape_field(record.issuer));
-  append_field(row, tsv::render_time(record.not_before));
-  append_field(row, tsv::render_time(record.not_after));
-  append_field(row, record.key_alg);
-  append_field(row, record.sig_alg);
-  append_field(row, std::to_string(record.key_length));
-  append_field(row, record.basic_constraints_ca
-                        ? tsv::render_bool(*record.basic_constraints_ca)
-                        : std::string(tsv::kUnset));
-  append_field(row, record.basic_constraints_path_len
-                        ? std::to_string(*record.basic_constraints_path_len)
-                        : std::string(tsv::kUnset));
-  append_field(row, tsv::render_vector(record.san_dns));
+  append_x509_row(row, record);
+  row.pop_back();
   return row;
 }
 
 SslLogWriter::SslLogWriter() = default;
 
 void SslLogWriter::add(const SslLogRecord& record) {
-  body_.append(render_ssl_row(record));
-  body_.push_back('\n');
+  append_ssl_row(body_, record);
   ++count_;
 }
 
 std::string SslLogWriter::finish() const {
-  return header("ssl", kSslFields, kSslTypes) + body_ + "#close\n";
+  return finish_log("ssl", kSslFields, kSslTypes, body_);
 }
 
 X509LogWriter::X509LogWriter() = default;
 
 void X509LogWriter::add(const X509LogRecord& record) {
-  body_.append(render_x509_row(record));
-  body_.push_back('\n');
+  append_x509_row(body_, record);
   ++count_;
 }
 
 std::string X509LogWriter::finish() const {
-  return header("x509", kX509Fields, kX509Types) + body_ + "#close\n";
+  return finish_log("x509", kX509Fields, kX509Types, body_);
 }
 
 namespace {

@@ -21,15 +21,18 @@ namespace tsv {
 inline constexpr std::string_view kUnset = "-";
 inline constexpr std::string_view kEmpty = "(empty)";
 
-std::string render_time(util::SimTime t);           // "1598918400.000000"
+/// Appends "<seconds>.000000", e.g. "1598918400.000000".
+void append_time(std::string& out, util::SimTime t);
 /// Whole seconds; a fractional part, when present, must be digits.
 std::optional<util::SimTime> parse_time(std::string_view text);
-std::string render_bool(bool b);                    // "T"/"F"
 std::optional<bool> parse_bool(std::string_view text);
-std::string render_vector(const std::vector<std::string>& items);
+/// Appends a vector cell: "(empty)" for no elements, "-" for one empty
+/// element, otherwise the escaped elements joined by ','.
+void append_vector(std::string& out, const std::vector<std::string>& items);
 std::vector<std::string> parse_vector(std::string_view text);
-/// Escapes the separator characters inside a field value.
-std::string escape_field(std::string_view value);
+/// Appends `value` with its separator bytes (tab, newline, ',', '\')
+/// escaped as `\xHH`.
+void append_escaped(std::string& out, std::string_view value);
 /// Decodes each `\xHH` (a backslash, `x`, exactly two hex digits) to its
 /// byte; every other backslash stays literal.
 std::string unescape_field(std::string_view value);
@@ -62,8 +65,8 @@ void for_each_vector_element(std::string_view cell, std::string& scratch,
 }
 }  // namespace tsv
 
-/// Renders one SSL.log body row (no trailing newline). The writers append
-/// these verbatim; external producers (the revisit fleet) use them to
+/// Renders one SSL.log body row (no trailing newline): the bytes the writer
+/// appends for the record. External producers (the revisit fleet) use it to
 /// synthesize ingest batches byte-identical to writer-produced logs.
 std::string render_ssl_row(const SslLogRecord& record);
 

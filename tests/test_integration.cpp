@@ -310,6 +310,12 @@ TEST(ScenarioConfig, ChainScaleMustBeFiniteAndPositive) {
         << "chain_scale=" << scale;
   }
   config.chain_scale = 1.0 / 200.0;
+  // An empty client pool once divided by zero assigning interception
+  // clients.
+  config.client_count = 0;
+  EXPECT_THROW(datagen::build_study_scenario(config), std::invalid_argument)
+      << "client_count=0";
+  config.client_count = 5000;
   const auto scenario = datagen::build_study_scenario(config);
   EXPECT_FALSE(scenario->endpoints.empty());
 }

@@ -2,12 +2,17 @@
 // traffic simulator.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <set>
+#include <stdexcept>
 
 #include "chain/matcher.hpp"
+#include "datagen/scenario.hpp"
 #include "netsim/pki_world.hpp"
 #include "netsim/simulator.hpp"
+#include "util/hash.hpp"
 #include "validation/client_validators.hpp"
+#include "zeek/log_io.hpp"
 
 namespace certchain::netsim {
 namespace {
@@ -346,6 +351,48 @@ TEST(CampusSimulator, EmptyInputs) {
   const CampusSimulator one({simple_endpoint(world, "x.example", 1.0)});
   config.connections = 0;
   EXPECT_TRUE(one.run(config).ssl.empty());
+
+  // No clients to draw from: refused, not read past the end of the pool.
+  config.client_count = 0;
+  EXPECT_TRUE(one.run(config).ssl.empty());
+  config.connections = 10;
+  EXPECT_THROW(one.run(config), std::invalid_argument);
+}
+
+// The generated corpus, pinned by the fnv1a64 of its rendered Zeek text. A
+// deliberate change to the simulator or the writers updates these values in
+// the same change; any other difference is a regression. The second run
+// draws every connection's endpoint by weight, so X509 rows are emitted on
+// first sight under random draws rather than by the coverage sweep.
+TEST(CampusSimulator, GeneratedLogsArePinned) {
+  datagen::ScenarioConfig config;
+  config.seed = 5;
+  config.total_connections = 20000;
+  const auto scenario = datagen::build_study_scenario(config);
+  ASSERT_EQ(scenario->endpoints.size(), 5181u);
+  // "<ssl fnv1a64>/<x509 fnv1a64>" in hex, so a failure prints the values
+  // to re-record.
+  const auto digests = [](const GeneratedLogs& logs) {
+    zeek::SslLogWriter ssl;
+    for (const zeek::SslLogRecord& record : logs.ssl) ssl.add(record);
+    zeek::X509LogWriter x509;
+    for (const zeek::X509LogRecord& record : logs.x509) x509.add(record);
+    char text[40];
+    std::snprintf(text, sizeof(text), "%016llx/%016llx",
+                  static_cast<unsigned long long>(util::fnv1a64(ssl.finish())),
+                  static_cast<unsigned long long>(util::fnv1a64(x509.finish())));
+    return std::string(text);
+  };
+
+  const GeneratedLogs covered = scenario->generate_logs();
+  EXPECT_EQ(covered.ssl.size(), 20000u);
+  EXPECT_EQ(digests(covered), "126f51272a54f563/ec39166e62a5fce3");
+
+  TrafficConfig drawn = scenario->traffic;
+  drawn.ensure_coverage = false;
+  const GeneratedLogs random = CampusSimulator(scenario->endpoints).run(drawn);
+  EXPECT_EQ(random.x509.size(), 4925u);
+  EXPECT_EQ(digests(random), "9a47db451afff4a4/767e3f7e96366341");
 }
 
 TEST(ClientPool, ShapeAndDeterminism) {

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <set>
+#include <span>
 #include <vector>
 
 namespace certchain::util {
@@ -201,6 +203,101 @@ TEST(Rng, PickWeightedAllZeroFallsBackToUniform) {
   std::set<std::size_t> seen;
   for (int i = 0; i < 1000; ++i) seen.insert(rng.pick_weighted({0.0, 0.0, 0.0}));
   EXPECT_EQ(seen.size(), 3u);
+}
+
+// --- WeightedTable -------------------------------------------------------------
+
+/// The scan that defines pick_weighted, at a given target: the first
+/// positive weight whose subtraction takes the remainder to zero or below.
+std::size_t scan_index(const std::vector<double>& weights, double target) {
+  for (std::size_t i = 0; i < weights.size(); ++i) {
+    if (weights[i] <= 0.0) continue;
+    target -= weights[i];
+    if (target <= 0.0) return i;
+  }
+  return weights.size() - 1;
+}
+
+/// A random weight vector of `size` entries in one of five shapes: finite
+/// weights with zeros and negatives; magnitudes from 1e-300 to 1e300; the
+/// first shape with NaN and infinities mixed in; one positive weight; no
+/// positive weight.
+std::vector<double> random_weights(Rng& gen, std::size_t size, int shape) {
+  const double magnitudes[] = {1e-300, 1e-9, 1.0, 1e3, 1e300};
+  const double specials[] = {std::nan(""), HUGE_VAL, -HUGE_VAL};
+  std::vector<double> weights(size);
+  for (double& w : weights) {
+    const double roll = gen.uniform();
+    if (roll < 0.15) {
+      w = 0.0;
+    } else if (roll < 0.25) {
+      w = -gen.uniform(0.0, 5.0);
+    } else if (shape == 1) {
+      w = magnitudes[gen.next_below(std::size(magnitudes))] * gen.uniform(0.5, 2.0);
+    } else if (shape == 2 && roll < 0.27) {
+      w = specials[gen.next_below(std::size(specials))];
+    } else {
+      w = gen.uniform(0.0, 10.0);
+    }
+  }
+  if (shape >= 3) {
+    for (double& w : weights) w = w > 0.0 ? 0.0 : w;
+    if (shape == 3 && size > 0) weights[gen.next_below(size)] = gen.uniform(1e-9, 1.0);
+  }
+  return weights;
+}
+
+TEST(WeightedTable, DrawsExactlyWhatTheScanDraws) {
+  Rng gen(2026);
+  const std::size_t sizes[] = {0, 1, 2, 3, 5, 17, 100, 1000, 5181, 100000};
+  for (int trial = 0; trial < 300; ++trial) {
+    const std::size_t size = sizes[trial % std::size(sizes)];
+    const int shape = static_cast<int>(gen.next_below(5));
+    const std::vector<double> weights = random_weights(gen, size, shape);
+    const WeightedTable table(weights);
+    ASSERT_EQ(table.size(), size);
+    double total = 0.0;
+    for (const double w : weights) total += (w > 0.0 ? w : 0.0);
+    ASSERT_EQ(table.total(), total) << "trial " << trial;
+
+    const std::uint64_t seed = gen.next_u64();
+    Rng by_table(seed);
+    Rng by_scan(seed);
+    const std::size_t draws =
+        std::min<std::size_t>(1000, 500'000 / std::max<std::size_t>(size, 1));
+    for (std::size_t d = 0; d < draws; ++d) {
+      ASSERT_EQ(by_table.pick_weighted(table), by_scan.pick_weighted(weights))
+          << "trial " << trial << " shape " << shape << " draw " << d;
+    }
+    ASSERT_EQ(by_table.next_u64(), by_scan.next_u64()) << "trial " << trial;
+
+    // Targets on and next to the running sums, where rounding decides.
+    if (!(total > 0.0)) continue;
+    double sum = 0.0;
+    const std::size_t stride = size <= 1000 ? 1 : size / 16;
+    for (std::size_t i = 0; i < size; ++i) {
+      sum += (weights[i] > 0.0 ? weights[i] : 0.0);
+      if (i % stride != 0) continue;
+      for (const double target : {sum, std::nextafter(sum, 0.0),
+                                  std::nextafter(sum, HUGE_VAL)}) {
+        if (target > total) continue;
+        ASSERT_EQ(table.index_for(target), scan_index(weights, target))
+            << "trial " << trial << " target " << target;
+      }
+    }
+  }
+}
+
+TEST(WeightedTable, RunningSumTiesFollowTheScan) {
+  // The second running sum is fl(0.1 + 0.2). At that target the scan's
+  // remainder after two subtractions is 2^-55, not zero, so it picks index
+  // 2; a plain search of the sums would stop at 1.
+  const std::vector<double> weights = {0.1, 0.2, 0.3};
+  const WeightedTable table(weights);
+  EXPECT_EQ(scan_index(weights, 0.1 + 0.2), 2u);
+  EXPECT_EQ(table.index_for(0.1 + 0.2), 2u);
+  EXPECT_EQ(table.index_for(0.0), 0u);
+  EXPECT_EQ(table.index_for(0.2), 1u);
 }
 
 TEST(Rng, ShufflePreservesElements) {

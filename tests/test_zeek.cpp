@@ -1,14 +1,16 @@
-// Zeek substrate: TSV log format round trips, damage handling, the
-// SSL x X509 join, and content-based protocol detection.
+// Zeek substrate: TSV log format round trips, the writers against the
+// string-building oracle, damage handling, and the SSL x X509 join.
 #include <gtest/gtest.h>
+
+#include <climits>
 
 #include "../tests/helpers.hpp"
 #include "util/hash.hpp"
 #include "util/strings.hpp"
-#include "zeek/dpd.hpp"
 #include "zeek/joiner.hpp"
 #include "zeek/log_io.hpp"
 #include "zeek/log_stream.hpp"
+#include "zeek_row_oracle.hpp"
 
 namespace certchain::zeek {
 namespace {
@@ -82,14 +84,30 @@ ReadLog<X509LogRecord> read_x509_log(std::string_view text) {
   return read_log<X509LogRecord>(text, make_streaming_x509_reader);
 }
 
+/// tsv::append_escaped into a fresh string.
+std::string escaped(std::string_view value) {
+  std::string out;
+  tsv::append_escaped(out, value);
+  return out;
+}
+
 TEST(ZeekTsv, FieldHelpers) {
-  EXPECT_EQ(tsv::render_time(1598918400), "1598918400.000000");
+  std::string time = "x";
+  tsv::append_time(time, 1598918400);
+  EXPECT_EQ(time, "x1598918400.000000");
   EXPECT_EQ(tsv::parse_time("1598918400.123456"), 1598918400);
   EXPECT_FALSE(tsv::parse_time("not-a-time").has_value());
-  EXPECT_EQ(tsv::render_bool(true), "T");
   EXPECT_EQ(tsv::parse_bool("F"), false);
   EXPECT_FALSE(tsv::parse_bool("x").has_value());
-  EXPECT_EQ(tsv::render_vector({}), "(empty)");
+  std::string vector;
+  tsv::append_vector(vector, {});
+  EXPECT_EQ(vector, "(empty)");
+  vector.clear();
+  tsv::append_vector(vector, {""});
+  EXPECT_EQ(vector, "-");
+  vector.clear();
+  tsv::append_vector(vector, {"a,b", "c"});
+  EXPECT_EQ(vector, "a\\x2cb,c");
   EXPECT_TRUE(tsv::parse_vector("(empty)").empty());
   EXPECT_TRUE(tsv::parse_vector("-").empty());
   EXPECT_EQ(tsv::parse_vector("a,b"), (std::vector<std::string>{"a", "b"}));
@@ -97,12 +115,12 @@ TEST(ZeekTsv, FieldHelpers) {
 
 TEST(ZeekTsv, EscapingRoundTripsSeparatorBytes) {
   const std::string nasty = "CN=Acme, Inc.\tweird\nline\\slash";
-  EXPECT_EQ(tsv::unescape_field(tsv::escape_field(nasty)), nasty);
+  EXPECT_EQ(tsv::unescape_field(escaped(nasty)), nasty);
   // Escaped form must contain no raw separator bytes.
-  const std::string escaped = tsv::escape_field(nasty);
-  EXPECT_EQ(escaped.find('\t'), std::string::npos);
-  EXPECT_EQ(escaped.find('\n'), std::string::npos);
-  EXPECT_EQ(escaped.find(','), std::string::npos);
+  const std::string text = escaped(nasty);
+  EXPECT_EQ(text.find('\t'), std::string::npos);
+  EXPECT_EQ(text.find('\n'), std::string::npos);
+  EXPECT_EQ(text.find(','), std::string::npos);
 }
 
 TEST(ZeekTsv, UnescapeDecodesOnlyTwoHexDigits) {
@@ -127,10 +145,109 @@ TEST(ZeekTsv, EscapeUnescapeRoundTripsEveryByte) {
   std::string all;
   for (int byte = 0; byte < 256; ++byte) {
     const std::string one(1, static_cast<char>(byte));
-    EXPECT_EQ(tsv::unescape_field(tsv::escape_field(one)), one) << byte;
+    EXPECT_EQ(tsv::unescape_field(escaped(one)), one) << byte;
     all += one;
   }
-  EXPECT_EQ(tsv::unescape_field(tsv::escape_field(all)), all);
+  EXPECT_EQ(tsv::unescape_field(escaped(all)), all);
+}
+
+// The writers against the string-building renderers they replaced: the
+// same bytes for every escape byte, empty and unset field, vector shape and
+// extreme scalar.
+TEST(ZeekLogs, RowsMatchTheStringOracle) {
+  const std::vector<std::string> texts = {
+      "", "\t", "\n", ",", "\\", "a\tb\nc,d\\e", "\\x41", ",,\t\t", "plain"};
+  const std::vector<std::vector<std::string>> vectors = {
+      {}, {""}, {"", ""}, {"F1"}, {"F1", "F2"}, {"a,b", "c\td"}, {"\\", "\n", ""}};
+
+  std::vector<SslLogRecord> ssl_rows{sample_ssl()};
+  for (const std::string& text : texts) {
+    SslLogRecord record = sample_ssl();
+    record.server_name = record.subject = record.issuer =
+        record.validation_status = text;
+    ssl_rows.push_back(record);
+    // Fields the format leaves unescaped stay unescaped.
+    record = sample_ssl();
+    record.uid = record.id_orig_h = record.id_resp_h = record.version =
+        record.cipher = text;
+    ssl_rows.push_back(record);
+  }
+  for (const auto& fuids : vectors) {
+    SslLogRecord record = sample_ssl();
+    record.cert_chain_fuids = fuids;
+    ssl_rows.push_back(record);
+  }
+  for (const util::SimTime ts : {util::SimTime{0}, util::SimTime{-1},
+                                 util::SimTime{-1598918400}, util::SimTime{1}}) {
+    SslLogRecord record = sample_ssl();
+    record.ts = ts;
+    record.id_orig_p = 0;
+    record.id_resp_p = 65535;
+    record.resumed = true;
+    record.established = false;
+    ssl_rows.push_back(record);
+  }
+  ssl_rows.push_back(SslLogRecord{});
+
+  std::vector<X509LogRecord> x509_rows{sample_x509()};
+  for (const std::string& text : texts) {
+    X509LogRecord record = sample_x509();
+    record.subject = record.issuer = text;
+    x509_rows.push_back(record);
+    record = sample_x509();
+    record.fuid = record.serial = record.key_alg = record.sig_alg = text;
+    x509_rows.push_back(record);
+  }
+  for (const auto& sans : vectors) {
+    X509LogRecord record = sample_x509();
+    record.san_dns = sans;
+    x509_rows.push_back(record);
+  }
+  for (const int value : {INT_MIN, -1, 0, INT_MAX}) {
+    X509LogRecord record = sample_x509();
+    record.key_length = value;
+    record.version = value;
+    record.basic_constraints_ca = value < 0;
+    record.basic_constraints_path_len = value;
+    x509_rows.push_back(record);
+  }
+  for (const util::SimTime ts : {util::SimTime{0}, util::SimTime{-86400}}) {
+    X509LogRecord record = sample_x509();
+    record.ts = record.not_before = ts;
+    record.not_after = -ts;
+    x509_rows.push_back(record);
+  }
+  {
+    X509LogRecord record = sample_x509();
+    record.basic_constraints_ca.reset();
+    x509_rows.push_back(record);  // path_len unset too
+    record.basic_constraints_path_len = 3;
+    x509_rows.push_back(record);  // path_len without ca
+  }
+  x509_rows.push_back(X509LogRecord{});
+
+  SslLogWriter ssl_writer;
+  std::string ssl_body;
+  for (const SslLogRecord& record : ssl_rows) {
+    EXPECT_EQ(render_ssl_row(record), oracle::render_ssl_row(record));
+    ssl_writer.add(record);
+    ssl_body += oracle::render_ssl_row(record) + "\n";
+  }
+  // finish() is the empty log's header, the body, and the closing line.
+  const std::string ssl_empty = SslLogWriter().finish();
+  EXPECT_EQ(ssl_writer.finish(),
+            ssl_empty.substr(0, ssl_empty.size() - 7) + ssl_body + "#close\n");
+
+  X509LogWriter x509_writer;
+  std::string x509_body;
+  for (const X509LogRecord& record : x509_rows) {
+    EXPECT_EQ(render_x509_row(record), oracle::render_x509_row(record));
+    x509_writer.add(record);
+    x509_body += oracle::render_x509_row(record) + "\n";
+  }
+  const std::string x509_empty = X509LogWriter().finish();
+  EXPECT_EQ(x509_writer.finish(),
+            x509_empty.substr(0, x509_empty.size() - 7) + x509_body + "#close\n");
 }
 
 TEST(ZeekLogs, SslRoundTrip) {
@@ -335,30 +452,6 @@ TEST(Joiner, ReportsMissingFuids) {
   EXPECT_FALSE(joined.complete());
   EXPECT_EQ(joined.chain.length(), 1u);
   EXPECT_EQ(joined.missing_fuids, (std::vector<std::string>{"Fmissing"}));
-}
-
-// --- DPD ----------------------------------------------------------------------
-
-TEST(Dpd, DetectsTlsOnAnyPortByContent) {
-  const std::string hello = make_client_hello(3, "svc.example");
-  EXPECT_TRUE(looks_like_tls(hello));
-  EXPECT_EQ(extract_sni(hello), "svc.example");
-  EXPECT_FALSE(looks_like_tls(make_plaintext_preamble("GET / HTTP/1.1")));
-  EXPECT_FALSE(looks_like_tls(make_plaintext_preamble("SSH-2.0-OpenSSH")));
-  EXPECT_FALSE(looks_like_tls(""));
-  EXPECT_FALSE(looks_like_tls("\x16"));
-}
-
-TEST(Dpd, VersionBounds) {
-  EXPECT_TRUE(looks_like_tls(make_client_hello(1, "")));   // TLS 1.0
-  EXPECT_TRUE(looks_like_tls(make_client_hello(4, "")));   // TLS 1.3
-  EXPECT_FALSE(looks_like_tls(make_client_hello(9, "")));  // nonsense
-}
-
-TEST(Dpd, EmptySni) {
-  const std::string hello = make_client_hello(3, "");
-  EXPECT_TRUE(looks_like_tls(hello));
-  EXPECT_EQ(extract_sni(hello), "");
 }
 
 }  // namespace
