@@ -21,15 +21,30 @@ void CertificateChain::push_back(x509::CertificateHandle cert) {
   certs_.push_back(std::move(cert));
 }
 
+namespace {
+
+/// One certificate's share of a chain id: its fingerprint as hex, then '|'.
+void append_id(util::Digest256Builder& digest, const x509::Certificate& cert) {
+  char hex[64];
+  cert.fingerprint_digest().write_hex(hex);
+  digest.append(std::string_view(hex, sizeof hex));
+  digest.push_back('|');
+}
+
+}  // namespace
+
 util::Digest256 CertificateChain::id_digest() const {
   if (certs_.empty()) return {};
   util::Digest256Builder digest;
-  char hex[64];
-  for (const x509::Certificate& cert : *this) {
-    cert.fingerprint_digest().write_hex(hex);
-    digest.append(std::string_view(hex, sizeof hex));
-    digest.push_back('|');
-  }
+  for (const x509::Certificate& cert : *this) append_id(digest, cert);
+  return digest.finish();
+}
+
+util::Digest256 CertificateChain::id_digest(
+    const std::vector<const x509::CertificateHandle*>& certs) {
+  if (certs.empty()) return {};
+  util::Digest256Builder digest;
+  for (const x509::CertificateHandle* cert : certs) append_id(digest, **cert);
   return digest.finish();
 }
 

@@ -73,6 +73,10 @@ class CertificateChain {
   /// '|'); two deliveries with identical certificates in identical order
   /// share an id. Over sealed certificates it digests their memos.
   util::Digest256 id_digest() const;
+  /// The id_digest() of the chain these handles would make, in this order,
+  /// without making it.
+  static util::Digest256 id_digest(
+      const std::vector<const x509::CertificateHandle*>& certs);
   /// The id as hex; empty for an empty chain.
   std::string id() const {
     return certs_.empty() ? std::string() : id_digest().to_hex();

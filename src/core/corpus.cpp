@@ -59,6 +59,35 @@ void append_key_fuid(std::string& key, std::string_view fuid) {
 
 }  // namespace
 
+RoutedRow RoutedRow::of(const zeek::SslRowView& row, ResolvedChain* chain) {
+  RoutedRow routed;
+  routed.chain = chain;
+  routed.ts = row.ts;
+  routed.client = row.id_orig_h;
+  routed.server_host = row.id_resp_h;
+  routed.server_name = row.server_name;
+  routed.server_port = row.id_resp_p;
+  routed.established = row.established;
+  routed.tls13 = row.version == "TLSv13";
+  return routed;
+}
+
+ResolvedChain& ChainResolver::resolve(std::string_view cell) {
+  const auto it = memo_.find(cell);
+  if (it != memo_.end()) return it->second;
+  ResolvedChain resolved;
+  zeek::tsv::for_each_vector_element(
+      cell, unescaped_, [this, &resolved](std::string_view fuid) {
+        if (const x509::CertificateHandle* cert = joiner_->find(fuid)) {
+          resolved.certs.push_back(cert);
+        } else {
+          resolved.missing = true;
+        }
+      });
+  resolved.id = chain::CertificateChain::id_digest(resolved.certs);
+  return memo_.emplace(cell, std::move(resolved)).first->second;
+}
+
 CorpusIndex::FoldRow CorpusIndex::fold_row_of(const zeek::SslLogRecord& ssl) {
   FoldRow row;
   row.ts = ssl.ts;
@@ -148,7 +177,15 @@ bool CorpusIndex::ClientPairSet::insert(std::uint64_t pair) {
   }
 }
 
+void CorpusIndex::ClientPairSet::reset(std::size_t pairs) {
+  std::size_t capacity = 64;
+  while (capacity < 2 * (pairs + 1)) capacity *= 2;
+  slots.assign(capacity, kEmpty);
+  size = 0;
+}
+
 void CorpusIndex::add_client(ChainObservation& observation, ClientId client) {
+  if (pairs_stale_) rebuild_pairs();
   const std::uint64_t pair = std::uint64_t{observation.ordinal} << 32 | client;
   if (chain_clients_.insert(pair)) observation.client_ips.push_back(client);
 }
@@ -191,17 +228,33 @@ void CorpusIndex::add(const zeek::LogJoiner& joiner,
         zeek::tsv::for_each_vector_element(row.cert_chain_fuids,
                                            fold_.unescaped, visit);
       });
-  zeek::tsv::unescape_into(row.server_name, fold_.server_name);
+  fold(entry, fold_row_of(RoutedRow::of(row, nullptr)));
+}
 
+void CorpusIndex::add(const RoutedRow& row) {
+  ResolvedChain& resolved = *row.chain;
+  FoldMemoEntry entry;
+  entry.missing = resolved.missing;
+  if (!resolved.certs.empty()) {
+    if (resolved.observation == nullptr) {
+      resolved.observation = &register_chain(resolved.id, resolved.certs);
+    }
+    entry.observation = resolved.observation;
+  }
+  fold(entry, fold_row_of(row));
+}
+
+CorpusIndex::FoldRow CorpusIndex::fold_row_of(const RoutedRow& row) {
+  zeek::tsv::unescape_into(row.server_name, fold_.server_name);
   FoldRow fold_row;
   fold_row.ts = row.ts;
   fold_row.established = row.established;
-  fold_row.tls13 = row.version == "TLSv13";
-  fold_row.client = row.id_orig_h;
-  fold_row.server_host = row.id_resp_h;
-  fold_row.server_port = row.id_resp_p;
+  fold_row.tls13 = row.tls13;
+  fold_row.client = row.client;
+  fold_row.server_host = row.server_host;
+  fold_row.server_port = row.server_port;
   fold_row.server_name = &fold_.server_name;
-  fold(entry, fold_row);
+  return fold_row;
 }
 
 template <typename ForEachFuid>
@@ -231,7 +284,10 @@ CorpusIndex::FoldMemoEntry CorpusIndex::memo_entry(const zeek::LogJoiner& joiner
       entry.missing = true;
     }
   });
-  if (!fold_.certs.empty()) entry.observation = &register_chain();
+  if (!fold_.certs.empty()) {
+    entry.observation = &register_chain(
+        chain::CertificateChain::id_digest(fold_.certs), fold_.certs);
+  }
   memo.emplace(key, entry);
   return entry;
 }
@@ -245,45 +301,153 @@ void CorpusIndex::fold(const FoldMemoEntry& entry, const FoldRow& row) {
   fold_usage(*entry.observation, row);
 }
 
-ChainObservation& CorpusIndex::register_chain() {
+ChainObservation& CorpusIndex::register_chain(
+    const util::Digest256& id,
+    const std::vector<const x509::CertificateHandle*>& certs) {
   // LogJoiner::add seals every certificate, so each fingerprint (here and
-  // in id_digest) is a memo read, not a digest.
-  std::vector<x509::CertificateHandle> certs;
-  certs.reserve(fold_.certs.size());
-  for (const x509::CertificateHandle* cert : fold_.certs) {
+  // in the chain id) is a memo read, not a digest.
+  for (const x509::CertificateHandle* cert : certs) {
     if (certificate_fingerprints_.insert((*cert)->fingerprint_digest()).second) {
       ++totals_.distinct_certificates;
     }
-    certs.push_back(*cert);
   }
-  chain::CertificateChain chain(std::move(certs));
-
-  ChainObservation& observation = observation_slot(chain.id_digest());
+  ChainObservation& observation = observation_slot(id);
   // First observation of this chain id: the chain shares the joiner's
   // certificates, one handle each.
-  if (observation.connections == 0) observation.chain = std::move(chain);
+  if (observation.connections == 0) {
+    std::vector<x509::CertificateHandle> handles;
+    handles.reserve(certs.size());
+    for (const x509::CertificateHandle* cert : certs) handles.push_back(*cert);
+    observation.chain = chain::CertificateChain(std::move(handles));
+  }
   return observation;
 }
 
+void CorpusIndex::hand_off(std::vector<CorpusIndex>& owners) {
+  while (!chains_.empty()) {
+    auto node = chains_.extract(chains_.begin());
+    CorpusIndex& owner = owners[owner_of(node.key(), owners.size())];
+    const std::vector<ClientId> clients = std::move(node.mapped().client_ips);
+    node.mapped().client_ips.clear();
+    node.mapped().ordinal = static_cast<std::uint32_t>(owner.chains_.size());
+    const auto placed = owner.chains_.insert(std::move(node));
+    if (!placed.inserted) {
+      throw std::logic_error("CorpusIndex::hand_off: the owner holds the chain");
+    }
+    for (const ClientId client : clients) {
+      owner.add_client(placed.position->second,
+                       owner.intern_client(client_addresses_[client]));
+    }
+  }
+  client_addresses_.clear();
+  client_ids_.clear();
+  chain_clients_.clear();
+  fold_.reset_memo();
+}
+
+void CorpusIndex::combine(std::vector<CorpusIndex>& owners) {
+  std::size_t certificates = certificate_fingerprints_.size();
+  std::size_t clients = client_addresses_.size();
+  for (const CorpusIndex& owner : owners) {
+    certificates += owner.certificate_fingerprints_.size();
+    clients += owner.client_addresses_.size();
+  }
+  certificate_fingerprints_.reserve(certificates);
+  client_addresses_.reserve(clients);
+  client_ids_.reserve(clients);
+  for (CorpusIndex& owner : owners) {
+    totals_.connections += owner.totals_.connections;
+    totals_.with_certificates += owner.totals_.with_certificates;
+    totals_.tls13_connections += owner.totals_.tls13_connections;
+    totals_.incomplete_joins += owner.totals_.incomplete_joins;
+    certificate_fingerprints_.insert(owner.certificate_fingerprints_.begin(),
+                                     owner.certificate_fingerprints_.end());
+    // The owner's client ids, re-interned here.
+    std::vector<ClientId> ids;
+    ids.reserve(owner.client_addresses_.size());
+    for (const std::string& address : owner.client_addresses_) {
+      ids.push_back(intern_client(address));
+    }
+    for (auto& [chain_id, observation] : owner.chains_) {
+      for (ClientId& client : observation.client_ips) client = ids[client];
+    }
+    chains_.merge(owner.chains_);
+    if (!owner.chains_.empty()) {
+      throw std::logic_error("CorpusIndex::combine: two indexes hold a chain");
+    }
+  }
+  totals_.distinct_certificates = certificate_fingerprints_.size();
+  std::uint32_t ordinal = 0;
+  for (auto& [chain_id, observation] : chains_) observation.ordinal = ordinal++;
+  // The (chain, client) set is rebuilt by the next add_client, if any: a
+  // batch run never pays for it.
+  chain_clients_.clear();
+  pairs_stale_ = true;
+}
+
+void CorpusIndex::rebuild_pairs() {
+  std::size_t pairs = 0;
+  for (const auto& [chain_id, observation] : chains_) {
+    pairs += observation.client_ips.size();
+  }
+  chain_clients_.reset(pairs);
+  for (const auto& [chain_id, observation] : chains_) {
+    for (const ClientId client : observation.client_ips) {
+      chain_clients_.insert(std::uint64_t{observation.ordinal} << 32 | client);
+    }
+  }
+  pairs_stale_ = false;
+}
+
 void CorpusIndex::write_snapshot(obs::json::Writer& writer) const {
+  write_snapshot(writer, {this});
+}
+
+void CorpusIndex::write_snapshot(obs::json::Writer& writer,
+                                 const std::vector<const CorpusIndex*>& parts) {
+  CorpusTotals totals;
+  std::vector<util::Digest256> fingerprints;
+  struct Chain {
+    const util::Digest256* id;
+    const ChainObservation* observation;
+    const CorpusIndex* part;  // whose client ids the observation holds
+  };
+  std::vector<Chain> chains;
+  for (const CorpusIndex* part : parts) {
+    totals.connections += part->totals_.connections;
+    totals.with_certificates += part->totals_.with_certificates;
+    totals.tls13_connections += part->totals_.tls13_connections;
+    totals.incomplete_joins += part->totals_.incomplete_joins;
+    fingerprints.insert(fingerprints.end(),
+                        part->certificate_fingerprints_.begin(),
+                        part->certificate_fingerprints_.end());
+    for (const auto& [chain_id, observation] : part->chains_) {
+      chains.push_back(Chain{&chain_id, &observation, part});
+    }
+  }
+  // Digest order is hex order, so sorting digests sorts their renderings.
+  std::sort(fingerprints.begin(), fingerprints.end());
+  fingerprints.erase(std::unique(fingerprints.begin(), fingerprints.end()),
+                     fingerprints.end());
+  if (parts.size() > 1) {
+    std::sort(chains.begin(), chains.end(),
+              [](const Chain& a, const Chain& b) { return *a.id < *b.id; });
+  }
+
   writer.begin_object();
 
   writer.key("totals");
   writer.begin_object();
   writer.key("connections");
-  writer.value_uint(totals_.connections);
+  writer.value_uint(totals.connections);
   writer.key("with_certificates");
-  writer.value_uint(totals_.with_certificates);
+  writer.value_uint(totals.with_certificates);
   writer.key("tls13_connections");
-  writer.value_uint(totals_.tls13_connections);
+  writer.value_uint(totals.tls13_connections);
   writer.key("incomplete_joins");
-  writer.value_uint(totals_.incomplete_joins);
+  writer.value_uint(totals.incomplete_joins);
   writer.end_object();
 
-  // Digest order is hex order, so sorting digests sorts their renderings.
-  std::vector<util::Digest256> fingerprints(certificate_fingerprints_.begin(),
-                                            certificate_fingerprints_.end());
-  std::sort(fingerprints.begin(), fingerprints.end());
   writer.key("certificates");
   writer.begin_array();
   for (const util::Digest256& fingerprint : fingerprints) {
@@ -293,7 +457,9 @@ void CorpusIndex::write_snapshot(obs::json::Writer& writer) const {
 
   writer.key("chains");
   writer.begin_array();
-  for (const auto& [chain_id, observation] : chains_) {
+  for (const Chain& chain : chains) {
+    const util::Digest256& chain_id = *chain.id;
+    const ChainObservation& observation = *chain.observation;
     writer.begin_object();
     writer.key("id");
     writer.value_string(chain_id.to_hex());
@@ -310,7 +476,7 @@ void CorpusIndex::write_snapshot(obs::json::Writer& writer) const {
     std::vector<std::string_view> addresses;
     addresses.reserve(observation.client_ips.size());
     for (const ClientId id : observation.client_ips) {
-      addresses.push_back(client_addresses_[id]);
+      addresses.push_back(chain.part->client_addresses_[id]);
     }
     std::sort(addresses.begin(), addresses.end());
     write_strings(writer, "client_ips", addresses);
@@ -465,6 +631,7 @@ void CorpusIndex::clear() {
   client_addresses_.clear();
   client_ids_.clear();
   chain_clients_.clear();
+  pairs_stale_ = false;
   fold_.reset_memo();
 }
 

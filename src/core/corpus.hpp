@@ -7,11 +7,12 @@
 // stream of joined SSL/X509 records into one ChainObservation per unique
 // chain (identity = the digest of its ordered certificate fingerprints, a
 // util::Digest256) plus corpus-wide counters, preserving exactly the fields
-// the downstream analyzers read. SSL rows arrive either as owned records or
-// as views into the log text (zeek::SslRowView, the engine's path); both
-// feed one fold body. Client addresses are interned as dense ClientIds in
-// first-seen order, so a chain's clients are an id vector and every
-// distinct-client count in the analysis is one bitmap pass over ids
+// the downstream analyzers read. SSL rows arrive as owned records, as views
+// into the log text (zeek::SslRowView, the engine's path), or routed from a
+// pool worker to the index that owns their chain (RoutedRow, the parallel
+// fold of DESIGN.md §10.2); all feed one fold body. Client addresses are
+// interned as dense ClientIds, so a chain's clients are an id vector and
+// every distinct-client count in the analysis is one bitmap pass over ids
 // (distinct_clients). One hash set of (chain, client) pairs keeps each
 // vector unique at O(1) expected cost per row, however many clients a chain
 // has. Snapshots store the addresses themselves, and digests as hex.
@@ -37,9 +38,11 @@
 
 namespace certchain::core {
 
-/// A client address interned by one CorpusIndex: dense, in first-seen
-/// order. An id means something only within the index (or a copy of the
-/// index) that assigned it.
+/// A client address interned by one CorpusIndex: dense, and otherwise
+/// arbitrary. A serial fold numbers clients in first-seen order; a combined
+/// parallel fold numbers them owner by owner. Nothing reads an id but as an
+/// identity (distinct_clients bitmaps), and an id means something only
+/// within the index (or a copy of the index) that assigned it.
 using ClientId = std::uint32_t;
 
 /// Everything the study tracks about one unique certificate chain.
@@ -56,8 +59,9 @@ struct ChainObservation {
   std::set<std::string> domains;  // observed SNI values
   util::SimTime first_seen = 0;
   util::SimTime last_seen = 0;
-  /// Position in the owning CorpusIndex's chain creation order; with a
-  /// ClientId it keys the index's (chain, client) set.
+  /// Unique per chain within the owning CorpusIndex (creation order, or
+  /// chain-id order after a combine); with a ClientId it keys the index's
+  /// (chain, client) set.
   std::uint32_t ordinal = 0;
 
   double establish_rate() const {
@@ -74,6 +78,53 @@ struct CorpusTotals {
   std::uint64_t tls13_connections = 0;    // certificates invisible (§6.3)
   std::uint64_t incomplete_joins = 0;     // rows with missing fuids
   std::size_t distinct_certificates = 0;  // unique cert fingerprints
+};
+
+/// A cert_chain_fuids cell resolved against a joiner off the index: what a
+/// pool worker makes of an SSL row's chain before the row goes to the index
+/// that owns the chain (DESIGN.md §10.2). Only `observation` changes after
+/// resolution, and only the owner of `id` touches it.
+struct ResolvedChain {
+  /// The joiner's handles of the fuids that resolved, in delivery order;
+  /// empty when none did (the row has no chain and no owner).
+  std::vector<const x509::CertificateHandle*> certs;
+  util::Digest256 id;    // the chain id of `certs`
+  bool missing = false;  // some fuid did not resolve
+  /// The owner's observation slot, set by the owner's first fold of this
+  /// entry.
+  ChainObservation* observation = nullptr;
+};
+
+/// Resolves each distinct cert_chain_fuids cell once, through the joiner's
+/// read-only find(): one resolver per pool worker, so workers share nothing
+/// but the joiner. Entries stay put for the resolver's lifetime.
+class ChainResolver {
+ public:
+  explicit ChainResolver(const zeek::LogJoiner& joiner) : joiner_(&joiner) {}
+
+  ResolvedChain& resolve(std::string_view cell);
+
+ private:
+  const zeek::LogJoiner* joiner_;
+  std::unordered_map<std::string, ResolvedChain, util::StringHash,
+                     std::equal_to<>>
+      memo_;
+  std::string unescaped_;
+};
+
+/// One SSL row on its way to the index that owns its chain: the resolved
+/// chain plus the fields the fold reads, views into the row's line.
+struct RoutedRow {
+  ResolvedChain* chain = nullptr;
+  util::SimTime ts = 0;
+  std::string_view client;
+  std::string_view server_host;
+  std::string_view server_name;  // the escaped cell; empty = no SNI
+  std::uint16_t server_port = 0;
+  bool established = false;
+  bool tls13 = false;
+
+  static RoutedRow of(const zeek::SslRowView& row, ResolvedChain* chain);
 };
 
 class CorpusIndex {
@@ -97,6 +148,34 @@ class CorpusIndex {
   /// fuids are split out of the cell only when it is new to the memo.
   void add(const zeek::LogJoiner& joiner, const zeek::SslRowView& row);
 
+  /// The parallel fold's entry point: the row's chain registers in this
+  /// index on the entry's first fold here, then the row folds through the
+  /// same body as add(joiner, row). A row whose chain has an owner must
+  /// come to that owner (owner_of); a chainless row adds to totals only,
+  /// in any index.
+  void add(const RoutedRow& row);
+
+  /// The index, of `owners`, whose add(RoutedRow) folds chain `id`.
+  static std::size_t owner_of(const util::Digest256& id, std::size_t owners) {
+    return static_cast<std::size_t>(id.words[1] % owners);
+  }
+
+  /// Moves every chain, with its clients, into the index of `owners` that
+  /// owns it (owner_of), which must not hold it already. This index keeps
+  /// its totals and certificate set. A resumed parallel fold uses it to
+  /// hand its restored chains out.
+  void hand_off(std::vector<CorpusIndex>& owners);
+
+  /// Folds `owners`, whose chains are disjoint from each other's and from
+  /// this index's, into this index: the chain maps spliced, certificate
+  /// sets united, totals summed, clients given one dense id space, ordinals
+  /// renumbered in chain-id order and the (chain, client) set rebuilt
+  /// (lazily, by the next add). The result accepts later add()s exactly as
+  /// a serial fold of the same rows would. The owners are left without
+  /// chains, holding only tables the caller frees. Throws std::logic_error
+  /// when two indexes hold one chain.
+  void combine(std::vector<CorpusIndex>& owners);
+
   /// The chains, in id order (which is the order of their hex ids).
   const std::map<util::Digest256, ChainObservation>& chains() const {
     return chains_;
@@ -104,6 +183,11 @@ class CorpusIndex {
   const CorpusTotals& totals() const { return totals_; }
 
   std::size_t unique_chain_count() const { return chains_.size(); }
+
+  /// The address interned as `id`.
+  const std::string& client_address(ClientId id) const {
+    return client_addresses_[id];
+  }
 
   /// Number of distinct clients across ClientId lists of one index (each a
   /// ChainObservation::client_ips, or a union of some). Ids are dense, so
@@ -121,6 +205,12 @@ class CorpusIndex {
   /// re-derives the objects from its re-ingested records. Client ids are
   /// written as their addresses, sorted, and digests as lowercase hex.
   void write_snapshot(obs::json::Writer& writer) const;
+
+  /// The snapshot of indexes holding disjoint chains: byte for byte what
+  /// write_snapshot writes for their combine(). A parallel fold checkpoints
+  /// its owners this way without combining them.
+  static void write_snapshot(obs::json::Writer& writer,
+                             const std::vector<const CorpusIndex*>& parts);
 
   /// Restores a write_snapshot() state into an empty index, interning the
   /// client addresses afresh. Fingerprints are resolved to the handles in
@@ -148,6 +238,9 @@ class CorpusIndex {
 
   /// The fold's view of an owned record (server_name points into it).
   static FoldRow fold_row_of(const zeek::SslLogRecord& ssl);
+  /// The fold's view of a parsed row's fields; the SNI cell is unescaped
+  /// into fold_.server_name.
+  FoldRow fold_row_of(const RoutedRow& row);
 
   /// What one fuid list folds to under the current joiner: the chain's
   /// observation slot (nullptr when no fuid resolved) and whether any fuid
@@ -177,11 +270,15 @@ class CorpusIndex {
 
   /// Appends `client` to the chain's clients unless it is there already.
   void add_client(ChainObservation& observation, ClientId client);
+  /// Refills chain_clients_ from the chains' client lists (after combine).
+  void rebuild_pairs();
 
-  /// Registers the chain of the resolved certificates in fold_.certs: its
+  /// Registers the chain of the joiner's `certs`, whose id is `id`: their
   /// fingerprints join the distinct-certificate set, and a chain first
   /// observed shares the joiner's handles.
-  ChainObservation& register_chain();
+  ChainObservation& register_chain(
+      const util::Digest256& id,
+      const std::vector<const x509::CertificateHandle*>& certs);
 
   ClientId intern_client(std::string_view address);
   void clear();
@@ -198,12 +295,14 @@ class CorpusIndex {
       slots.clear();
       size = 0;
     }
+    /// Empties the set and sizes it to take `pairs` inserts without growing.
+    void reset(std::size_t pairs);
     std::vector<std::uint64_t> slots;  // power-of-two count, at most half full
     std::size_t size = 0;
   };
 
   /// Scratch reused across fused folds, so the per-row fold stays
-  /// allocation-free (one CorpusIndex is only ever fed from one thread), and
+  /// allocation-free (one CorpusIndex is fed from one thread at a time), and
   /// the fuid-list memos: one keyed by raw cert_chain_fuids cells (views),
   /// one by length-prefixed fuid lists (owned records). The memos are valid
   /// only for one (joiner, certificate_count) snapshot: the joiner can grow
@@ -248,6 +347,7 @@ class CorpusIndex {
   std::unordered_map<std::string, ClientId, util::StringHash, std::equal_to<>>
       client_ids_;
   ClientPairSet chain_clients_;
+  bool pairs_stale_ = false;  // chain_clients_ awaits rebuild_pairs()
   FoldState fold_;
 };
 

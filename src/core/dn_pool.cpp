@@ -43,24 +43,33 @@ DnId DnPool::intern_parsed(x509::DistinguishedName name) {
 DnPool::Interned DnPool::intern_raw(std::string_view raw) {
   const auto it = by_raw_.find(raw);
   if (it != by_raw_.end()) return it->second;
-  const Interned interned = memo_raw(raw);
-  by_raw_.emplace(arena_store(raw), interned);
-  return interned;
+  return remember_raw(raw, parse_lenient(raw));
 }
 
-DnPool::Interned DnPool::memo_raw(std::string_view raw) {
-  x509::DistinguishedName parsed = parse_lenient(raw);
+DnPool::Interned DnPool::intern_raw(std::string_view raw,
+                                    x509::DistinguishedName&& parsed) {
+  const auto it = by_raw_.find(raw);
+  if (it != by_raw_.end()) return it->second;
+  return remember_raw(raw, std::move(parsed));
+}
+
+DnPool::Interned DnPool::remember_raw(std::string_view raw,
+                                      x509::DistinguishedName parsed) {
+  Interned interned;
   const auto canonical_it = by_canonical_.find(parsed.canonical());
   if (canonical_it == by_canonical_.end()) {
     const DnId id = intern_parsed(std::move(parsed));
-    return Interned{id, &entries_[id]};
+    interned = Interned{id, &entries_[id]};
+  } else if (const DnId id = canonical_it->second; parsed == entries_[id]) {
+    interned = Interned{id, &entries_[id]};
+  } else {
+    // Canonical collision with a different spelling: keep this parse as a
+    // variant so name_for_raw() renders these exact bytes.
+    variants_.push_back(std::move(parsed));
+    interned = Interned{id, &variants_.back()};
   }
-  // Canonical collision with a different spelling: keep this parse as a
-  // variant so name_for_raw() renders these exact bytes.
-  const DnId id = canonical_it->second;
-  if (parsed == entries_[id]) return Interned{id, &entries_[id]};
-  variants_.push_back(std::move(parsed));
-  return Interned{id, &variants_.back()};
+  by_raw_.emplace(arena_store(raw), interned);
+  return interned;
 }
 
 DnId DnPool::intern(const x509::DistinguishedName& name) {

@@ -20,7 +20,9 @@
 //
 // Ids are pool-local, and a study run has exactly one pool: only its joiner
 // interns, on the coordinating thread, so workers only ever read a complete
-// pool and no two pools' ids ever meet.
+// pool and no two pools' ids ever meet. A parallel fold's workers parse DNs
+// off the pool; the joiner hands their parses over in row order
+// (intern_raw(raw, parsed)), so ids come out as a serial fold assigns them.
 //
 // Distinct spellings that canonicalize equally ("CN=Example" vs
 // "cn=example") share one id but keep their own parsed form: name_for_raw()
@@ -72,6 +74,11 @@ class DnPool {
   /// joiner's entry point (one hash lookup covers both).
   Interned intern_raw(std::string_view raw);
 
+  /// The same for a spelling already parsed off the pool (a worker-built
+  /// certificate's DN, DESIGN.md §10.2): `parsed` must be the lenient parse
+  /// of `raw`, and a miss takes it over instead of parsing again.
+  Interned intern_raw(std::string_view raw, x509::DistinguishedName&& parsed);
+
   /// The parse of exactly these raw bytes (interning them if new).
   const x509::DistinguishedName& name_for_raw(std::string_view raw) {
     return *intern_raw(raw).name;
@@ -98,7 +105,9 @@ class DnPool {
 
   /// Adds `name`, whose canonical form the pool does not hold yet.
   DnId intern_parsed(x509::DistinguishedName name);
-  Interned memo_raw(std::string_view raw);
+  /// Files a new spelling's parse: a new entry, the entry it equals, or a
+  /// variant; then remembers `raw` for it.
+  Interned remember_raw(std::string_view raw, x509::DistinguishedName parsed);
 
   // Canonical and display views point into the entries' heap bodies, so
   // they survive deque growth and pool moves; Interned::name points at the

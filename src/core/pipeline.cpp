@@ -41,8 +41,9 @@ StudyReport StudyPipeline::run(const StudyInput& input, const RunOptions& option
   }
   par::ThreadPool* pool = workers.has_value() ? &*workers : nullptr;
 
-  // The run's one DnPool. Only the joiner interns into it, on this thread,
-  // so it is complete and read-only before any worker compares its ids.
+  // The run's one DnPool. Only the joiner interns into it, on this thread
+  // (workers parse DNs off the pool and hand their parses over), so it is
+  // complete and read-only before any worker compares its ids.
   // The report keeps nothing of the pool, the joiner or the corpus, so all
   // three are freed before the run returns, under a span of their own.
   struct Fold {
@@ -55,7 +56,7 @@ StudyReport StudyPipeline::run(const StudyInput& input, const RunOptions& option
   IngestReport ingest;
   {
     obs::StageTimer timer(ctx, "ingest");
-    ingest = fold_input(input, options, fold->joiner, fold->corpus, ctx);
+    ingest = fold_input(input, options, fold->joiner, fold->corpus, ctx, pool);
   }
   if (ingest.populated) {
     // The stage triple counts rows that carried (or should have carried)

@@ -98,17 +98,25 @@ struct StudyReport {
   IngestReport ingest;
 };
 
-/// The one fold (pipeline_fold.cpp), sequential on the calling thread: the
-/// X509 rows of `input` go into `joiner` first — the only place DNs are
-/// interned, on the pool the caller attached to the joiner — then its SSL
-/// rows fold into the empty `corpus` as they parse. StudyPipeline::run and
-/// svc::ServiceState::load both build their corpus here. Returns the ingest
-/// accounting of raw-text inputs (unpopulated for records), also published
-/// as `ingest.*` counters in `ctx`. Strict mode throws IngestError on the
-/// first damaged line, as does a kFiles path that cannot be opened.
+/// The one fold (pipeline_fold.cpp): the X509 rows of `input` go into
+/// `joiner` first — interned, on the calling thread, on the DnPool the
+/// caller attached to the joiner, the only place DNs are interned — then its
+/// SSL rows fold into the empty `corpus`. With a `worker_pool` of more than
+/// one worker, each chunk of a raw-text input is parsed on the workers: X509
+/// certificates are built there and joined here in row order, and SSL rows
+/// are routed to the worker that owns their chain, each folding its rows in
+/// row order; the owners are combined into `corpus` once, at the end
+/// (DESIGN.md §10.2). Parsed records fold on the calling thread. The joiner,
+/// pool ids, corpus and accounting are the same either way.
+/// StudyPipeline::run and svc::ServiceState::load both build their corpus
+/// here. Returns the ingest accounting of raw-text inputs (unpopulated for
+/// records), also published as `ingest.*` counters in `ctx`. Strict mode
+/// throws IngestError on the first damaged line, as does a kFiles path that
+/// cannot be opened.
 IngestReport fold_input(const StudyInput& input, const RunOptions& options,
                         zeek::LogJoiner& joiner, CorpusIndex& corpus,
-                        obs::RunContext& ctx);
+                        obs::RunContext& ctx,
+                        par::ThreadPool* worker_pool = nullptr);
 
 class StudyPipeline {
  public:
@@ -120,10 +128,11 @@ class StudyPipeline {
 
   /// The single entry point (DESIGN.md §11): one input descriptor, one
   /// options struct, optional telemetry. Every input kind and thread count
-  /// runs the same engine (pipeline_fold.cpp): X509 rows go into the joiner
-  /// first, SSL rows fold into the corpus as they parse, then one analysis
-  /// runs. The fold is sequential; options.threads > 1 (or 0) shards only
-  /// the analysis stages over a pool (DESIGN.md §10). Streamed inputs are read
+  /// runs the same engine (fold_input): X509 rows go into the joiner first,
+  /// SSL rows fold into the corpus, then one analysis runs. options.threads
+  /// > 1 (or 0) runs both on one worker pool: the raw-text fold chunk by
+  /// chunk, its SSL rows folded by the worker that owns their chain, and the
+  /// analysis stages sharded (DESIGN.md §10). Streamed inputs are read
   /// options.chunk_bytes at a time and — when options.checkpoint_path is set
   /// — write a resumable fold snapshot after every SSL chunk.
   ///

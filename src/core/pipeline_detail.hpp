@@ -2,10 +2,11 @@
 //
 // The differential guarantee — every input kind and thread count produces
 // byte-identical reports and identical deterministic counters — is cheap to
-// uphold because one code path serves them all: the fold never sees the
-// pool, and in the analysis a pool only changes how many consecutive ranges
-// run_shards splits the work into, every range running the same body and
-// classifying issuers on the run's one DnPool. The counter-publishing blocks
+// uphold because one code path serves them all: the fold runs one fold body
+// at every thread count (pipeline_fold.cpp), and in the analysis a pool only
+// changes how many consecutive ranges run_shards splits the work into,
+// every range running the same body and classifying issuers on the run's
+// one DnPool. The counter-publishing blocks
 // read the merged result, so no execution strategy publishes its own
 // numbers. Not part of the public API.
 #pragma once

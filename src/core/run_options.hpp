@@ -17,11 +17,13 @@ namespace certchain::core {
 struct RunOptions {
   IngestOptions ingest;
 
-  /// Worker/shard count: 1 (default) runs everything on the calling thread;
-  /// 0 resolves to hardware concurrency; N > 1 runs the analysis stages
-  /// N-way sharded with a deterministic merge (the fold stays sequential).
-  /// Any value produces byte-identical reports and identical deterministic
-  /// metrics — the contract the parallel-diff suite enforces.
+  /// Worker count: 1 (default) runs everything on the calling thread; 0
+  /// resolves to hardware concurrency; N > 1 runs the raw-text fold and the
+  /// analysis stages on N workers: each chunk's lines are parsed N-way, SSL
+  /// rows folded by the worker that owns their chain, and the analysis
+  /// sharded, all with deterministic merges (DESIGN.md §10). Any value
+  /// produces byte-identical reports, corpora, checkpoints and
+  /// deterministic metrics — the contract the parallel-diff suite enforces.
   std::size_t threads = 1;
 
   /// Bytes handed to the log readers at a time, for every raw-text input:

@@ -126,6 +126,12 @@ bool read_reader(const obs::json::Value& value, zeek::ReaderCheckpoint& out) {
 
 std::string encode_stream_checkpoint(const StreamCheckpoint& checkpoint,
                                      const CorpusIndex& corpus) {
+  return encode_stream_checkpoint(checkpoint, {&corpus});
+}
+
+std::string encode_stream_checkpoint(
+    const StreamCheckpoint& checkpoint,
+    const std::vector<const CorpusIndex*>& corpus_parts) {
   obs::json::Writer writer;
   writer.begin_object();
   writer.key("schema");
@@ -145,7 +151,7 @@ std::string encode_stream_checkpoint(const StreamCheckpoint& checkpoint,
   writer.key("ssl_reader");
   write_reader(writer, checkpoint.ssl_reader);
   writer.key("corpus");
-  corpus.write_snapshot(writer);
+  CorpusIndex::write_snapshot(writer, corpus_parts);
   writer.end_object();
   return std::move(writer).str();
 }
@@ -211,7 +217,14 @@ std::optional<StreamCheckpoint> decode_stream_checkpoint(
 bool write_stream_checkpoint(const std::string& path,
                              const StreamCheckpoint& checkpoint,
                              const CorpusIndex& corpus) {
-  return write_file_atomic(path, encode_stream_checkpoint(checkpoint, corpus));
+  return write_stream_checkpoint(path, checkpoint, {&corpus});
+}
+
+bool write_stream_checkpoint(
+    const std::string& path, const StreamCheckpoint& checkpoint,
+    const std::vector<const CorpusIndex*>& corpus_parts) {
+  return write_file_atomic(path,
+                           encode_stream_checkpoint(checkpoint, corpus_parts));
 }
 
 bool write_file_atomic(const std::string& path, std::string_view text) {

@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "core/corpus.hpp"
 #include "core/ingest.hpp"
@@ -47,6 +48,12 @@ struct StreamCheckpoint {
 /// Serializes checkpoint + corpus into the schema-versioned JSON document.
 std::string encode_stream_checkpoint(const StreamCheckpoint& checkpoint,
                                      const CorpusIndex& corpus);
+/// The same for a corpus held as indexes with disjoint chains (a parallel
+/// fold's owners, CorpusIndex::write_snapshot): the bytes their combine
+/// would encode.
+std::string encode_stream_checkpoint(
+    const StreamCheckpoint& checkpoint,
+    const std::vector<const CorpusIndex*>& corpus_parts);
 
 /// Parses a checkpoint document and restores the corpus through
 /// `by_fingerprint` (see CorpusIndex::restore_snapshot). Returns nullopt
@@ -60,6 +67,9 @@ std::optional<StreamCheckpoint> decode_stream_checkpoint(
 bool write_stream_checkpoint(const std::string& path,
                              const StreamCheckpoint& checkpoint,
                              const CorpusIndex& corpus);
+bool write_stream_checkpoint(
+    const std::string& path, const StreamCheckpoint& checkpoint,
+    const std::vector<const CorpusIndex*>& corpus_parts);
 std::optional<std::string> read_file_text(const std::string& path);
 
 /// Atomic-enough whole-file replace for the single-writer case: writes

@@ -1,6 +1,9 @@
 #include "par/thread_pool.hpp"
 
+#include <algorithm>
+#include <atomic>
 #include <exception>
+#include <memory>
 #include <utility>
 
 namespace certchain::par {
@@ -53,39 +56,136 @@ void ThreadPool::submit(std::function<void()> task) {
 void ThreadPool::run_batch(std::vector<std::function<void()>> tasks) {
   if (tasks.empty()) return;
 
-  // The batch state lives on this stack frame; run_batch blocks until
-  // `pending` hits zero, so the tasks' references stay valid.
+  // Tasks are claimed by index, by the calling thread and by one helper per
+  // other task queued on the pool: a worker slow to wake costs the batch
+  // nothing, as the awake threads claim its share. A helper dequeued after
+  // the batch finished claims nothing; the shared state keeps what it
+  // touches alive.
   struct Batch {
+    explicit Batch(std::vector<std::function<void()>> batch_tasks)
+        : tasks(std::move(batch_tasks)),
+          count(tasks.size()),
+          errors(count),
+          pending(count) {}
+
+    void claim_all() {
+      for (std::size_t i = next.fetch_add(1); i < count; i = next.fetch_add(1)) {
+        try {
+          tasks[i]();
+        } catch (...) {
+          errors[i] = std::current_exception();
+        }
+        std::lock_guard<std::mutex> lock(mutex);
+        if (--pending == 0) done.notify_all();
+      }
+    }
+
+    std::vector<std::function<void()>> tasks;
+    const std::size_t count;
+    std::vector<std::exception_ptr> errors;
+    std::atomic<std::size_t> next{0};
     std::mutex mutex;
     std::condition_variable done;
-    std::size_t pending = 0;
-    std::vector<std::exception_ptr> errors;
+    std::size_t pending;
   };
-  Batch batch;
-  batch.pending = tasks.size();
-  batch.errors.resize(tasks.size());
+  const auto batch = std::make_shared<Batch>(std::move(tasks));
 
+  const std::size_t helpers = std::min(batch->count - 1, workers_.size());
+  if (helpers > 0) {
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      for (std::size_t i = 0; i < helpers; ++i) {
+        queue_.emplace_back([batch] { batch->claim_all(); });
+      }
+    }
+    work_available_.notify_all();
+  }
+  batch->claim_all();
+
+  std::unique_lock<std::mutex> batch_lock(batch->mutex);
+  batch->done.wait(batch_lock, [&batch] { return batch->pending == 0; });
+  for (std::exception_ptr& error : batch->errors) {
+    if (error) std::rethrow_exception(error);
+  }
+}
+
+void ThreadPool::run_ordered(std::size_t count,
+                             const std::function<void(std::size_t)>& produce,
+                             const std::function<void(std::size_t)>& consume) {
+  if (count == 0) return;
+
+  // Products are claimed by index, as in run_batch; a helper dequeued after
+  // the pipeline finished claims nothing, so it never touches `produce`.
+  struct Pipeline {
+    explicit Pipeline(std::size_t products, const std::function<void(std::size_t)>& body)
+        : count(products), produce(&body), done(products, false), errors(products) {}
+
+    /// Produces the next unclaimed index; false when none is left.
+    bool produce_one() {
+      const std::size_t k = next.fetch_add(1);
+      if (k >= count) return false;
+      std::exception_ptr error;
+      try {
+        (*produce)(k);
+      } catch (...) {
+        error = std::current_exception();
+      }
+      std::lock_guard<std::mutex> lock(mutex);
+      errors[k] = std::move(error);
+      done[k] = true;
+      ++finished;
+      changed.notify_all();
+      return true;
+    }
+
+    const std::size_t count;
+    const std::function<void(std::size_t)>* produce;
+    std::atomic<std::size_t> next{0};
+    std::mutex mutex;
+    std::condition_variable changed;
+    std::vector<bool> done;
+    std::vector<std::exception_ptr> errors;
+    std::size_t finished = 0;
+  };
+  const auto pipeline = std::make_shared<Pipeline>(count, produce);
+
+  const std::size_t helpers = std::min(count, workers_.size() - 1);
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    for (std::size_t i = 0; i < tasks.size(); ++i) {
-      queue_.emplace_back([&batch, i, task = std::move(tasks[i])] {
-        try {
-          task();
-        } catch (...) {
-          batch.errors[i] = std::current_exception();
+    for (std::size_t i = 0; i < helpers; ++i) {
+      queue_.emplace_back([pipeline] {
+        while (pipeline->produce_one()) {
         }
-        std::lock_guard<std::mutex> batch_lock(batch.mutex);
-        if (--batch.pending == 0) batch.done.notify_all();
       });
     }
   }
   work_available_.notify_all();
 
-  std::unique_lock<std::mutex> batch_lock(batch.mutex);
-  batch.done.wait(batch_lock, [&batch] { return batch.pending == 0; });
-  for (std::exception_ptr& error : batch.errors) {
-    if (error) std::rethrow_exception(error);
+  std::exception_ptr failure;
+  for (std::size_t k = 0; k < count && !failure; ++k) {
+    while (true) {
+      {
+        std::lock_guard<std::mutex> lock(pipeline->mutex);
+        if (pipeline->done[k]) break;
+      }
+      if (pipeline->produce_one()) continue;
+      std::unique_lock<std::mutex> lock(pipeline->mutex);
+      pipeline->changed.wait(lock, [&] { return pipeline->done[k]; });
+      break;
+    }
+    failure = pipeline->errors[k];
+    if (failure) break;
+    try {
+      consume(k);
+    } catch (...) {
+      failure = std::current_exception();
+    }
   }
+  while (pipeline->produce_one()) {
+  }
+  std::unique_lock<std::mutex> lock(pipeline->mutex);
+  pipeline->changed.wait(lock, [&] { return pipeline->finished == count; });
+  if (failure) std::rethrow_exception(failure);
 }
 
 void parallel_for_chunks(

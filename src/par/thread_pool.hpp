@@ -35,12 +35,27 @@ class ThreadPool {
   std::size_t size() const { return workers_.size(); }
 
   /// Runs every task and blocks until all of them finished. Tasks may run on
-  /// any worker in any order; the calling thread only waits. If tasks threw,
-  /// the exception of the lowest task index is rethrown after the batch
-  /// drained (so a failure never leaves tasks running against destroyed
-  /// caller state). Must not be called from inside one of the pool's own
-  /// tasks — the workers blocking on the inner batch would deadlock.
+  /// any worker, or on the calling thread, which claims tasks alongside the
+  /// workers instead of waiting idle: a worker slow to wake delays nothing.
+  /// If tasks threw, the exception of the lowest task index is rethrown
+  /// after the batch drained (so a failure never leaves tasks running
+  /// against destroyed caller state). Must not be called from inside one of
+  /// the pool's own tasks.
   void run_batch(std::vector<std::function<void()>> tasks);
+
+  /// Runs `produce(k)` for every k in [0, count) on the pool and
+  /// `consume(k)` on the calling thread in order k = 0, 1, ..., each as soon
+  /// as produce(k) has finished — a pipeline whose ordered, single-threaded
+  /// tail overlaps the parallel work. All but one worker produce, so the
+  /// pipeline keeps size() threads busy; while the next product is not
+  /// ready, the calling thread produces too. Blocks until every produce finished
+  /// and every consume ran. If produce(k) threw, consumes stop before k and
+  /// the exception of the lowest such k is rethrown; an exception from a
+  /// consume is rethrown too. Either way only after every produce finished.
+  /// Must not be called from inside one of the pool's own tasks.
+  void run_ordered(std::size_t count,
+                   const std::function<void(std::size_t)>& produce,
+                   const std::function<void(std::size_t)>& consume);
 
   /// Enqueues one task without waiting for it — the service-layer shape
   /// (svc::Server submits its long-running request-worker loops this way).

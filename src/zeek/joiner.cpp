@@ -82,6 +82,17 @@ x509::Certificate certificate_from_record(const X509LogRecord& record,
   return build_certificate(record, pool);
 }
 
+PreparedCertificate prepare_certificate(X509LogRecord&& record) {
+  PreparedCertificate prepared;
+  prepared.cert = build_certificate(std::move(record), nullptr);
+  prepared.cert.seal_fingerprint();
+  // build_certificate moved only the serial and the SANs out.
+  prepared.fuid = std::move(record.fuid);
+  prepared.issuer = std::move(record.issuer);
+  prepared.subject = std::move(record.subject);
+  return prepared;
+}
+
 X509LogRecord record_from_certificate(const x509::Certificate& cert,
                                       util::SimTime observed_at,
                                       const std::string& fuid) {
@@ -133,6 +144,33 @@ void LogJoiner::add_record(Record&& certificate) {
   // a memo read instead of a digest.
   cert.seal_fingerprint();
   it->second = std::make_shared<const x509::Certificate>(std::move(cert));
+}
+
+void LogJoiner::add(PreparedCertificate& prepared) {
+  const auto [it, inserted] = by_fuid_.try_emplace(std::move(prepared.fuid));
+  if (!inserted) return;
+  x509::Certificate& cert = prepared.cert;
+  // The prepared parses; a spelling new to the pool moves its parse in.
+  x509::DistinguishedName issuer_parse = std::move(cert.issuer);
+  x509::DistinguishedName subject_parse = std::move(cert.subject);
+  if (dn_pool_ != nullptr) {
+    // Issuer first, as build_certificate interns, so ids come out the same.
+    const core::DnPool::Interned issuer =
+        dn_pool_->intern_raw(prepared.issuer, std::move(issuer_parse));
+    const core::DnPool::Interned subject =
+        dn_pool_->intern_raw(prepared.subject, std::move(subject_parse));
+    cert.issuer = *issuer.name;
+    cert.subject = *subject.name;
+    cert.issuer_id = issuer.id;
+    cert.subject_id = subject.id;
+  } else {
+    cert.issuer = std::move(issuer_parse);
+    cert.subject = std::move(subject_parse);
+  }
+  it->second = std::make_shared<const x509::Certificate>(std::move(cert));
+  // A parse the pool did not take goes back to the caller.
+  cert.issuer = std::move(issuer_parse);
+  cert.subject = std::move(subject_parse);
 }
 
 CertificateIndex LogJoiner::by_fingerprint() const {

@@ -36,6 +36,20 @@ struct JoinedConnection {
 x509::Certificate certificate_from_record(const X509LogRecord& record,
                                           core::DnPool* pool = nullptr);
 
+/// One X509 row built into a sealed certificate off the joiner, so that pool
+/// workers can make these (DESIGN.md §10.2); LogJoiner::add then files them
+/// in row order.
+struct PreparedCertificate {
+  std::string fuid;
+  std::string issuer;   // the raw spellings, the DN pool's memo keys
+  std::string subject;
+  x509::Certificate cert;
+};
+
+/// Builds and seals `record`'s certificate without a pool: each DN is the
+/// lenient parse of its raw spelling, the parse the run's pool would keep.
+PreparedCertificate prepare_certificate(X509LogRecord&& record);
+
 /// Projects a certificate to its X509.log row (used by the simulator).
 X509LogRecord record_from_certificate(const x509::Certificate& cert,
                                       util::SimTime observed_at,
@@ -68,6 +82,15 @@ class LogJoiner {
   /// The same, moving the row's strings into the certificate (the readers
   /// hand each parsed row over by value).
   void add(X509LogRecord&& certificate);
+  /// The same for a row built off the joiner: with a pool, both raw
+  /// spellings are interned (a new one takes over the prepared parse), the
+  /// certificate shares the pool's DN bodies and carries their ids — the
+  /// certificate, ids and pool add(record) would have produced; without
+  /// one, the certificate carries no ids. Whatever the joiner does not keep
+  /// stays in `prepared` — the raw spellings, a duplicate fuid's
+  /// certificate, a parse the pool already had — for the caller to free,
+  /// on the thread that built it if it likes.
+  void add(PreparedCertificate& prepared);
 
   std::size_t certificate_count() const { return by_fuid_.size(); }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <charconv>
+#include <stdexcept>
 
 #include "util/strings.hpp"
 
@@ -200,7 +201,26 @@ void append_ssl_row(std::string& out, const SslLogRecord& record) {
   out.back() = '\n';
 }
 
+/// X509.log's version, key length and path length are Zeek `count`s, which
+/// parse_x509_row reads unsigned: a negative one would be written and then
+/// dropped as malformed. The row is refused before any byte of it is
+/// written, so what a writer accepts always reads back.
+void check_counts(const X509LogRecord& record) {
+  const auto check = [](const char* field, long long value) {
+    if (value < 0) {
+      throw std::invalid_argument(std::string("X509.log ") + field +
+                                  " is a count, not " + std::to_string(value));
+    }
+  };
+  check("certificate.version", record.version);
+  check("certificate.key_length", record.key_length);
+  if (record.basic_constraints_path_len) {
+    check("basic_constraints.path_len", *record.basic_constraints_path_len);
+  }
+}
+
 void append_x509_row(std::string& out, const X509LogRecord& record) {
+  check_counts(record);
   append_time_cell(out, record.ts);
   append_text(out, record.fuid);
   append_int(out, record.version);

@@ -70,7 +70,9 @@ void for_each_vector_element(std::string_view cell, std::string& scratch,
 /// synthesize ingest batches byte-identical to writer-produced logs.
 std::string render_ssl_row(const SslLogRecord& record);
 
-/// Renders one X509.log body row (no trailing newline).
+/// Renders one X509.log body row (no trailing newline). Throws
+/// std::invalid_argument for a negative version, key length or path
+/// length: Zeek writes those fields as unsigned counts.
 std::string render_x509_row(const X509LogRecord& record);
 
 /// Serializes SSL.log.
@@ -91,6 +93,8 @@ class SslLogWriter {
 class X509LogWriter {
  public:
   X509LogWriter();
+  /// Throws std::invalid_argument, writing nothing, for a record
+  /// render_x509_row refuses.
   void add(const X509LogRecord& record);
   std::size_t count() const { return count_; }
   std::string finish() const;

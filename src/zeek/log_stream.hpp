@@ -14,6 +14,7 @@
 // pipeline's lenient ingestion mode reports on.
 #pragma once
 
+#include <algorithm>
 #include <functional>
 #include <optional>
 #include <string>
@@ -55,45 +56,161 @@ struct ReaderCheckpoint {
 /// once per successfully parsed record, in stream order. A view record
 /// (SslRowView) points into the fed chunk or the reader's split-line
 /// buffer, so it is valid only until the callback returns.
+///
+/// A chunk can also be parsed in pieces, on several threads (DESIGN.md
+/// §10.2): split() cuts its complete lines into line-aligned pieces, each
+/// primed with the header state its first line sees; parse() runs one piece
+/// with piece-local counters and errors; commit() adds the pieces up in
+/// order. The reader then stands exactly where feed() of the same bytes
+/// would have left it.
 template <typename Record>
 class StreamingLogReader {
  public:
   using Callback = std::function<void(Record)>;
   using LineError = ReaderLineError;
 
+  /// One line-aligned piece of a fed chunk.
+  struct Piece {
+    /// Piece 0 only: the line completed across feeds, which comes first.
+    std::string_view carried;
+    std::string_view lines;  // complete lines, each ending in '\n'
+    /// In: the header state at the piece's start. Out: what parsing the
+    /// piece saw, with line numbers counted from the piece's start.
+    ReaderCheckpoint state;
+  };
+
   StreamingLogReader(std::string expected_fields, Callback callback)
       : expected_fields_(std::move(expected_fields)),
         callback_(std::move(callback)) {}
 
-  /// Attaches a DN pool: every emitted record gets its subject/issuer
-  /// interned (intern_dn_fields) before the callback sees it. Not part of
-  /// checkpoint state — a restored reader re-attaches its pool.
+  /// Attaches a DN pool: every record fed through feed()/finish() gets its
+  /// subject/issuer interned (intern_dn_fields) before the callback sees
+  /// it. Not part of checkpoint state — a restored reader re-attaches its
+  /// pool. parse() never interns.
   void set_dn_pool(core::DnPool* pool) { dn_pool_ = pool; }
 
   /// Feeds a chunk of bytes. Complete lines are parsed in place, straight
   /// out of `chunk`; only a line split across feeds is assembled in the
   /// reader's buffer, and the unterminated tail is kept for the next feed.
   void feed(std::string_view chunk) {
-    bytes_consumed_ += chunk.size();
+    state_.bytes_consumed += chunk.size();
+    const auto emit = [this](Record record) { deliver(std::move(record)); };
     std::size_t start = 0;
-    if (!buffer_.empty()) {
+    if (!state_.buffer.empty()) {
       const std::size_t newline = chunk.find('\n');
       if (newline == std::string_view::npos) {
-        buffer_.append(chunk);
+        state_.buffer.append(chunk);
         return;
       }
-      buffer_.append(chunk.substr(0, newline));
-      consume_line(buffer_);
-      buffer_.clear();
+      state_.buffer.append(chunk.substr(0, newline));
+      consume_line(state_, state_.buffer, emit);
+      state_.buffer.clear();
       start = newline + 1;
     }
     while (true) {
       const std::size_t newline = chunk.find('\n', start);
       if (newline == std::string_view::npos) break;
-      consume_line(chunk.substr(start, newline - start));
+      consume_line(state_, chunk.substr(start, newline - start), emit);
       start = newline + 1;
     }
-    buffer_.assign(chunk.substr(start));
+    state_.buffer.assign(chunk.substr(start));
+  }
+
+  /// feed()'s first half: takes `chunk` in (its bytes are consumed and its
+  /// unterminated tail is kept) and returns its complete lines as at most
+  /// `max_pieces` line-aligned pieces, empty ones left out. The carried
+  /// line, completed, opens piece 0 and lives in the reader until the next
+  /// split; views parsed out of the pieces point into it or into `chunk`.
+  std::vector<Piece> split(std::string_view chunk, std::size_t max_pieces) {
+    state_.bytes_consumed += chunk.size();
+    carried_.clear();
+    std::size_t start = 0;
+    if (!state_.buffer.empty()) {
+      const std::size_t newline = chunk.find('\n');
+      if (newline == std::string_view::npos) {
+        state_.buffer.append(chunk);
+        return {};
+      }
+      carried_.swap(state_.buffer);
+      carried_.append(chunk.substr(0, newline));
+      start = newline + 1;
+    }
+    const std::size_t last = chunk.rfind('\n');
+    const std::size_t end =
+        last == std::string_view::npos ? start : std::max(start, last + 1);
+    const std::string_view body = chunk.substr(start, end - start);
+    state_.buffer.assign(chunk.substr(end));
+
+    std::vector<Piece> pieces;
+    bool in_body = state_.in_body;
+    std::size_t begin = 0;
+    for (std::size_t k = 0; k < max_pieces; ++k) {
+      std::size_t cut = body.size();
+      if (k + 1 < max_pieces) {
+        // Even-split target, moved on to the next line start. `body` ends
+        // with a newline, so the search always succeeds.
+        const std::size_t target = (k + 1) * body.size() / max_pieces;
+        cut = target <= begin ? begin : body.find('\n', target - 1) + 1;
+      }
+      Piece piece;
+      if (k == 0) piece.carried = carried_;
+      piece.lines = body.substr(begin, cut - begin);
+      begin = cut;
+      if (piece.carried.empty() && piece.lines.empty()) continue;
+      piece.state.in_body = in_body;
+      in_body = header_state_after(piece.lines,
+                                   header_state_after(piece.carried, in_body));
+      pieces.push_back(std::move(piece));
+    }
+    return pieces;
+  }
+
+  /// finish()'s first half: the trailing unterminated line, if any, as the
+  /// carried line of a single piece. Call finish() after its commit().
+  std::vector<Piece> split_tail() {
+    std::vector<Piece> pieces;
+    carried_.clear();
+    if (state_.buffer.empty()) return pieces;
+    carried_.swap(state_.buffer);
+    Piece& piece = pieces.emplace_back();
+    piece.carried = carried_;
+    piece.state.in_body = state_.in_body;
+    return pieces;
+  }
+
+  /// Parses one split() piece, calling `emit(record)` per record in line
+  /// order. Reads only the field layout, so distinct pieces may be parsed
+  /// on distinct threads at once.
+  template <typename Emit>
+  void parse(Piece& piece, Emit&& emit) const {
+    if (!piece.carried.empty()) consume_line(piece.state, piece.carried, emit);
+    const std::string_view lines = piece.lines;
+    for (std::size_t start = 0; start < lines.size();) {
+      const std::size_t newline = lines.find('\n', start);
+      consume_line(piece.state, lines.substr(start, newline - start), emit);
+      start = newline + 1;
+    }
+  }
+
+  /// Adds parsed pieces, in piece order, to the reader's state: counters,
+  /// errors renumbered to stream lines (kept up to the cap, in order), and
+  /// the header state the last piece left.
+  void commit(const std::vector<Piece>& pieces) {
+    for (const Piece& piece : pieces) {
+      const ReaderCheckpoint& part = piece.state;
+      const std::size_t first_line = state_.line_offset + state_.lines_seen;
+      for (const LineError& error : part.errors) {
+        if (state_.errors.size() >= kMaxRecordedErrors) break;
+        state_.errors.push_back(
+            LineError{first_line + error.line_number, error.message});
+      }
+      state_.lines_seen += part.lines_seen;
+      state_.records_emitted += part.records_emitted;
+      state_.lines_skipped += part.lines_skipped;
+      state_.malformed_rows += part.malformed_rows;
+      state_.rotations_seen += part.rotations_seen;
+      state_.in_body = part.in_body;
+    }
   }
 
   /// Flushes a trailing unterminated line and resets the header state so the
@@ -101,116 +218,113 @@ class StreamingLogReader {
   /// and recorded errors accumulate across streams (callers snapshot or
   /// construct a new reader for per-stream accounting).
   void finish() {
-    if (!buffer_.empty()) {
-      consume_line(buffer_);
-      buffer_.clear();
+    if (!state_.buffer.empty()) {
+      const auto emit = [this](Record record) { deliver(std::move(record)); };
+      consume_line(state_, state_.buffer, emit);
+      state_.buffer.clear();
     }
-    in_body_ = false;
+    state_.in_body = false;
   }
 
-  std::size_t lines_seen() const { return lines_seen_; }
+  std::size_t lines_seen() const { return state_.lines_seen; }
   /// Total bytes fed into the reader (all chunks, including damage).
-  std::size_t bytes_consumed() const { return bytes_consumed_; }
-  std::size_t records_emitted() const { return records_emitted_; }
+  std::size_t bytes_consumed() const { return state_.bytes_consumed; }
+  std::size_t records_emitted() const { return state_.records_emitted; }
   /// Every line that was dropped: unknown headers, pre-header data, and
   /// malformed body rows.
-  std::size_t lines_skipped() const { return lines_skipped_; }
+  std::size_t lines_skipped() const { return state_.lines_skipped; }
   /// Subset of lines_skipped(): body rows that failed to parse.
-  std::size_t malformed_rows() const { return malformed_rows_; }
-  std::size_t rotations_seen() const { return rotations_seen_; }
+  std::size_t malformed_rows() const { return state_.malformed_rows; }
+  std::size_t rotations_seen() const { return state_.rotations_seen; }
 
   /// Capped sample of parse failures, in stream order.
-  const std::vector<LineError>& errors() const { return errors_; }
+  const std::vector<LineError>& errors() const { return state_.errors; }
   static constexpr std::size_t kMaxRecordedErrors = 32;
 
   /// Snapshots the reader's full state at a feed() boundary (checkpointing).
-  ReaderCheckpoint checkpoint() const {
-    ReaderCheckpoint state;
-    state.buffer = buffer_;
-    state.in_body = in_body_;
-    state.line_offset = line_offset_;
-    state.bytes_consumed = bytes_consumed_;
-    state.lines_seen = lines_seen_;
-    state.records_emitted = records_emitted_;
-    state.lines_skipped = lines_skipped_;
-    state.malformed_rows = malformed_rows_;
-    state.rotations_seen = rotations_seen_;
-    state.errors = errors_;
-    return state;
-  }
+  ReaderCheckpoint checkpoint() const { return state_; }
 
   /// Restores a checkpoint() snapshot. Call before the first feed(); the
   /// reader then continues the stream as if it had consumed the prefix.
-  void restore(const ReaderCheckpoint& state) {
-    buffer_ = state.buffer;
-    in_body_ = state.in_body;
-    line_offset_ = state.line_offset;
-    bytes_consumed_ = state.bytes_consumed;
-    lines_seen_ = state.lines_seen;
-    records_emitted_ = state.records_emitted;
-    lines_skipped_ = state.lines_skipped;
-    malformed_rows_ = state.malformed_rows;
-    rotations_seen_ = state.rotations_seen;
-    errors_ = state.errors;
-  }
+  void restore(const ReaderCheckpoint& state) { state_ = state; }
 
  private:
-  void consume_line(std::string_view line) {
-    ++lines_seen_;
+  void deliver(Record record) {
+    if constexpr (!std::is_same_v<Record, SslRowView>) {  // views carry no ids
+      if (dn_pool_ != nullptr) intern_dn_fields(record, *dn_pool_);
+    }
+    callback_(std::move(record));
+  }
+
+  /// The one line rule: header directives, then body rows. Updates `state`
+  /// and hands each parsed record to `emit`.
+  template <typename Emit>
+  void consume_line(ReaderCheckpoint& state, std::string_view line,
+                    Emit& emit) const {
+    ++state.lines_seen;
     if (line.empty()) return;
     if (line.front() == '#') {
       if (line.rfind("#close", 0) == 0) {
         // Rotation boundary: the next file announces its own header.
-        ++rotations_seen_;
-        in_body_ = false;
+        ++state.rotations_seen;
+        state.in_body = false;
       } else if (line.rfind("#fields\t", 0) == 0) {
-        in_body_ = (line.substr(8) == expected_fields_);
-        if (!in_body_) {
-          ++lines_skipped_;
-          record_line_error("unknown #fields layout");
+        state.in_body = (line.substr(8) == expected_fields_);
+        if (!state.in_body) {
+          ++state.lines_skipped;
+          record_line_error(state, "unknown #fields layout");
         }
       }
       return;
     }
-    if (!in_body_) {
-      ++lines_skipped_;
-      record_line_error("data before a recognized #fields header");
+    if (!state.in_body) {
+      ++state.lines_skipped;
+      record_line_error(state, "data before a recognized #fields header");
       return;
     }
     std::string error;
     if (auto record = parse_row(line, &error)) {
-      ++records_emitted_;
-      if constexpr (!std::is_same_v<Record, SslRowView>) {  // views carry no ids
-        if (dn_pool_ != nullptr) intern_dn_fields(*record, *dn_pool_);
-      }
-      callback_(*std::move(record));
+      ++state.records_emitted;
+      emit(*std::move(record));
     } else {
-      ++lines_skipped_;
-      ++malformed_rows_;
-      record_line_error(error);
+      ++state.lines_skipped;
+      ++state.malformed_rows;
+      record_line_error(state, std::move(error));
     }
   }
 
-  void record_line_error(std::string message) {
-    if (errors_.size() >= kMaxRecordedErrors) return;
-    errors_.push_back(LineError{line_offset_ + lines_seen_, std::move(message)});
+  /// The header state after `lines` (consume_line's directive rule alone),
+  /// starting from `in_body`. Directive lines are rare, so this jumps
+  /// between '#' bytes rather than walking every line.
+  bool header_state_after(std::string_view lines, bool in_body) const {
+    for (std::size_t at = lines.find('#'); at != std::string_view::npos;
+         at = lines.find('#', at + 1)) {
+      if (at != 0 && lines[at - 1] != '\n') continue;
+      const std::string_view line =
+          lines.substr(at, lines.find('\n', at) - at);
+      if (line.rfind("#close", 0) == 0) {
+        in_body = false;
+      } else if (line.rfind("#fields\t", 0) == 0) {
+        in_body = (line.substr(8) == expected_fields_);
+      }
+    }
+    return in_body;
   }
 
-  std::optional<Record> parse_row(std::string_view line, std::string* error);
+  static void record_line_error(ReaderCheckpoint& state, std::string message) {
+    if (state.errors.size() >= kMaxRecordedErrors) return;
+    state.errors.push_back(
+        LineError{state.line_offset + state.lines_seen, std::move(message)});
+  }
+
+  static std::optional<Record> parse_row(std::string_view line,
+                                         std::string* error);
 
   std::string expected_fields_;
   Callback callback_;
   core::DnPool* dn_pool_ = nullptr;
-  std::string buffer_;
-  bool in_body_ = false;
-  std::size_t line_offset_ = 0;
-  std::size_t bytes_consumed_ = 0;
-  std::size_t lines_seen_ = 0;
-  std::size_t records_emitted_ = 0;
-  std::size_t lines_skipped_ = 0;
-  std::size_t malformed_rows_ = 0;
-  std::size_t rotations_seen_ = 0;
-  std::vector<LineError> errors_;
+  ReaderCheckpoint state_;
+  std::string carried_;  // the line split() completed, until the next split
 };
 
 /// Field layouts matching the writers in log_io.cpp.

@@ -215,3 +215,110 @@ TEST(LogStream, ChunkSizeNeverChangesTheParse) {
 
 }  // namespace
 }  // namespace certchain::zeek
+
+namespace certchain::zeek {
+namespace {
+
+/// Reads `text` in `chunk` slices through split()/parse()/commit() with up
+/// to `pieces` pieces a chunk (pieces parsed back to front, as workers may
+/// finish), then split_tail()/finish(): the uids in piece order and the
+/// final reader state.
+std::pair<std::vector<std::string>, ReaderCheckpoint> parse_in_pieces(
+    std::string_view text, std::size_t chunk, std::size_t pieces) {
+  std::vector<std::string> uids;
+  auto reader = make_streaming_ssl_view_reader([](SslRowView) {
+    ADD_FAILURE() << "pieces never reach the callback";
+  });
+  const auto run = [&](std::vector<StreamingSslViewReader::Piece> parts) {
+    std::vector<std::vector<std::string>> found(parts.size());
+    for (std::size_t k = parts.size(); k-- > 0;) {
+      reader.parse(parts[k], [&found, k](SslRowView row) {
+        found[k].emplace_back(row.uid);
+      });
+    }
+    reader.commit(parts);
+    for (const auto& piece : found) uids.insert(uids.end(), piece.begin(), piece.end());
+  };
+  for (std::size_t pos = 0; pos < text.size(); pos += chunk) {
+    run(reader.split(text.substr(pos, chunk), pieces));
+  }
+  run(reader.split_tail());
+  reader.finish();
+  return {uids, reader.checkpoint()};
+}
+
+TEST(LogStream, PiecesReproduceFeedOnEveryCutAndPieceCount) {
+  // Rotations, a foreign layout, data before a header, 40 damaged rows (over
+  // the 32-error cap) and an unterminated last row, over many chunk sizes.
+  SslLogWriter first;
+  SslLogWriter second;
+  SslLogRecord record = two_ssl_records()[0];
+  for (int i = 0; i < 60; ++i) {
+    record.uid = "C" + std::to_string(i);
+    (i < 30 ? first : second).add(record);
+  }
+  std::string text = "orphan\trow\n" + first.finish() +
+                     "#fields\tnot\tthe\tlayout\nstray\trow\n" + second.finish();
+  for (int i = 0; i < 40; ++i) {
+    const std::size_t at = text.find("\tC" + std::to_string(i + 10) + "\t");
+    ASSERT_NE(at, std::string::npos);
+    text.insert(text.rfind('\n', at) + 1, "bad\trow\n");
+  }
+  text += render_ssl_row(record);  // no trailing newline
+
+  std::vector<std::string> uids;
+  auto reference = make_streaming_ssl_view_reader(
+      [&uids](SslRowView row) { uids.emplace_back(row.uid); });
+  reference.feed(text);
+  reference.finish();
+  const ReaderCheckpoint want = reference.checkpoint();
+  ASSERT_EQ(want.errors.size(), StreamingSslViewReader::kMaxRecordedErrors);
+  ASSERT_EQ(want.rotations_seen, 2u);
+
+  for (const std::size_t chunk : {std::size_t{1}, std::size_t{97},
+                                  std::size_t{4096}, text.size()}) {
+    for (const std::size_t pieces : {1u, 2u, 3u, 8u}) {
+      const auto [got_uids, got] = parse_in_pieces(text, chunk, pieces);
+      const std::string label =
+          "chunk " + std::to_string(chunk) + ", " + std::to_string(pieces) + " pieces";
+      EXPECT_EQ(got_uids, uids) << label;
+      EXPECT_EQ(got.bytes_consumed, want.bytes_consumed) << label;
+      EXPECT_EQ(got.lines_seen, want.lines_seen) << label;
+      EXPECT_EQ(got.records_emitted, want.records_emitted) << label;
+      EXPECT_EQ(got.lines_skipped, want.lines_skipped) << label;
+      EXPECT_EQ(got.malformed_rows, want.malformed_rows) << label;
+      EXPECT_EQ(got.rotations_seen, want.rotations_seen) << label;
+      EXPECT_EQ(got.in_body, want.in_body) << label;
+      ASSERT_EQ(got.errors.size(), want.errors.size()) << label;
+      for (std::size_t i = 0; i < want.errors.size(); ++i) {
+        EXPECT_EQ(got.errors[i].line_number, want.errors[i].line_number) << label;
+        EXPECT_EQ(got.errors[i].message, want.errors[i].message) << label;
+      }
+    }
+  }
+}
+
+TEST(LogStream, SplitKeepsTheReaderCheckpointOfFeed) {
+  // After each chunk the reader's checkpoint (carried tail included) is the
+  // one feed() leaves, so a parallel fold checkpoints identically.
+  const std::string log = two_record_ssl_log();
+  auto fed = make_streaming_ssl_view_reader([](SslRowView) {});
+  auto split = make_streaming_ssl_view_reader([](SslRowView) {});
+  for (std::size_t pos = 0; pos < log.size(); pos += 50) {
+    const std::string_view chunk = std::string_view(log).substr(pos, 50);
+    fed.feed(chunk);
+    auto pieces = split.split(chunk, 3);
+    for (auto& piece : pieces) split.parse(piece, [](SslRowView) {});
+    split.commit(pieces);
+    const ReaderCheckpoint a = fed.checkpoint();
+    const ReaderCheckpoint b = split.checkpoint();
+    EXPECT_EQ(a.buffer, b.buffer) << pos;
+    EXPECT_EQ(a.in_body, b.in_body) << pos;
+    EXPECT_EQ(a.lines_seen, b.lines_seen) << pos;
+    EXPECT_EQ(a.records_emitted, b.records_emitted) << pos;
+    EXPECT_EQ(a.bytes_consumed, b.bytes_consumed) << pos;
+  }
+}
+
+}  // namespace
+}  // namespace certchain::zeek

@@ -1,15 +1,19 @@
-// Unit tests for the execution layer under the sharded pipeline
-// (DESIGN.md §10): thread resolution, the batch-barrier pool contract
-// (every task runs, writes are visible after the barrier, lowest-index
-// exception wins), and the exact chunk geometry of parallel_for_chunks.
+// Unit tests for the execution layer under the pooled engine (DESIGN.md
+// §10): thread resolution, the batch-barrier pool contract (every task
+// runs, writes are visible after the barrier, lowest-index exception wins,
+// the caller claims tasks too), the ordered pipeline, and the exact chunk
+// geometry of parallel_for_chunks.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <condition_variable>
 #include <functional>
+#include <mutex>
 #include <numeric>
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "par/thread_pool.hpp"
@@ -143,6 +147,83 @@ TEST(ParallelForChunks, RethrowsByChunkIndex) {
     FAIL() << "expected a rethrow";
   } catch (const std::runtime_error& error) {
     EXPECT_STREQ(error.what(), "chunk 1");
+  }
+}
+
+TEST(ThreadPool, BatchFinishesWhileEveryWorkerIsBusy) {
+  // The calling thread claims tasks too, so a batch never waits on a worker
+  // that cannot pick it up.
+  ThreadPool pool(2);
+  std::mutex mutex;
+  std::condition_variable released;
+  bool release = false;
+  for (int i = 0; i < 2; ++i) {
+    pool.submit([&] {
+      std::unique_lock<std::mutex> lock(mutex);
+      released.wait(lock, [&] { return release; });
+    });
+  }
+  std::atomic<int> ran{0};
+  std::vector<std::function<void()>> tasks(6, [&ran] { ++ran; });
+  pool.run_batch(std::move(tasks));
+  EXPECT_EQ(ran.load(), 6);
+  {
+    std::lock_guard<std::mutex> lock(mutex);
+    release = true;
+  }
+  released.notify_all();
+}
+
+TEST(ThreadPool, OrderedPipelineConsumesInOrderOnTheCallingThread) {
+  ThreadPool pool(4);
+  constexpr std::size_t kCount = 64;
+  std::vector<int> products(kCount, 0);  // plain ints: the pipeline fences
+  std::vector<std::size_t> consumed;
+  const std::thread::id caller = std::this_thread::get_id();
+  bool consumed_elsewhere = false;
+  pool.run_ordered(
+      kCount,
+      [&products](std::size_t k) { products[k] = static_cast<int>(k) * 3; },
+      [&](std::size_t k) {
+        EXPECT_EQ(products[k], static_cast<int>(k) * 3) << k;
+        consumed.push_back(k);
+        consumed_elsewhere |= std::this_thread::get_id() != caller;
+      });
+  std::vector<std::size_t> want(kCount);
+  std::iota(want.begin(), want.end(), 0);
+  EXPECT_EQ(consumed, want);
+  EXPECT_FALSE(consumed_elsewhere);
+  pool.run_ordered(0, [](std::size_t) { FAIL(); }, [](std::size_t) { FAIL(); });
+}
+
+TEST(ThreadPool, OrderedPipelineStopsAtTheFirstFailedProduct) {
+  ThreadPool pool(3);
+  std::atomic<int> produced{0};
+  std::vector<std::size_t> consumed;
+  try {
+    pool.run_ordered(
+        10,
+        [&produced](std::size_t k) {
+          ++produced;
+          if (k == 4 || k == 7) throw std::runtime_error("product " + std::to_string(k));
+        },
+        [&consumed](std::size_t k) { consumed.push_back(k); });
+    FAIL() << "expected a rethrow";
+  } catch (const std::runtime_error& error) {
+    EXPECT_STREQ(error.what(), "product 4");
+  }
+  EXPECT_EQ(produced.load(), 10);  // every product ran before the rethrow
+  EXPECT_EQ(consumed, (std::vector<std::size_t>{0, 1, 2, 3}));
+
+  try {
+    pool.run_ordered(
+        5, [](std::size_t) {},
+        [](std::size_t k) {
+          if (k == 2) throw std::runtime_error("consume 2");
+        });
+    FAIL() << "expected a rethrow";
+  } catch (const std::runtime_error& error) {
+    EXPECT_STREQ(error.what(), "consume 2");
   }
 }
 

@@ -15,9 +15,13 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdio>
+#include <functional>
 #include <map>
+#include <optional>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "../tests/helpers.hpp"
@@ -27,7 +31,9 @@
 #include "ct/ct_log.hpp"
 #include "datagen/scenario.hpp"
 #include "obs/manifest.hpp"
+#include "obs/json.hpp"
 #include "obs/run_context.hpp"
+#include "par/thread_pool.hpp"
 #include "util/hash.hpp"
 #include "util/rng.hpp"
 #include "util/time.hpp"
@@ -368,6 +374,280 @@ TEST(ParallelDiffScenarios, HandBuiltMiniCorpusWithJoinHazards) {
   EXPECT_GT(serial.totals.tls13_connections, 0u);
   EXPECT_GT(serial.totals.incomplete_joins, 0u);
   EXPECT_GT(serial.categories.at(chain::ChainCategory::kHybrid).chains, 0u);
+}
+
+}  // namespace
+}  // namespace certchain
+
+namespace certchain {
+namespace {
+
+// --- the fold itself on the pool ---------------------------------------------
+//
+// A pooled raw-text fold parses each chunk on the workers and folds SSL rows
+// on the worker that owns their chain (DESIGN.md §10.2). Everything it
+// leaves behind — report, counters, manifest, the corpus snapshot, the
+// joiner's DN ids — must equal the one-thread fold's, for every input kind
+// and chunk size.
+
+std::string temp_file(const std::string& leaf, const std::string& content) {
+  const std::string path = ::testing::TempDir() + "certchain_pdiff_" + leaf;
+  std::FILE* file = std::fopen(path.c_str(), "wb");
+  EXPECT_NE(file, nullptr);
+  if (file == nullptr) return path;
+  EXPECT_EQ(std::fwrite(content.data(), 1, content.size(), file),
+            content.size());
+  std::fclose(file);
+  return path;
+}
+
+/// A log pair as each raw-text input kind hands it to the engine; each call
+/// makes a fresh input (a source is read once).
+std::vector<std::pair<std::string, std::function<core::StudyInput()>>>
+raw_inputs(const std::string& ssl, const std::string& x509,
+           const std::string& tag) {
+  const std::string ssl_path = temp_file(tag + "_ssl.log", ssl);
+  const std::string x509_path = temp_file(tag + "_x509.log", x509);
+  return {
+      {"text", [&ssl, &x509] { return core::StudyInput::text(ssl, x509); }},
+      {"sources",
+       [&ssl, &x509] {
+         return core::StudyInput::sources(core::make_text_source(ssl),
+                                          core::make_text_source(x509));
+       }},
+      {"files",
+       [ssl_path, x509_path] {
+         return core::StudyInput::files(ssl_path, x509_path);
+       }},
+  };
+}
+
+template <typename Map>
+Map without_stream_metrics(const Map& metrics) {
+  Map out;
+  for (const auto& [name, value] : metrics) {
+    if (name.rfind("stream.", 0) != 0 && name.rfind("mem.", 0) != 0) {
+      out.emplace(name, value);
+    }
+  }
+  return out;
+}
+
+/// What a fold at `threads` leaves behind that must not depend on them.
+struct FoldOutcome {
+  std::string report;
+  std::map<std::string, std::uint64_t> counters;
+  std::map<std::string, double> gauges;
+  obs::RunManifest manifest;
+  std::vector<std::string> sample_errors;
+  std::string snapshot;
+  std::vector<std::string> dn_ids;  // per X509 fuid: "issuer/subject"
+  /// Per chain, its clients' addresses in the order it met them: the row
+  /// order each chain's owner must fold in.
+  std::vector<std::string> client_orders;
+};
+
+FoldOutcome fold_outcome(const core::StudyPipeline& pipeline,
+                         const std::function<core::StudyInput()>& input,
+                         core::RunOptions options,
+                         const std::vector<std::string>& fuids) {
+  FoldOutcome outcome;
+  core::ReportTextOptions text_options;
+  text_options.graphs = true;
+  obs::RunContext ctx;
+  const core::StudyReport report = pipeline.run(input(), options, &ctx);
+  outcome.report = render_report_text(report, text_options);
+  outcome.counters = without_stream_metrics(ctx.metrics.counters());
+  outcome.gauges = without_stream_metrics(ctx.metrics.gauges());
+  outcome.manifest = build_run_manifest(ctx);
+  outcome.sample_errors = report.ingest.sample_errors;
+
+  // The engine's own fold, kept: the corpus snapshot and the DN ids.
+  core::DnPool dn_pool;
+  zeek::LogJoiner joiner;
+  joiner.set_dn_pool(&dn_pool);
+  core::CorpusIndex corpus;
+  obs::RunContext fold_ctx;
+  std::optional<par::ThreadPool> workers;
+  if (options.threads > 1) workers.emplace(options.threads);
+  core::fold_input(input(), options, joiner, corpus, fold_ctx,
+                   workers ? &*workers : nullptr);
+  obs::json::Writer writer;
+  corpus.write_snapshot(writer);
+  outcome.snapshot = std::move(writer).str();
+  for (const auto& [chain_id, observation] : corpus.chains()) {
+    std::string order;
+    for (const core::ClientId client : observation.client_ips) {
+      order.append(corpus.client_address(client)).push_back(' ');
+    }
+    outcome.client_orders.push_back(std::move(order));
+  }
+  for (const std::string& fuid : fuids) {
+    const x509::CertificateHandle* cert = joiner.find(fuid);
+    outcome.dn_ids.push_back(cert == nullptr
+                                 ? "-"
+                                 : std::to_string((*cert)->issuer_id) + "/" +
+                                       std::to_string((*cert)->subject_id));
+  }
+  return outcome;
+}
+
+void expect_same_outcome(const FoldOutcome& got, const FoldOutcome& want,
+                         const std::string& label) {
+  EXPECT_EQ(got.report, want.report) << label;
+  EXPECT_EQ(got.counters, want.counters) << label;
+  EXPECT_EQ(got.gauges, want.gauges) << label;
+  expect_same_manifest(got.manifest, want.manifest, 0);
+  EXPECT_EQ(got.sample_errors, want.sample_errors) << label;
+  EXPECT_EQ(got.snapshot, want.snapshot) << label;
+  EXPECT_EQ(got.dn_ids, want.dn_ids) << label;
+  EXPECT_EQ(got.client_orders, want.client_orders) << label;
+}
+
+std::vector<std::string> x509_fuids(const netsim::GeneratedLogs& logs) {
+  std::vector<std::string> fuids;
+  for (const auto& record : logs.x509) fuids.push_back(record.fuid);
+  return fuids;
+}
+
+/// Asserts thread-count invariance of the fold of (ssl, x509): every
+/// raw-text input kind and chunk size of 16 KiB, 64 KiB and 4 MiB at T in
+/// {1, 2, 4, 8}, or, `briefly`, text and files at 16 and 64 KiB at T in
+/// {1, 4} (the sanitizer lanes run these suites too).
+void expect_fold_invariant(const core::StudyPipeline& pipeline,
+                           const std::string& ssl, const std::string& x509,
+                           const std::vector<std::string>& fuids,
+                           const std::string& tag, bool briefly = false) {
+  const std::vector<std::size_t> chunks =
+      briefly ? std::vector<std::size_t>{16 << 10, 64 << 10}
+              : std::vector<std::size_t>{16 << 10, 64 << 10, 4 << 20};
+  const std::vector<std::size_t> pools =
+      briefly ? std::vector<std::size_t>{4} : std::vector<std::size_t>{2, 4, 8};
+  for (auto& [kind, input] : raw_inputs(ssl, x509, tag)) {
+    if (briefly && kind == "sources") continue;
+    for (const std::size_t chunk : chunks) {
+      core::RunOptions options;
+      options.chunk_bytes = chunk;
+      const FoldOutcome serial = fold_outcome(pipeline, input, options, fuids);
+      for (const std::size_t threads : pools) {
+        options.threads = threads;
+        expect_same_outcome(fold_outcome(pipeline, input, options, fuids),
+                            serial,
+                            tag + " " + kind + ", chunk " +
+                                std::to_string(chunk) + ", " +
+                                std::to_string(threads) + " threads");
+      }
+    }
+  }
+}
+
+TEST_F(ParallelDiffTest, FoldIsThreadCountInvariantOverInputsAndChunkSizes) {
+  expect_fold_invariant(*pipeline_, *ssl_text_, *x509_text_, x509_fuids(*logs_),
+                        "clean");
+}
+
+TEST_F(ParallelDiffTest, FoldIsThreadCountInvariantOnDamagedLines) {
+  const std::string damaged_ssl = corrupt(*ssl_text_, 0xFA11);
+  const std::string damaged_x509 = corrupt(*x509_text_, 0xFA12);
+  expect_fold_invariant(*pipeline_, damaged_ssl, damaged_x509,
+                        x509_fuids(*logs_), "damaged", /*briefly=*/true);
+  // Strict mode raises the one first error at every thread count.
+  const core::StudyInput text = core::StudyInput::text(damaged_ssl, damaged_x509);
+  core::RunOptions options;
+  options.chunk_bytes = 16 << 10;
+  const std::string serial_message = strict_error(*pipeline_, text, options);
+  ASSERT_EQ(serial_message.rfind("ssl log line ", 0), 0u) << serial_message;
+  for (const std::size_t threads : {2u, 4u, 8u}) {
+    options.threads = threads;
+    EXPECT_EQ(strict_error(*pipeline_, text, options), serial_message)
+        << threads << " threads";
+  }
+}
+
+TEST_F(ParallelDiffTest, FoldIsThreadCountInvariantAcrossMidChunkRotations) {
+  // The SSL stream is three rotated files back to back: each "#close" and
+  // the next file's header land mid-chunk, between pieces or inside one.
+  std::string rotated;
+  const std::size_t third = logs_->ssl.size() / 3;
+  for (std::size_t part = 0; part < 3; ++part) {
+    zeek::SslLogWriter writer;
+    const std::size_t end = part == 2 ? logs_->ssl.size() : (part + 1) * third;
+    for (std::size_t i = part * third; i < end; ++i) writer.add(logs_->ssl[i]);
+    rotated += writer.finish();
+  }
+  expect_fold_invariant(*pipeline_, rotated, *x509_text_, x509_fuids(*logs_),
+                        "rotated", /*briefly=*/true);
+}
+
+TEST_F(ParallelDiffTest, FoldIsThreadCountInvariantWhenOneChainTakesMostRows) {
+  // One owner folds >= 90% of the rows: the hot chain's rows come from every
+  // piece and must still fold in row order.
+  const zeek::SslLogRecord* hot = nullptr;
+  for (const auto& record : logs_->ssl) {
+    if (!record.cert_chain_fuids.empty()) {
+      hot = &record;
+      break;
+    }
+  }
+  ASSERT_NE(hot, nullptr);
+  zeek::SslLogWriter writer;
+  std::size_t hot_rows = 0;
+  for (std::size_t i = 0; i < logs_->ssl.size(); ++i) {
+    zeek::SslLogRecord record = logs_->ssl[i];
+    if (i % 20 != 0) {
+      record.cert_chain_fuids = hot->cert_chain_fuids;
+      ++hot_rows;
+    }
+    writer.add(record);
+  }
+  ASSERT_GE(hot_rows * 10, logs_->ssl.size() * 9);
+  expect_fold_invariant(*pipeline_, writer.finish(), *x509_text_,
+                        x509_fuids(*logs_), "hot", /*briefly=*/true);
+}
+
+TEST_F(ParallelDiffTest, PooledCorpusTakesLaterAddsLikeASerialOne) {
+  // A corpus combined from owners must accept serial add()s exactly as the
+  // one-thread corpus does: repeated (chain, client) pairs stay single, new
+  // clients and chains append.
+  const std::size_t folded = logs_->ssl.size() * 4 / 5;
+  zeek::SslLogWriter writer;
+  for (std::size_t i = 0; i < folded; ++i) writer.add(logs_->ssl[i]);
+  const std::string ssl = writer.finish();
+
+  const auto build = [&](std::size_t threads) {
+    core::DnPool dn_pool;
+    zeek::LogJoiner joiner;
+    joiner.set_dn_pool(&dn_pool);
+    core::CorpusIndex corpus;
+    obs::RunContext ctx;
+    core::RunOptions options;
+    options.chunk_bytes = 16 << 10;
+    std::optional<par::ThreadPool> workers;
+    if (threads > 1) workers.emplace(threads);
+    core::fold_input(core::StudyInput::text(ssl, *x509_text_), options, joiner,
+                     corpus, ctx, workers ? &*workers : nullptr);
+    // The remaining rows, and the first fifth again: known pairs.
+    for (std::size_t i = folded; i < logs_->ssl.size(); ++i) {
+      corpus.add(joiner, logs_->ssl[i]);
+    }
+    for (std::size_t i = 0; i < folded / 5; ++i) {
+      corpus.add(joiner, logs_->ssl[i]);
+    }
+    obs::json::Writer snapshot;
+    corpus.write_snapshot(snapshot);
+    core::ReportTextOptions text_options;
+    text_options.graphs = true;
+    return std::make_pair(
+        std::move(snapshot).str(),
+        render_report_text(pipeline_->analyze(corpus, nullptr, &dn_pool),
+                           text_options));
+  };
+  const auto serial = build(1);
+  for (const std::size_t threads : {2u, 4u, 8u}) {
+    const auto pooled = build(threads);
+    EXPECT_EQ(pooled.first, serial.first) << threads << " threads";
+    EXPECT_EQ(pooled.second, serial.second) << threads << " threads";
+  }
 }
 
 }  // namespace

@@ -426,6 +426,56 @@ TEST_F(StreamingDiffTest, KilledRunResumesFromCheckpointToTheExactReport) {
   EXPECT_FALSE(core::read_file_text(checkpoint).has_value());
 }
 
+TEST_F(StreamingDiffTest, KilledRunResumesAcrossThreadCounts) {
+  // The checkpoint a pooled fold writes after a chunk is the one-thread
+  // fold's, byte for byte, so a run killed at one thread count resumes at
+  // another to the exact report.
+  const std::string checkpoint = temp_path("resume_threads.ckpt");
+  const auto ref = reference_run(*ssl_text_, *x509_text_);
+  const auto killed_checkpoint = [&](std::size_t threads) {
+    std::remove(checkpoint.c_str());
+    core::RunOptions options;
+    options.chunk_bytes = 32 * 1024;
+    options.checkpoint_path = checkpoint;
+    options.threads = threads;
+    EXPECT_THROW(
+        pipeline_->run(
+            core::StudyInput::sources(make_killing_source(ssl_text_, 4),
+                                      core::make_text_source(*x509_text_)),
+            options),
+        std::runtime_error);
+    return core::read_file_text(checkpoint).value_or("");
+  };
+
+  const std::string serial = killed_checkpoint(1);
+  ASSERT_FALSE(serial.empty());
+  for (const std::size_t threads : {2ul, 4ul, 8ul}) {
+    EXPECT_EQ(killed_checkpoint(threads), serial) << threads << " threads";
+  }
+
+  for (const auto& [killed_at, resumed_at] :
+       {std::pair<std::size_t, std::size_t>{4, 1}, {1, 4}}) {
+    killed_checkpoint(killed_at);
+    obs::RunContext ctx;
+    core::RunOptions options;
+    options.chunk_bytes = 32 * 1024;
+    options.checkpoint_path = checkpoint;
+    options.threads = resumed_at;
+    const core::StudyReport resumed = pipeline_->run(
+        core::StudyInput::sources(core::make_text_source(*ssl_text_),
+                                  core::make_text_source(*x509_text_)),
+        options, &ctx);
+    const std::string label = "killed at " + std::to_string(killed_at) +
+                              " threads, resumed at " +
+                              std::to_string(resumed_at);
+    EXPECT_EQ(ctx.metrics.counter("stream.resume.loaded"), 1u) << label;
+    expect_matches_reference(*ref, resumed, ctx, label.c_str());
+    EXPECT_LT(ctx.metrics.counter("stream.chunk.ssl_bytes"), ssl_text_->size())
+        << label;
+  }
+  std::remove(checkpoint.c_str());
+}
+
 TEST_F(StreamingDiffTest, ResumeReproducesLenientDamageAccountingExactly) {
   const std::string checkpoint = temp_path("resume_damaged.ckpt");
   std::remove(checkpoint.c_str());

@@ -52,8 +52,10 @@ void print_usage(const char* argv0) {
       "       %s --demo [options]\n"
       "options:\n"
       "  --strict              abort on the first damaged input line\n"
-      "  --threads <n>         shard the run across n workers (0 = all\n"
-      "                        hardware threads); output is byte-identical\n"
+      "  --threads <n>         fold and analyze on n workers (0 = all\n"
+      "                        hardware threads): each chunk is parsed n-way\n"
+      "                        and every chain's rows fold on one worker;\n"
+      "                        output is byte-identical\n"
       "  --chunk-bytes <n>     streaming chunk size; K/M/G suffixes accepted\n"
       "  --checkpoint <path>   write a resumable fold snapshot after every\n"
       "                        chunk; resume from it if present\n"
