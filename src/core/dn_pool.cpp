@@ -9,15 +9,6 @@ namespace {
 
 constexpr std::size_t kArenaChunkBytes = 64 * 1024;
 
-/// Mirrors zeek::parse_dn_lenient: malformed input degrades to a single
-/// CN=<raw> RDN so the row stays visible to the analysis.
-x509::DistinguishedName parse_lenient(std::string_view raw) {
-  if (auto parsed = x509::DistinguishedName::parse(raw)) return *std::move(parsed);
-  x509::DistinguishedName fallback;
-  fallback.add("CN", std::string(raw));
-  return fallback;
-}
-
 }  // namespace
 
 std::string_view DnPool::arena_store(std::string_view bytes) {
@@ -43,14 +34,14 @@ DnId DnPool::intern_parsed(x509::DistinguishedName name) {
 DnPool::Interned DnPool::intern_raw(std::string_view raw) {
   const auto it = by_raw_.find(raw);
   if (it != by_raw_.end()) return it->second;
-  return remember_raw(raw, parse_lenient(raw));
+  return remember_raw(raw, x509::DistinguishedName::parse_lenient(raw));
 }
 
 DnPool::Interned DnPool::intern_raw(std::string_view raw,
-                                    x509::DistinguishedName&& parsed) {
+                                    const x509::DistinguishedName& parsed) {
   const auto it = by_raw_.find(raw);
   if (it != by_raw_.end()) return it->second;
-  return remember_raw(raw, std::move(parsed));
+  return remember_raw(raw, parsed);
 }
 
 DnPool::Interned DnPool::remember_raw(std::string_view raw,

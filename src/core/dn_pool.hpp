@@ -76,8 +76,10 @@ class DnPool {
 
   /// The same for a spelling already parsed off the pool (a worker-built
   /// certificate's DN, DESIGN.md §10.2): `parsed` must be the lenient parse
-  /// of `raw`, and a miss takes it over instead of parsing again.
-  Interned intern_raw(std::string_view raw, x509::DistinguishedName&& parsed);
+  /// of `raw`, and a miss keeps it, sharing its body, instead of parsing
+  /// again.
+  Interned intern_raw(std::string_view raw,
+                      const x509::DistinguishedName& parsed);
 
   /// The parse of exactly these raw bytes (interning them if new).
   const x509::DistinguishedName& name_for_raw(std::string_view raw) {

@@ -65,8 +65,9 @@ void for_each_slice(std::string_view text, std::size_t chunk_bytes,
 /// reader, whose callback joins or folds each row as it parses. With one,
 /// a chunk is cut into one piece per worker, and:
 ///   X509  workers parse their pieces and build each row's certificate
-///         (zeek::prepare_certificate); the joiner files them here, in row
-///         order, so the pool assigns the ids a serial fold does.
+///         (zeek::CertificateBuilder, one per piece); the joiner files them
+///         here, in row order, so the pool assigns the ids a serial fold
+///         does.
 ///   SSL   workers parse their pieces, resolve each fuid cell once per
 ///         worker (ChainResolver) and route each row to the owner of its
 ///         chain (CorpusIndex::owner_of); a chainless row only adds to
@@ -189,25 +190,26 @@ class StreamFold {
   /// share overlaps the building. This thread frees nothing the workers
   /// allocated, which would contend with their allocations.
   void x509_pieces(X509Pieces pieces) {
-    prepared_.resize(pieces.size());
+    built_.resize(pieces.size());
     std::vector<double> piece_ms(pieces.size(), 0.0);
     pool_->run_ordered(
         pieces.size(),
         [&](std::size_t k) {
           const obs::Stopwatch watch;
-          x509_reader_.parse(pieces[k], [this, k](zeek::X509LogRecord record) {
-            prepared_[k].push_back(zeek::prepare_certificate(std::move(record)));
+          Built& built = built_[k];
+          x509_reader_.parse(pieces[k], [&built](zeek::X509LogRecord record) {
+            built.certificates.push_back(built.builder.prepare(std::move(record)));
           });
           piece_ms[k] = watch.elapsed_ms();
         },
         [&](std::size_t k) {
-          for (zeek::PreparedCertificate& certificate : prepared_[k]) {
+          for (zeek::PreparedCertificate& certificate : built_[k].certificates) {
             joiner_.add(certificate);
           }
         });
     x509_reader_.commit(pieces);
     // What the joiner left is freed on the workers, off this thread.
-    run(pieces.size(), piece_ms, [this](std::size_t k) { prepared_[k] = {}; });
+    run(pieces.size(), piece_ms, [this](std::size_t k) { built_[k] = {}; });
     for (std::size_t k = 0; k < pieces.size(); ++k) {
       build_ms_[k % workers_] += piece_ms[k];
     }
@@ -248,10 +250,16 @@ class StreamFold {
   /// ready to file while the rest still build.
   static constexpr std::size_t kX509PiecesPerWorker = 4;
 
-  // Pool only: X509 piece k's certificates; and one slot per worker for SSL
-  // piece k's resolver and its rows by owner (routes_[k][owner]) and for
-  // owner s's index.
-  std::vector<std::vector<zeek::PreparedCertificate>> prepared_;
+  /// X509 piece k's builder and the certificates it prepared.
+  struct Built {
+    zeek::CertificateBuilder builder;
+    std::vector<zeek::PreparedCertificate> certificates;
+  };
+
+  // Pool only: one slot per X509 piece; and one per worker for SSL piece k's
+  // resolver and its rows by owner (routes_[k][owner]) and for owner s's
+  // index.
+  std::vector<Built> built_;
   std::vector<ChainResolver> resolvers_;
   std::vector<std::vector<std::vector<RoutedRow>>> routes_;
   std::vector<CorpusIndex> owners_;

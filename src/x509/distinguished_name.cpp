@@ -190,6 +190,13 @@ DistinguishedName DistinguishedName::parse_or_die(std::string_view text) {
   return *std::move(parsed);
 }
 
+DistinguishedName DistinguishedName::parse_lenient(std::string_view text) {
+  if (auto parsed = parse(text)) return *std::move(parsed);
+  DistinguishedName fallback;
+  fallback.add("CN", std::string(text));
+  return fallback;
+}
+
 std::string escape_dn_value(std::string_view value) {
   std::string out;
   out.reserve(value.size());

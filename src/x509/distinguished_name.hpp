@@ -50,6 +50,11 @@ class DistinguishedName {
   /// Convenience for tests and generators; aborts on malformed input.
   static DistinguishedName parse_or_die(std::string_view text);
 
+  /// The ingest parse of a logged DN: parse(), or, for text that does not
+  /// parse, a single CN holding it, so the analysis still sees the raw
+  /// string (as string-level tooling would).
+  static DistinguishedName parse_lenient(std::string_view text);
+
   /// RFC 4514 form with escaping, kept in the body: a reference, never an
   /// allocation.
   const std::string& to_string() const { return body().display; }

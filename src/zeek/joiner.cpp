@@ -10,13 +10,6 @@ namespace certchain::zeek {
 
 namespace {
 
-x509::DistinguishedName parse_dn_lenient(const std::string& text) {
-  if (auto parsed = x509::DistinguishedName::parse(text)) return *std::move(parsed);
-  x509::DistinguishedName fallback;
-  fallback.add("CN", text);  // keep the raw string visible to the analysis
-  return fallback;
-}
-
 crypto::KeyAlgorithm parse_key_alg(const std::string& name) {
   for (const auto alg :
        {crypto::KeyAlgorithm::kRsa2048, crypto::KeyAlgorithm::kRsa4096,
@@ -39,28 +32,19 @@ crypto::SignatureAlgorithm parse_sig_alg(const std::string& name) {
   return crypto::SignatureAlgorithm::kSimSha256WithRsa;
 }
 
-/// The one certificate build behind certificate_from_record and
-/// LogJoiner::add: `Record` is `const X509LogRecord&` (copy the strings) or
-/// `X509LogRecord` (move the serial and SANs).
+/// The one certificate build behind certificate_from_record, LogJoiner::add
+/// and CertificateBuilder, given the row's issuer and subject: `Record` is
+/// `const X509LogRecord&` (copy the strings) or `X509LogRecord` (move the
+/// serial and SANs).
 template <typename Record>
-x509::Certificate build_certificate(Record&& record, core::DnPool* pool) {
+x509::Certificate build_certificate(Record&& record,
+                                    x509::DistinguishedName issuer,
+                                    x509::DistinguishedName subject) {
   x509::Certificate cert;
   cert.version = record.version;
   cert.serial = std::forward<Record>(record).serial;
-  if (pool != nullptr) {
-    // Raw-bytes memo: each distinct spelling parses once, ever. The stored
-    // parse is of *these* bytes, so rendering is unchanged vs. the poolless
-    // path even for canonically colliding spellings.
-    const core::DnPool::Interned issuer = pool->intern_raw(record.issuer);
-    const core::DnPool::Interned subject = pool->intern_raw(record.subject);
-    cert.issuer = *issuer.name;
-    cert.subject = *subject.name;
-    cert.issuer_id = issuer.id;
-    cert.subject_id = subject.id;
-  } else {
-    cert.issuer = parse_dn_lenient(record.issuer);
-    cert.subject = parse_dn_lenient(record.subject);
-  }
+  cert.issuer = std::move(issuer);
+  cert.subject = std::move(subject);
   cert.validity = util::TimeRange{record.not_before, record.not_after};
   cert.public_key.algorithm = parse_key_alg(record.key_alg);
   cert.public_key.material.clear();  // X509.log carries no key material
@@ -75,6 +59,29 @@ x509::Certificate build_certificate(Record&& record, core::DnPool* pool) {
   return cert;
 }
 
+/// build_certificate with each DN the lenient parse of its raw spelling;
+/// with a pool, memoized by raw bytes, and the certificate carries the
+/// interned issuer/subject ids.
+template <typename Record>
+x509::Certificate build_certificate(Record&& record, core::DnPool* pool) {
+  if (pool == nullptr) {
+    return build_certificate(
+        std::forward<Record>(record),
+        x509::DistinguishedName::parse_lenient(record.issuer),
+        x509::DistinguishedName::parse_lenient(record.subject));
+  }
+  // Raw-bytes memo: each distinct spelling parses once, ever. The stored
+  // parse is of *these* bytes, so rendering is unchanged vs. the poolless
+  // path even for canonically colliding spellings.
+  const core::DnPool::Interned issuer = pool->intern_raw(record.issuer);
+  const core::DnPool::Interned subject = pool->intern_raw(record.subject);
+  x509::Certificate cert =
+      build_certificate(std::forward<Record>(record), *issuer.name, *subject.name);
+  cert.issuer_id = issuer.id;
+  cert.subject_id = subject.id;
+  return cert;
+}
+
 }  // namespace
 
 x509::Certificate certificate_from_record(const X509LogRecord& record,
@@ -82,14 +89,27 @@ x509::Certificate certificate_from_record(const X509LogRecord& record,
   return build_certificate(record, pool);
 }
 
-PreparedCertificate prepare_certificate(X509LogRecord&& record) {
+const CertificateBuilder::Parses::value_type& CertificateBuilder::parse(
+    std::string&& raw) {
+  auto it = parses_.find(raw);
+  if (it == parses_.end()) {
+    x509::DistinguishedName parsed = x509::DistinguishedName::parse_lenient(raw);
+    it = parses_.emplace(std::move(raw), std::move(parsed)).first;
+  }
+  return *it;
+}
+
+PreparedCertificate CertificateBuilder::prepare(X509LogRecord&& record) {
+  const auto& [issuer, issuer_parse] = parse(std::move(record.issuer));
+  const auto& [subject, subject_parse] = parse(std::move(record.subject));
   PreparedCertificate prepared;
-  prepared.cert = build_certificate(std::move(record), nullptr);
-  prepared.cert.seal_fingerprint();
+  prepared.issuer = issuer;
+  prepared.subject = subject;
+  prepared.cert = std::make_shared<x509::Certificate>(
+      build_certificate(std::move(record), issuer_parse, subject_parse));
+  prepared.cert->seal_fingerprint();
   // build_certificate moved only the serial and the SANs out.
   prepared.fuid = std::move(record.fuid);
-  prepared.issuer = std::move(record.issuer);
-  prepared.subject = std::move(record.subject);
   return prepared;
 }
 
@@ -149,28 +169,19 @@ void LogJoiner::add_record(Record&& certificate) {
 void LogJoiner::add(PreparedCertificate& prepared) {
   const auto [it, inserted] = by_fuid_.try_emplace(std::move(prepared.fuid));
   if (!inserted) return;
-  x509::Certificate& cert = prepared.cert;
-  // The prepared parses; a spelling new to the pool moves its parse in.
-  x509::DistinguishedName issuer_parse = std::move(cert.issuer);
-  x509::DistinguishedName subject_parse = std::move(cert.subject);
+  x509::Certificate& cert = *prepared.cert;
   if (dn_pool_ != nullptr) {
     // Issuer first, as build_certificate interns, so ids come out the same.
     const core::DnPool::Interned issuer =
-        dn_pool_->intern_raw(prepared.issuer, std::move(issuer_parse));
+        dn_pool_->intern_raw(prepared.issuer, cert.issuer);
     const core::DnPool::Interned subject =
-        dn_pool_->intern_raw(prepared.subject, std::move(subject_parse));
+        dn_pool_->intern_raw(prepared.subject, cert.subject);
     cert.issuer = *issuer.name;
     cert.subject = *subject.name;
     cert.issuer_id = issuer.id;
     cert.subject_id = subject.id;
-  } else {
-    cert.issuer = std::move(issuer_parse);
-    cert.subject = std::move(subject_parse);
   }
-  it->second = std::make_shared<const x509::Certificate>(std::move(cert));
-  // A parse the pool did not take goes back to the caller.
-  cert.issuer = std::move(issuer_parse);
-  cert.subject = std::move(subject_parse);
+  it->second = std::move(prepared.cert);
 }
 
 CertificateIndex LogJoiner::by_fingerprint() const {

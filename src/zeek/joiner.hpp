@@ -8,6 +8,7 @@
 // than silently dropped.
 #pragma once
 
+#include <memory>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -41,14 +42,30 @@ x509::Certificate certificate_from_record(const X509LogRecord& record,
 /// in row order.
 struct PreparedCertificate {
   std::string fuid;
-  std::string issuer;   // the raw spellings, the DN pool's memo keys
-  std::string subject;
-  x509::Certificate cert;
+  /// The raw spellings, the DN pool's memo keys: views into the
+  /// CertificateBuilder that prepared the row.
+  std::string_view issuer;
+  std::string_view subject;
+  std::shared_ptr<x509::Certificate> cert;
 };
 
-/// Builds and seals `record`'s certificate without a pool: each DN is the
-/// lenient parse of its raw spelling, the parse the run's pool would keep.
-PreparedCertificate prepare_certificate(X509LogRecord&& record);
+/// Builds X509 rows into sealed certificates without a DN pool, for one
+/// pool task: each DN is the lenient parse of its raw spelling, the parse
+/// the run's pool would keep, made once per distinct spelling the builder
+/// sees and shared by its certificates. A builder must outlive the filing
+/// of what it prepared.
+class CertificateBuilder {
+ public:
+  PreparedCertificate prepare(X509LogRecord&& record);
+
+ private:
+  using Parses = std::unordered_map<std::string, x509::DistinguishedName,
+                                    util::StringHash, std::equal_to<>>;
+  /// The spelling `raw` and its parse, made on first sight.
+  const Parses::value_type& parse(std::string&& raw);
+
+  Parses parses_;
+};
 
 /// Projects a certificate to its X509.log row (used by the simulator).
 X509LogRecord record_from_certificate(const x509::Certificate& cert,
@@ -83,13 +100,12 @@ class LogJoiner {
   /// hand each parsed row over by value).
   void add(X509LogRecord&& certificate);
   /// The same for a row built off the joiner: with a pool, both raw
-  /// spellings are interned (a new one takes over the prepared parse), the
+  /// spellings are interned (a new one keeps the prepared parse), the
   /// certificate shares the pool's DN bodies and carries their ids — the
   /// certificate, ids and pool add(record) would have produced; without
-  /// one, the certificate carries no ids. Whatever the joiner does not keep
-  /// stays in `prepared` — the raw spellings, a duplicate fuid's
-  /// certificate, a parse the pool already had — for the caller to free,
-  /// on the thread that built it if it likes.
+  /// one, the certificate carries no ids. A duplicate fuid's certificate
+  /// stays in `prepared`, and a parse the pool did not keep in the builder,
+  /// for the caller to free on the thread that built them if it likes.
   void add(PreparedCertificate& prepared);
 
   std::size_t certificate_count() const { return by_fuid_.size(); }

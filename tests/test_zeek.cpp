@@ -7,6 +7,7 @@
 #include <stdexcept>
 
 #include "../tests/helpers.hpp"
+#include "core/dn_pool.hpp"
 #include "util/hash.hpp"
 #include "util/strings.hpp"
 #include "zeek/joiner.hpp"
@@ -443,6 +444,70 @@ TEST(Joiner, LenientDnParsingKeepsRawString) {
   record.subject = "no equals sign at all";  // unparseable as a DN
   const x509::Certificate cert = certificate_from_record(record);
   EXPECT_EQ(cert.subject.common_name(), "no equals sign at all");
+}
+
+TEST(Joiner, BuiltCertificatesFileAsTheirRecordsJoin) {
+  // Rows as two pool tasks build them: spellings repeated within and across
+  // builders, canonically colliding spellings, an unparseable one, and a
+  // duplicate fuid whose first row must win.
+  const std::vector<std::pair<std::string, std::string>> names = {
+      {"CN=Issuing CA,O=Example", "CN=a.example"},
+      {"CN=Issuing CA,O=Example", "CN=b.example"},
+      {"cn=issuing ca,o=example", "CN=Issuing CA,O=Example"},
+      {"no equals sign at all", "CN=a.example"},
+      {"CN=Issuing CA,O=Example", "CN=c.example"},
+      {"cn=issuing ca,o=example", "cn=A.example"},
+  };
+  std::vector<X509LogRecord> rows;
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    X509LogRecord record = sample_x509();
+    record.fuid = "F" + std::to_string(i);
+    record.serial = std::to_string(100 + i);
+    record.issuer = names[i].first;
+    record.subject = names[i].second;
+    rows.push_back(record);
+  }
+  X509LogRecord duplicate = rows[1];
+  duplicate.serial = "ffff";
+  rows.push_back(duplicate);
+
+  core::DnPool serial_pool;
+  LogJoiner serial;
+  serial.set_dn_pool(&serial_pool);
+  for (const X509LogRecord& record : rows) serial.add(record);
+
+  core::DnPool built_pool;
+  LogJoiner built;
+  built.set_dn_pool(&built_pool);
+  std::vector<CertificateBuilder> builders(2);
+  std::vector<PreparedCertificate> prepared;
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    CertificateBuilder& builder = builders[i * builders.size() / rows.size()];
+    prepared.push_back(builder.prepare(X509LogRecord(rows[i])));
+  }
+  for (PreparedCertificate& certificate : prepared) built.add(certificate);
+
+  ASSERT_EQ(built.certificate_count(), serial.certificate_count());
+  EXPECT_EQ(built_pool.size(), serial_pool.size());
+  for (const X509LogRecord& record : rows) {
+    SCOPED_TRACE(record.fuid + " " + record.issuer + " / " + record.subject);
+    const x509::CertificateHandle* want = serial.find(record.fuid);
+    const x509::CertificateHandle* got = built.find(record.fuid);
+    ASSERT_NE(want, nullptr);
+    ASSERT_NE(got, nullptr);
+    EXPECT_EQ((*got)->serial, (*want)->serial);
+    EXPECT_EQ((*got)->tbs_bytes(), (*want)->tbs_bytes());
+    EXPECT_EQ((*got)->fingerprint_digest(), (*want)->fingerprint_digest());
+    EXPECT_EQ((*got)->issuer_id, (*want)->issuer_id);
+    EXPECT_EQ((*got)->subject_id, (*want)->subject_id);
+    // A filed certificate shares the pool's DN bodies, whichever builder
+    // parsed the spelling.
+    EXPECT_EQ(&(*got)->issuer.rdns(),
+              &built_pool.name_for_raw(record.issuer).rdns());
+    EXPECT_EQ(&(*got)->subject.rdns(),
+              &built_pool.name_for_raw(record.subject).rdns());
+  }
+  EXPECT_EQ((*built.find("F1"))->serial, "101");  // the first row won
 }
 
 TEST(Joiner, JoinsChainInDeliveryOrder) {
